@@ -6,7 +6,7 @@ from .channel import (ChannelScene, Geometry, GroundTruth, MotionSpec, PATHS,
                       ground_truth_doppler, path_length, synthesize, warp)
 from .peak_tracking import (PeakTracker, PeakTrackState, crosscorr,
                             subsample_interp, track_step)
-from .rls import RlsState, clone_for_reset, solve_direct
+from .rls import RlsState, solve_direct
 from .segmentation import (SegmentationState, SegmentHypothesis,
                            admit_hypothesis, batch_sls, bellman_step,
                            evict_if_full)

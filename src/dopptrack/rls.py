@@ -1,10 +1,15 @@
-"""Recursive least-squares with rank-1 inverse-Gram (Riccati) updates.
+"""Recursive least-squares in square-root (QR-factor) form.
 
 Unit forgetting factor: the segmentation layer, not exponential windowing,
-handles nonstationarity. The accumulated lse tracks the minimum of
-ridge*||x||^2 + sum of squared residuals via the a-priori/a-posteriori
-residual product identity, so it can be compared directly against
-solve_direct on the same rows.
+handles nonstationarity. The state is the upper-triangular R factor of the
+ridge-augmented data [[sqrt(ridge) I, 0], [A, y]]; absorbing rows is one QR
+of the old factor stacked on the new rows. The estimate solves
+R[:d, :d] x = R[:d, d] and the last diagonal entry squared is exactly
+ridge*||x||^2 + sum of squared residuals, so lse compares directly against
+solve_direct on the same rows. No inverse Gram is formed: there is no 1/ridge
+cancellation while a fit has fewer rows than unknowns, and the factor stays
+triangular with a nonzero leading diagonal (positive definite Gram) by
+construction.
 """
 
 from __future__ import annotations
@@ -18,68 +23,28 @@ import numpy as np
 class RlsState:
     """Value-type RLS state; never shared mutably between owners.
 
-    During the first dim updates the raw rows are retained and the whole
-    state is refreshed from a stable direct solve: the rank-1 recursion
-    starting from the huge 1/ridge inverse-Gram would otherwise lose ~8
-    digits to cancellation. After the transient the plain recursion runs at
-    data scale and the retained rows are dropped.
+    factor is the (dim+1, dim+1) upper-triangular R factor of the augmented
+    data; estimate and lse are read off it after every update.
     """
 
-    dim: int
-    inv_gram: np.ndarray   # (dim, dim), symmetric positive definite
+    factor: np.ndarray     # (dim+1, dim+1), upper triangular
     estimate: np.ndarray   # (dim,)
     lse: float
     count: int
-    ridge: float = 0.0
-    warm_rows: list | None = None
-    warm_targets: list | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.factor.shape[0] - 1
 
 
 def init(dim: int, ridge: float) -> RlsState:
-    """Fresh state: inv_gram = I/ridge, zero estimate, zero lse."""
+    """Fresh state: factor diag(sqrt(ridge), ..., sqrt(ridge), 0), zero fit."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if ridge <= 0.0:
         raise ValueError("ridge must be positive")
-    return RlsState(dim=dim,
-                    inv_gram=np.eye(dim) / ridge,
-                    estimate=np.zeros(dim),
-                    lse=0.0,
-                    count=0,
-                    ridge=ridge,
-                    warm_rows=[],
-                    warm_targets=[])
-
-
-def clone_for_reset(state: RlsState) -> RlsState:
-    """Deep, independent copy; mutating the copy never touches the source."""
-    return RlsState(dim=state.dim,
-                    inv_gram=state.inv_gram.copy(),
-                    estimate=state.estimate.copy(),
-                    lse=state.lse,
-                    count=state.count,
-                    ridge=state.ridge,
-                    warm_rows=None if state.warm_rows is None
-                    else [g.copy() for g in state.warm_rows],
-                    warm_targets=None if state.warm_targets is None
-                    else list(state.warm_targets))
-
-
-def _warm_refresh(state: RlsState, g: np.ndarray, target: float) -> float:
-    """Stable full refresh from the retained rows (transient steps only)."""
-    state.warm_rows.append(g.copy())
-    state.warm_targets.append(float(target))
-    A = np.array(state.warm_rows)
-    y = np.array(state.warm_targets)
-    state.estimate, lse = solve_direct(A, y, state.ridge)
-    state.lse = max(lse, 0.0)
-    gram = state.ridge * np.eye(state.dim) + A.T @ A
-    # eigendecomposition inverts each mode to full relative precision even
-    # while the Gram spans ridge-scale and data-scale eigenvalues
-    eigval, eigvec = np.linalg.eigh(gram)
-    P = (eigvec / eigval) @ eigvec.T
-    state.inv_gram = 0.5 * (P + P.T)
-    return float(target - g @ state.estimate)
+    factor = np.diag(np.append(np.full(dim, np.sqrt(ridge)), 0.0))
+    return RlsState(factor=factor, estimate=np.zeros(dim), lse=0.0, count=0)
 
 
 def update(state: RlsState, row: np.ndarray, target: float) -> tuple[RlsState, float]:
@@ -89,73 +54,35 @@ def update(state: RlsState, row: np.ndarray, target: float) -> tuple[RlsState, f
         raise ValueError("row must have shape (%d,)" % state.dim)
     if not (np.all(np.isfinite(g)) and np.isfinite(target)):
         raise ValueError("non-finite row or target")
-    if not np.any(g):
-        # a zero row carries no information: gain is zero and the constant
-        # residual is not charged to the fit
-        state.count += 1
-        return state, target - 0.0
-    if state.warm_rows is not None and state.count < state.dim:
-        e_post = _warm_refresh(state, g, target)
-        state.count += 1
-        if state.count >= state.dim:
-            state.warm_rows = None
-            state.warm_targets = None
-        return state, e_post
-    P = state.inv_gram
-    Pg = P @ g
-    denom = 1.0 + g @ Pg
-    gain = Pg / denom
-    e_pri = target - g @ state.estimate
-    state.estimate = state.estimate + gain * e_pri
-    e_post = e_pri / denom
-    state.lse = max(state.lse + e_pri * e_post, 0.0)
-    P = P - np.outer(gain, Pg)
-    # re-symmetrize for numerical hygiene
-    state.inv_gram = 0.5 * (P + P.T)
-    state.count += 1
-    return state, e_post
+    update_batch([state], g[None, None, :], np.array([[target]], dtype=float))
+    return state, float(target - g @ state.estimate)
 
 
 def update_batch(states: list[RlsState], rows: np.ndarray,
                  targets: np.ndarray) -> None:
     """Absorb the same number of rows into many independent states at once.
 
-    rows has shape (H, R, dim) and targets (H, R): state h absorbs its R rows
-    in order. Identical math to update(), vectorized over h.
+    rows has shape (H, R, dim) and targets (H, R): state h absorbs its R rows.
+    A zero row carries no information; its target is not charged to the fit.
     """
     H, R, dim = rows.shape
     if len(states) != H:
         raise ValueError("rows/states length mismatch")
-    warm = [h for h, s in enumerate(states) if s.warm_rows is not None]
-    if warm:
-        # states still in their exact-refresh transient take the scalar path
-        for h in warm:
-            for m in range(R):
-                update(states[h], rows[h, m], targets[h, m])
-        rest = [h for h in range(H) if h not in warm]
-        if not rest:
-            return
-        update_batch([states[h] for h in rest], rows[rest], targets[rest])
-        return
-    P = np.stack([s.inv_gram for s in states])
-    w = np.stack([s.estimate for s in states])
-    lse = np.array([s.lse for s in states])
-    for m in range(R):
-        g = rows[:, m, :]
-        live = np.any(g != 0.0, axis=1)  # zero rows carry no information
-        Pg = np.einsum("hij,hj->hi", P, g)
-        denom = 1.0 + np.einsum("hi,hi->h", g, Pg)
-        e_pri = targets[:, m] - np.einsum("hi,hi->h", g, w)
-        gain = Pg / denom[:, None]
-        w += gain * e_pri[:, None]
-        P -= gain[:, :, None] * Pg[:, None, :]
-        P = 0.5 * (P + P.transpose(0, 2, 1))
-        lse += np.where(live, e_pri * e_pri / denom, 0.0)
-    np.maximum(lse, 0.0, out=lse)
-    for h, s in enumerate(states):
-        s.inv_gram = P[h]
-        s.estimate = w[h]
-        s.lse = float(lse[h])
+    # zeroing the target makes a zero row a zero row of the augmented data,
+    # which the QR passes over
+    live = np.any(rows != 0.0, axis=2)
+    data = np.concatenate(
+        [rows, np.where(live, targets, 0.0)[:, :, None]], axis=2)
+    stacked = np.concatenate([np.stack([s.factor for s in states]), data],
+                             axis=1)
+    factor = np.linalg.qr(stacked, mode="r")
+    estimate = np.linalg.solve(factor[:, :dim, :dim],
+                               factor[:, :dim, dim:])[:, :, 0]
+    lse = (factor[:, dim, dim] ** 2).tolist()
+    for s, f, x, e in zip(states, factor, estimate, lse):
+        s.factor = f
+        s.estimate = x
+        s.lse = e
         s.count += R
 
 

@@ -29,7 +29,6 @@ class SegmentHypothesis:
     rls: RlsState
     e_admit: float        # prefix cost E(start), frozen at admission
     admit_seq: int        # admission order, for recency protection
-    last_updated: int = -1
     payload: object = None
 
     @property

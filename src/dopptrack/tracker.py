@@ -242,9 +242,14 @@ class DopplerTracker:
             * self.config.sample_period
 
     def process_sample(self, r_n: float) -> DopplerSegment | None:
-        """Consume the next received sample; returns a segment when one closes."""
+        """Consume the next received sample; returns a segment when one closes.
+
+        A non-finite sample raises ValueError and is not consumed.
+        """
         if self._finalized:
             raise RuntimeError("tracker already finalized")
+        if not np.isfinite(r_n):
+            raise ValueError("non-finite sample at index %d" % self._n)
         cfg = self.config
         n = self._n
         self._n += 1
@@ -272,8 +277,6 @@ class DopplerTracker:
         # penalty is calibrated in (uniform scaling leaves the estimate alone)
         scale = 1.0 / np.sqrt(rows.shape[1])
         rls.update_batch([h.rls for h in hyps], rows * scale, targets * scale)
-        for h in hyps:
-            h.last_updated = n
         _, best = bellman_step(self._seg, cfg.penalty)
         jump = best - self._seg.prev_best_start
         if jump >= cfg.detect_threshold and best > self._a_cur:
@@ -291,6 +294,9 @@ class DopplerTracker:
         return clipped
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
+        winner = self._seg.find(new_start)
+        if winner is None:
+            raise RuntimeError("Bellman winner missing from memory")
         d_closed = self._clamped_doppler(self._anchor, n)
         seg = DopplerSegment(a=self._a_cur, b=new_start - 1,
                              doppler=d_closed, tau=self._tau_cur.copy(),
@@ -300,8 +306,6 @@ class DopplerTracker:
                                       new_start, self.config.sample_period)
         self._a_cur = new_start
         self._d_ref = d_closed.copy()
-        winner = self._seg.find(new_start)
-        assert winner is not None, "Bellman winner missing from memory"
         self._anchor = winner
         return seg
 

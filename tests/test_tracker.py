@@ -232,6 +232,27 @@ class TestTrackerRuns:
             trk.process_sample(0.0)
         assert trk.finalize() is None
 
+    def test_non_finite_sample_rejected_without_advancing(self):
+        sig = build_signal()
+        r = sig.eval_passband(np.arange(10) * T - 1e-3)
+        trk = DopplerTracker(sig, config([1.0], [-1e-3]))
+        with pytest.raises(ValueError):
+            trk.process_sample(np.nan)
+        for v in r[:5]:
+            trk.process_sample(float(v))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                trk.process_sample(bad)
+            assert trk.sample_index == 5
+        trk.process_sample(float(r[5]))
+        assert trk.sample_index == 6
+
+    def test_missing_winner_raises_without_closing(self):
+        trk, _, _ = self.static_run(50)
+        with pytest.raises(RuntimeError):
+            trk._close_segment(10**6, 50)
+        assert trk.segments == []
+
     def test_delay_chain_continuity(self):
         sig = build_signal(n_symbols=1200)
         n = np.arange(10000)
