@@ -9,7 +9,7 @@ Subcommands:
     dump-signal  sample the transmitted waveform to CSV for inspection
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 the tracker
-reported numerical divergence.
+reported numerical divergence, 4 a received sample the tracker cannot consume.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import harness
 from .harness import ConfigError
+from .tracker import InvalidSampleError
 
 
 def _load(args) -> harness.RunConfig:
@@ -180,6 +181,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
+    except InvalidSampleError as exc:
+        print("bad input: %s" % exc, file=sys.stderr)
+        return 4
     except (OSError, ValueError) as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2

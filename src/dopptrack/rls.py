@@ -3,7 +3,8 @@
 Unit forgetting factor: the segmentation layer, not exponential windowing,
 handles nonstationarity. The state is the upper-triangular R factor of the
 ridge-augmented data [[sqrt(ridge) I, 0], [A, y]]; absorbing rows is one QR
-of the old factor stacked on the new rows. The estimate solves
+of the old factor stacked on the new rows, batched over an (H, dim+1, dim+1)
+array of factors that is overwritten in place. The estimate solves
 R[:d, :d] x = R[:d, d] and the last diagonal entry squared is exactly
 ridge*||x||^2 + sum of squared residuals, so lse compares directly against
 solve_direct on the same rows. No inverse Gram is formed: there is no 1/ridge
@@ -24,7 +25,9 @@ class RlsState:
     """Value-type RLS state; never shared mutably between owners.
 
     factor is the (dim+1, dim+1) upper-triangular R factor of the augmented
-    data; estimate and lse are read off it after every update.
+    data; update reads estimate and lse off it. This single-state form serves
+    the oracle checks; many fits update together as a factor array through
+    update_batch.
     """
 
     factor: np.ndarray     # (dim+1, dim+1), upper triangular
@@ -47,6 +50,16 @@ def init(dim: int, ridge: float) -> RlsState:
     return RlsState(factor=factor, estimate=np.zeros(dim), lse=0.0, count=0)
 
 
+def estimate(factor: np.ndarray) -> np.ndarray:
+    """Fit read off one factor (dim+1, dim+1) or a stack (..., dim+1, dim+1).
+
+    Solves R[:d, :d] x = R[:d, d]; only the places that use a fit call this,
+    the update itself never forms it.
+    """
+    d = factor.shape[-1] - 1
+    return np.linalg.solve(factor[..., :d, :d], factor[..., :d, d:])[..., 0]
+
+
 def update(state: RlsState, row: np.ndarray, target: float) -> tuple[RlsState, float]:
     """Absorb one regression row in place; returns (state, a-posteriori residual)."""
     g = np.asarray(row, dtype=float)
@@ -54,36 +67,34 @@ def update(state: RlsState, row: np.ndarray, target: float) -> tuple[RlsState, f
         raise ValueError("row must have shape (%d,)" % state.dim)
     if not (np.all(np.isfinite(g)) and np.isfinite(target)):
         raise ValueError("non-finite row or target")
-    update_batch([state], g[None, None, :], np.array([[target]], dtype=float))
+    lse = update_batch(state.factor[None], g[None, None, :],
+                       np.array([[target]], dtype=float))
+    state.estimate = estimate(state.factor)
+    state.lse = float(lse[0])
+    state.count += 1
     return state, float(target - g @ state.estimate)
 
 
-def update_batch(states: list[RlsState], rows: np.ndarray,
-                 targets: np.ndarray) -> None:
-    """Absorb the same number of rows into many independent states at once.
+def update_batch(factors: np.ndarray, rows: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Absorb the same number of rows into many independent factors at once.
 
-    rows has shape (H, R, dim) and targets (H, R): state h absorbs its R rows.
-    A zero row carries no information; its target is not charged to the fit.
+    factors has shape (H, dim+1, dim+1) and is overwritten in place; rows has
+    shape (H, R, dim) and targets (H, R): factor h absorbs its R rows. A zero
+    row carries no information; its target is not charged to the fit.
+    Returns the H updated lse values.
     """
     H, R, dim = rows.shape
-    if len(states) != H:
-        raise ValueError("rows/states length mismatch")
+    if factors.shape != (H, dim + 1, dim + 1):
+        raise ValueError("rows/factors shape mismatch")
     # zeroing the target makes a zero row a zero row of the augmented data,
     # which the QR passes over
     live = np.any(rows != 0.0, axis=2)
     data = np.concatenate(
         [rows, np.where(live, targets, 0.0)[:, :, None]], axis=2)
-    stacked = np.concatenate([np.stack([s.factor for s in states]), data],
-                             axis=1)
-    factor = np.linalg.qr(stacked, mode="r")
-    estimate = np.linalg.solve(factor[:, :dim, :dim],
-                               factor[:, :dim, dim:])[:, :, 0]
-    lse = (factor[:, dim, dim] ** 2).tolist()
-    for s, f, x, e in zip(states, factor, estimate, lse):
-        s.factor = f
-        s.estimate = x
-        s.lse = e
-        s.count += R
+    factors[...] = np.linalg.qr(np.concatenate([factors, data], axis=1),
+                                mode="r")
+    return factors[:, dim, dim] ** 2
 
 
 def solve_direct(rows, targets, ridge: float) -> tuple[np.ndarray, float]:

@@ -1,10 +1,14 @@
 """Online segmentation machinery and its exact batch counterpart.
 
-The online side maintains a bounded set of candidate segment starts, each
+The online side keeps a bounded bank of candidate segment starts, each
 carrying a live RLS fit of "what if the current segment had started there".
-Every step the prefix cost E(n) = min over candidates of
-(candidate lse + penalty + E(candidate start)) is minimized; a new-segment
-event is declared by the caller when the winning start jumps far enough.
+The bank is a set of fixed-capacity column arrays whose rows [:filled] are
+the live candidates, compact and in admission order; callers update slices
+of it in place. Every step the prefix cost
+E(n) = min over candidates of (candidate lse + penalty + E(candidate start))
+is an argmin over the live rows; a new-segment event is declared by the
+caller when the winning start jumps far enough. Eviction is an argmax of lse
+over the rows outside the most recent ones.
 
 Cost accounting: a candidate admitted while processing sample n gets start
 n-1 and absorbs sample n onward, so candidate (a, n) charges samples a+1..n
@@ -14,88 +18,91 @@ exact batch dynamic program implemented by batch_sls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .rls import RlsState
-
-
-@dataclass
-class SegmentHypothesis:
-    """One candidate segment start with its live fit state."""
-
-    start: int
-    rls: RlsState
-    e_admit: float        # prefix cost E(start), frozen at admission
-    admit_seq: int        # admission order, for recency protection
-    payload: object = None
-
-    @property
-    def lse(self) -> float:
-        return self.rls.lse
+from . import rls
 
 
 class SegmentationState:
-    """Live candidate set plus Bellman bookkeeping for one stream."""
+    """Fixed-capacity candidate bank plus Bellman bookkeeping for one stream.
 
-    def __init__(self):
-        self.hypotheses: list[SegmentHypothesis] = []
+    Row i < filled of each column is one live candidate. Rows stay in
+    admission order, and each admission starts one sample later than the
+    last, so row order is also start order:
+
+        start    (capacity,)               first sample before the segment
+        e_admit  (capacity,)               E(start), frozen at admission
+        lse      (capacity,)               lse of the live fit
+        factor   (capacity, dim+1, dim+1)  RLS factor of the live fit
+        d_ref    (capacity, dim)           caller's frozen linearization
+        tau      (capacity, dim)           reference, set at admission
+    """
+
+    def __init__(self, capacity: int, dim: int, ridge: float):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.filled = 0
+        self.start = np.zeros(capacity, dtype=np.int64)
+        self.e_admit = np.zeros(capacity)
+        self.lse = np.zeros(capacity)
+        self.factor = np.zeros((capacity, dim + 1, dim + 1))
+        self.d_ref = np.zeros((capacity, dim))
+        self.tau = np.zeros((capacity, dim))
+        self._fresh_factor = rls.init(dim, ridge).factor
         self.last_E = 0.0          # E(n-1), the settled previous prefix cost
         self.E_n = 0.0
         self.best_start = 0
         self.prev_best_start = 0
-        self._admit_counter = 0
-
-    @property
-    def filled(self) -> int:
-        return len(self.hypotheses)
-
-    @property
-    def e_values(self) -> dict[int, float]:
-        """Admission-time prefix cost per live candidate start."""
-        return {h.start: h.e_admit for h in self.hypotheses}
-
-    def find(self, start: int) -> SegmentHypothesis | None:
-        for h in self.hypotheses:
-            if h.start == start:
-                return h
-        return None
 
 
-def admit_hypothesis(state: SegmentationState, n: int, seed_rls: RlsState,
-                     payload: object = None) -> SegmentHypothesis:
-    """Append a candidate starting at n-1; E(n-1) is frozen as its prefix cost."""
-    hyp = SegmentHypothesis(start=n - 1, rls=seed_rls, e_admit=state.last_E,
-                            admit_seq=state._admit_counter, payload=payload)
-    state._admit_counter += 1
-    state.hypotheses.append(hyp)
-    return hyp
+def admit_hypothesis(state: SegmentationState, n: int, d_ref=0.0,
+                     tau=0.0) -> int:
+    """Append a fresh fit starting at n-1 as the newest row; returns the row.
+
+    E(n-1) is frozen as its prefix cost; d_ref and tau fill its reference
+    columns.
+    """
+    k = state.filled
+    if k == state.capacity:
+        raise ValueError("candidate bank is full")
+    if k and state.start[k - 1] >= n - 1:
+        raise ValueError("candidate starts must increase")
+    state.start[k] = n - 1
+    state.e_admit[k] = state.last_E
+    state.lse[k] = 0.0
+    state.factor[k] = state._fresh_factor
+    state.d_ref[k] = d_ref
+    state.tau[k] = tau
+    state.filled = k + 1
+    return k
 
 
 def evict_if_full(state: SegmentationState, n_best: int, n_recent: int,
-                  protect_start: int | None = None) -> SegmentHypothesis | None:
+                  protect_start: int | None = None) -> int | None:
     """Discard the largest-lse candidate outside the n_recent most recent.
 
     No-op unless the memory is at capacity n_best + n_recent. A start given in
     protect_start (the tracker's open-segment anchor) is never discarded; if
     that empties the pool, the protection window shrinks to the single most
-    recent candidate. Returns the discarded hypothesis, if any.
+    recent candidate. Among equal lse the oldest goes. Returns the discarded
+    start, if any.
     """
-    if state.filled < n_best + n_recent:
+    k = state.filled
+    if k < n_best + n_recent:
         return None
-    by_recency = sorted(state.hypotheses, key=lambda h: h.admit_seq)
-    recent = set(id(h) for h in by_recency[-n_recent:])
-    pool = [h for h in state.hypotheses
-            if id(h) not in recent and h.start != protect_start]
-    if not pool:
-        recent_one = set(id(h) for h in by_recency[-1:])
-        pool = [h for h in state.hypotheses
-                if id(h) not in recent_one and h.start != protect_start]
-        if not pool:
-            return None
-    victim = max(pool, key=lambda h: h.lse)
-    state.hypotheses.remove(victim)
+    for n_keep in (n_recent, 1):
+        pool = np.flatnonzero(state.start[:k - n_keep] != protect_start)
+        if pool.size:
+            break
+    else:
+        return None
+    row = int(pool[state.lse[pool].argmax()])
+    victim = int(state.start[row])
+    for column in (state.start, state.e_admit, state.lse, state.factor,
+                   state.d_ref, state.tau):
+        column[row:k - 1] = column[row + 1:k]
+    state.filled = k - 1
     return victim
 
 
@@ -103,20 +110,19 @@ def bellman_step(state: SegmentationState, penalty: float) -> tuple[float, int]:
     """Memory-restricted prefix-cost minimization over the live candidates.
 
     Stores and returns (E(n), best start); ties break toward the earliest
-    start. Also shifts the previous winner into prev_best_start so the caller
-    can apply its jump-based new-segment rule.
+    start, the first row. Also shifts the previous winner into
+    prev_best_start so the caller can apply its jump-based new-segment rule.
     """
-    if not state.hypotheses:
+    k = state.filled
+    if k == 0:
         raise ValueError("no live hypotheses")
-    costs = np.array([h.lse + penalty + h.e_admit for h in state.hypotheses])
-    starts = np.array([h.start for h in state.hypotheses])
-    best_cost = costs.min()
-    best_start = int(starts[costs == best_cost].min())
+    costs = state.lse[:k] + penalty + state.e_admit[:k]
+    row = int(costs.argmin())
     state.prev_best_start = state.best_start
-    state.best_start = best_start
-    state.E_n = float(best_cost)
+    state.best_start = int(state.start[row])
+    state.E_n = float(costs[row])
     state.last_E = state.E_n
-    return state.E_n, best_start
+    return state.E_n, state.best_start
 
 
 def batch_sls(observations, penalty: float, segment_fitter) -> tuple[list[tuple[int, int]], float]:

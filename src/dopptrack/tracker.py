@@ -2,17 +2,24 @@
 
 The per-path emission-time warp is modeled as piecewise linear in the sample
 index: over a segment starting at a, path l maps sample n to the transmit
-time d_l (n - a) T + tau_l. Candidate segment starts are held by the
-segmentation layer; each candidate fits, via RLS on linearized rows, the
-small Doppler correction of its own segment against a frozen reference
-Doppler vector. Because the per-path gradient rows become collinear when the
-reference Doppler components coincide, every sample contributes L+1 rows:
-one at the reference and one at each singly-perturbed reference, which
-restores full column rank.
+time d_l (n - a) T + tau_l. Candidate segment starts are rows of the
+segmentation layer's fixed-capacity array bank (keep_best + keep_recent
+rows plus one spare); each row fits, via RLS on linearized rows, the small Doppler
+correction of its own segment against the frozen reference Doppler vector
+and start time (d_ref, tau) stored with it. Because the per-path gradient
+rows become collinear when the reference Doppler components coincide, every
+sample contributes L+1 rows: one at the reference and one at each
+singly-perturbed reference, which restores full column rank.
+
+Each sample is one batched pass over the live slice of the bank: the
+regression rows of all candidates come from one signal evaluation at the
+2 H L distinct times, one QR updates all factors in place, and the Bellman
+step is an argmin over the slice. A non-finite lse flags divergence at once.
 
 A new segment is declared when the prefix-cost-optimal start jumps forward
 by at least detect_threshold samples. On closure the open segment's Doppler
-is fixed from the incumbent fit, the per-path delays are propagated so the
+is fixed from the incumbent fit (the anchor, the candidate whose start is
+the open segment's start), the per-path delays are propagated so the
 reconstructed warp chains continuously across the boundary, and the winning
 candidate becomes the new open segment.
 
@@ -29,6 +36,10 @@ from . import rls
 from .segmentation import (SegmentationState, admit_hypothesis, bellman_step,
                            evict_if_full)
 from .signal_model import TransmitSignal
+
+
+class InvalidSampleError(ValueError):
+    """A received sample the tracker cannot consume: it is not finite."""
 
 
 @dataclass(frozen=True)
@@ -88,19 +99,6 @@ class DopplerSegment:
             raise ValueError("unphysical Doppler factor")
 
 
-def _segment_warp(seg: DopplerSegment, path: int, n, T: float):
-    return seg.doppler[path] * (np.asarray(n, dtype=float) - seg.a) * T \
-        + seg.tau[path]
-
-
-@dataclass
-class HypothesisModel:
-    """Per-candidate frozen linearization anchor."""
-
-    d_ref: np.ndarray   # reference Doppler the RLS correction is relative to
-    tau: np.ndarray     # modeled emission time of the candidate's start sample
-
-
 def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,
                lever: np.ndarray, epsilon: float, gains: np.ndarray):
     """Linearized regression rows for many candidates at one sample.
@@ -110,20 +108,24 @@ def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,
     (H, L+1), (H, L+1): entry m=0 is the unperturbed linearization, entry
     m=l+1 perturbs reference Doppler component l by epsilon. The regression
     target for received value r is r - prediction + target_offset.
+
+    Entry m=l+1 differs from m=0 only in path l, so the signal is evaluated at
+    the 2 H L distinct times (all base times, then each path's perturbed
+    time) and scattered into the L+1 models.
     """
     H, L = d_ref.shape
     base = d_ref * lever[:, None] + tau
-    times = np.repeat(base[:, None, :], L + 1, axis=1)
-    shift = epsilon * lever
+    (s_base, s_pert), (sd_base, sd_pert) = sig.eval_passband_with_derivative(
+        np.stack([base, base + (epsilon * lever)[:, None]]))
     idx = np.arange(L)
-    times[:, idx + 1, idx] += shift[:, None]
-    s, sd = sig.eval_passband_with_derivative(times.reshape(-1))
-    s = s.reshape(H, L + 1, L)
-    sd = sd.reshape(H, L + 1, L)
+    s = np.repeat(s_base[:, None, :], L + 1, axis=1)
+    sd = np.repeat(sd_base[:, None, :], L + 1, axis=1)
+    s[:, idx + 1, idx] = s_pert
+    sd[:, idx + 1, idx] = sd_pert
     preds = (s * gains).sum(axis=2)
     rows = gains * lever[:, None, None] * sd
     offsets = np.zeros((H, L + 1))
-    offsets[:, 1:] = epsilon * np.diagonal(rows[:, 1:, :], axis1=1, axis2=2)
+    offsets[:, 1:] = epsilon * rows[:, idx + 1, idx]
     return rows, offsets, preds
 
 
@@ -163,15 +165,6 @@ def update_delays(d_prev, tau_prev, a_prev: int, b_prev: int, T: float) -> np.nd
         + np.asarray(d_prev, dtype=float) * (b_prev - a_prev) * T
 
 
-def reconstruct_timing(segments: list[DopplerSegment], ell: int, n: int,
-                       T: float) -> float:
-    """Reconstructed emission time of sample n on path ell."""
-    for seg in segments:
-        if seg.a <= n <= seg.b:
-            return float(_segment_warp(seg, ell, n, T))
-    raise ValueError("sample %d not covered by any segment" % n)
-
-
 def reconstruct_warp_array(segments: list[DopplerSegment], num_paths: int,
                            n_samples: int, T: float) -> np.ndarray:
     """Per-path reconstructed warp over 0..n_samples-1 (NaN where uncovered)."""
@@ -197,10 +190,12 @@ class DopplerTracker:
         self._d_ref = np.ones(L)
         self._a_cur = 0
         self._tau_cur = np.asarray(config.initial_tau, dtype=float).copy()
-        self._seg = SegmentationState()
-        self._anchor = admit_hypothesis(
-            self._seg, 1, rls.init(L, config.ridge),
-            payload=HypothesisModel(self._d_ref.copy(), self._tau_cur.copy()))
+        # one row beyond keep_best + keep_recent: with one of each kept,
+        # eviction finds nothing to drop while the anchor is the older row,
+        # and the newcomer is admitted all the same
+        self._seg = SegmentationState(config.keep_best + config.keep_recent
+                                      + 1, L, config.ridge)
+        admit_hypothesis(self._seg, 1, self._d_ref, self._tau_cur)
         self._n = 0
         self.segments: list[DopplerSegment] = []
         self.diverged = False
@@ -219,12 +214,12 @@ class DopplerTracker:
     @property
     def current_doppler(self) -> np.ndarray:
         """Running Doppler estimate of the open segment."""
-        return self._anchor.payload.d_ref + self._anchor.rls.estimate
+        return self._doppler_of(self._anchor())
 
     @property
     def current_correction(self) -> np.ndarray:
         """Running Doppler-correction estimate of the open segment."""
-        return self._anchor.rls.estimate.copy()
+        return rls.estimate(self._seg.factor[self._anchor()])
 
     @property
     def reference_doppler(self) -> np.ndarray:
@@ -236,77 +231,97 @@ class DopplerTracker:
         """Per-path emission time of the open segment's first sample."""
         return self._tau_cur.copy()
 
+    def _row(self, start: int) -> int:
+        """Bank row of the live candidate with this start."""
+        rows = np.flatnonzero(self._seg.start[:self._seg.filled] == start)
+        if rows.size == 0:
+            raise RuntimeError("candidate start %d missing from memory"
+                               % start)
+        return int(rows[0])
+
+    def _anchor(self) -> int:
+        """Bank row of the open segment's fit: the candidate at start _a_cur,
+        which eviction protects."""
+        return self._row(self._a_cur)
+
+    def _doppler_of(self, row: int) -> np.ndarray:
+        return self._seg.d_ref[row] + rls.estimate(self._seg.factor[row])
+
     def _running_warp_at(self, m: int) -> np.ndarray:
-        d_run = self._anchor.payload.d_ref + self._anchor.rls.estimate
+        d_run = self._doppler_of(self._anchor())
         return self._tau_cur + d_run * (m - self._a_cur) \
             * self.config.sample_period
+
+    def _flag_divergence(self, n: int) -> None:
+        self.diverged = True
+        if self.diverged_at is None:
+            self.diverged_at = n
 
     def process_sample(self, r_n: float) -> DopplerSegment | None:
         """Consume the next received sample; returns a segment when one closes.
 
-        A non-finite sample raises ValueError and is not consumed.
+        A non-finite sample raises InvalidSampleError and is not consumed. A
+        non-finite candidate lse flags divergence at this sample.
         """
         if self._finalized:
             raise RuntimeError("tracker already finalized")
         if not np.isfinite(r_n):
-            raise ValueError("non-finite sample at index %d" % self._n)
+            raise InvalidSampleError("non-finite sample at index %d"
+                                     % self._n)
         cfg = self.config
+        seg = self._seg
         n = self._n
         self._n += 1
         if n == 0:
             # sample 0 is the known anchor point of the warp; no row to fit
             return None
-        if self._seg.filled >= cfg.keep_best + cfg.keep_recent:
-            evict_if_full(self._seg, cfg.keep_best, cfg.keep_recent,
+        if seg.filled >= cfg.keep_best + cfg.keep_recent:
+            evict_if_full(seg, cfg.keep_best, cfg.keep_recent,
                           protect_start=self._a_cur)
-        if self._seg.find(n - 1) is None:
-            admit_hypothesis(
-                self._seg, n, rls.init(cfg.num_paths, cfg.ridge),
-                payload=HypothesisModel(self._d_ref.copy(),
-                                        self._running_warp_at(n - 1)))
-        hyps = self._seg.hypotheses
-        d_ref = np.stack([h.payload.d_ref for h in hyps])
-        tau = np.stack([h.payload.tau for h in hyps])
-        starts = np.array([h.start for h in hyps])
-        lever = (n - starts) * cfg.sample_period
-        rows, offsets, preds = rows_batch(self.sig, d_ref, tau, lever,
+        if n > 1:
+            # the constructor admitted start 0, the candidate of sample 1
+            admit_hypothesis(seg, n, self._d_ref,
+                             self._running_warp_at(n - 1))
+        k = seg.filled
+        lever = (n - seg.start[:k]) * cfg.sample_period
+        rows, offsets, preds = rows_batch(self.sig, seg.d_ref[:k],
+                                          seg.tau[:k], lever,
                                           cfg.perturbation, self._gains)
         targets = r_n - preds + offsets
         # the L+1 models describe one observation: weight them so the lse
         # accumulates one squared residual per sample, the unit the segment
         # penalty is calibrated in (uniform scaling leaves the estimate alone)
         scale = 1.0 / np.sqrt(rows.shape[1])
-        rls.update_batch([h.rls for h in hyps], rows * scale, targets * scale)
-        _, best = bellman_step(self._seg, cfg.penalty)
-        jump = best - self._seg.prev_best_start
+        lse = rls.update_batch(seg.factor[:k], rows * scale, targets * scale)
+        seg.lse[:k] = lse
+        if not np.isfinite(lse).all():
+            self._flag_divergence(n)
+        _, best = bellman_step(seg, cfg.penalty)
+        jump = best - seg.prev_best_start
         if jump >= cfg.detect_threshold and best > self._a_cur:
             return self._close_segment(best, n)
         return None
 
-    def _clamped_doppler(self, hyp, n: int) -> np.ndarray:
-        d = hyp.payload.d_ref + hyp.rls.estimate
+    def _clamped_doppler(self, row: int, n: int) -> np.ndarray:
+        d = self._doppler_of(row)
         lo, hi = self.config.doppler_bounds
         clipped = np.clip(d, lo, hi)
         if np.any(clipped != d):
-            self.diverged = True
-            if self.diverged_at is None:
-                self.diverged_at = n
+            self._flag_divergence(n)
         return clipped
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
-        winner = self._seg.find(new_start)
-        if winner is None:
-            raise RuntimeError("Bellman winner missing from memory")
-        d_closed = self._clamped_doppler(self._anchor, n)
+        self._row(new_start)   # the winner must be live before anything closes
+        anchor = self._anchor()
+        d_closed = self._clamped_doppler(anchor, n)
         seg = DopplerSegment(a=self._a_cur, b=new_start - 1,
                              doppler=d_closed, tau=self._tau_cur.copy(),
-                             lse=self._anchor.rls.lse)
+                             lse=float(self._seg.lse[anchor]))
         self.segments.append(seg)
         self._tau_cur = update_delays(d_closed, self._tau_cur, self._a_cur,
                                       new_start, self.config.sample_period)
         self._a_cur = new_start
         self._d_ref = d_closed.copy()
-        self._anchor = winner
         return seg
 
     def finalize(self) -> DopplerSegment | None:
@@ -317,9 +332,10 @@ class DopplerTracker:
         last = self._n - 1
         if last < self._a_cur:
             return None
-        d = self._clamped_doppler(self._anchor, last)
+        anchor = self._anchor()
+        d = self._clamped_doppler(anchor, last)
         seg = DopplerSegment(a=self._a_cur, b=last, doppler=d,
                              tau=self._tau_cur.copy(),
-                             lse=self._anchor.rls.lse)
+                             lse=float(self._seg.lse[anchor]))
         self.segments.append(seg)
         return seg

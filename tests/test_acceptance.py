@@ -140,6 +140,15 @@ def _ridged_line_fit(y, a, n, ridge):
     return lse
 
 
+def _absorb_line_rows(state, n, y_n):
+    """Every live candidate absorbs row (1, n - start) with target y_n."""
+    k = state.filled
+    rows = np.ones((k, 1, 2))
+    rows[:, 0, 1] = n - state.start[:k]
+    state.lse[:k] = rls.update_batch(state.factor[:k], rows,
+                                     np.full((k, 1), y_n))
+
+
 def test_criterion_5_online_equals_batch_with_full_memory():
     # piecewise-linear stream, no eviction (memory >= N), matched ridge fits
     ridge = 1e-8
@@ -150,15 +159,14 @@ def test_criterion_5_online_equals_batch_with_full_memory():
     y = np.where(k < 70, 0.5 * k,
                  np.where(k < 140, 35.0 - 1.2 * (k - 70),
                           -49.0 + 2.0 * (k - 140)))
-    state = SegmentationState()
-    admit_hypothesis(state, 1, rls.init(2, ridge))
+    state = SegmentationState(N, 2, ridge)
+    admit_hypothesis(state, 1)
     E_online = [0.0]
     detected = []
     for n in range(1, N):
-        if state.find(n - 1) is None:
-            admit_hypothesis(state, n, rls.init(2, ridge))
-        for h in state.hypotheses:
-            rls.update(h.rls, np.array([1.0, float(n - h.start)]), y[n])
+        if n > 1:
+            admit_hypothesis(state, n)
+        _absorb_line_rows(state, n, y[n])
         En, best = bellman_step(state, penalty)
         E_online.append(En)
         if best - state.prev_best_start >= M:
@@ -185,16 +193,15 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     N = 120
     y = np.cumsum(rng.normal(size=N) * 0.1)
     y[60:] += 3.0
-    state = SegmentationState()
-    admit_hypothesis(state, 1, rls.init(2, ridge))
+    state = SegmentationState(8, 2, ridge)
+    admit_hypothesis(state, 1)
     E_online = [0.0]
     for n in range(1, N):
         if state.filled >= 8:
             evict_if_full(state, 4, 4)
-        if state.find(n - 1) is None:
-            admit_hypothesis(state, n, rls.init(2, ridge))
-        for h in state.hypotheses:
-            rls.update(h.rls, np.array([1.0, float(n - h.start)]), y[n])
+        if n > 1:
+            admit_hypothesis(state, n)
+        _absorb_line_rows(state, n, y[n])
         En, _ = bellman_step(state, penalty)
         E_online.append(En)
     B = np.zeros(N)

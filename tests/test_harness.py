@@ -237,6 +237,23 @@ class TestCli:
                          "--out", str(tmp_path / "o"), "--duration", "0.02"])
         assert code == 2
 
+    def test_non_finite_sample_exit_code(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--duration", "0.005",
+                         "--out", str(sim)]) == 0
+        received = sim / "received.csv"
+        lines = received.read_text().splitlines()
+        assert lines[50].startswith("49,")
+        lines[50] = "49,nan"
+        received.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["track", "--duration", "0.005", "--in", str(sim),
+                         "--out", str(tmp_path / "trk")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bad input" in err
+        assert "i/o error" not in err
+
     def test_dump_signal(self, tmp_path):
         out = tmp_path / "sig.csv"
         code = cli.main(["dump-signal", "--duration", "0.005",

@@ -130,16 +130,18 @@ class TestProperties:
         # every state sees all rows, each in a different order
         rows = np.stack([np.roll(A, h, axis=0) for h in range(n_states)])
         targets = np.stack([np.roll(y, h) for h in range(n_states)])
-        batch = [rls.init(A.shape[1], ridge) for _ in range(n_states)]
-        rls.update_batch(batch, rows, targets)
-        for h, b in enumerate(batch):
+        factors = np.stack([rls.init(A.shape[1], ridge).factor
+                            for _ in range(n_states)])
+        lse = rls.update_batch(factors, rows, targets)
+        estimates = rls.estimate(factors)
+        for h in range(n_states):
             s = rls.init(A.shape[1], ridge)
             for g, t in zip(rows[h], targets[h]):
                 rls.update(s, g, t)
-            np.testing.assert_allclose(b.estimate, s.estimate, rtol=1e-8,
+            np.testing.assert_allclose(estimates[h], s.estimate, rtol=1e-8,
                                        atol=1e-12 * np.linalg.norm(s.estimate))
-            assert b.lse == pytest.approx(s.lse, rel=1e-8)
-            assert b.count == s.count == len(y)
+            assert lse[h] == pytest.approx(s.lse, rel=1e-8)
+            assert s.count == len(y)
 
 
 class TestSolveDirect:
@@ -159,21 +161,32 @@ class TestUpdateBatch:
         H, R, dim = 7, 4, 3
         rows = rng.normal(size=(H, R, dim))
         targets = rng.normal(size=(H, R))
-        batch = [rls.init(dim, ridge=1e-4) for _ in range(H)]
+        factors = np.stack([rls.init(dim, ridge=1e-4).factor
+                            for _ in range(H)])
+        lse = rls.update_batch(factors, rows, targets)
         seq = [rls.init(dim, ridge=1e-4) for _ in range(H)]
-        rls.update_batch(batch, rows, targets)
         for h in range(H):
             for m in range(R):
                 rls.update(seq[h], rows[h, m], targets[h, m])
-        for b, s in zip(batch, seq):
+        estimates = rls.estimate(factors)
+        for h, s in enumerate(seq):
             # QR fixes the R factor only up to the sign of each row
-            np.testing.assert_allclose(np.abs(b.factor), np.abs(s.factor),
+            np.testing.assert_allclose(np.abs(factors[h]), np.abs(s.factor),
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(b.estimate, s.estimate, rtol=1e-12)
-            assert b.lse == pytest.approx(s.lse, rel=1e-12, abs=1e-15)
-            assert b.count == s.count
+            np.testing.assert_allclose(estimates[h], s.estimate, rtol=1e-12)
+            assert lse[h] == pytest.approx(s.lse, rel=1e-12, abs=1e-15)
+
+    def test_updates_a_slice_in_place(self):
+        rng = np.random.default_rng(6)
+        factors = np.stack([rls.init(2, ridge=1e-4).factor for _ in range(5)])
+        untouched = factors[3:].copy()
+        lse = rls.update_batch(factors[:3], rng.normal(size=(3, 2, 2)),
+                               rng.normal(size=(3, 2)))
+        np.testing.assert_array_equal(lse, factors[:3, 2, 2] ** 2)
+        assert np.all(lse > 0.0)
+        np.testing.assert_array_equal(factors[3:], untouched)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            rls.update_batch([rls.init(2, 1e-4)], np.zeros((2, 1, 2)),
-                             np.zeros((2, 1)))
+            rls.update_batch(rls.init(2, 1e-4).factor[None],
+                             np.zeros((2, 1, 2)), np.zeros((2, 1)))

@@ -2,18 +2,27 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dopptrack import rls
-from dopptrack.segmentation import (SegmentationState, SegmentHypothesis,
-                                    admit_hypothesis, batch_sls, bellman_step,
-                                    evict_if_full)
+from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
+                                    batch_sls, bellman_step, evict_if_full)
 
 
-def fake_hypothesis(start, lse, e_admit, admit_seq=0):
-    state = rls.init(1, ridge=1e-4)
-    state.lse = lse
-    return SegmentHypothesis(start=start, rls=state, e_admit=e_admit,
-                             admit_seq=admit_seq)
+def bank(candidates, capacity=None):
+    """A bank holding one candidate per (start, lse, e_admit), in this order."""
+    state = SegmentationState(capacity or max(len(candidates), 1), dim=1,
+                              ridge=1e-4)
+    for start, lse, e_admit in candidates:
+        state.last_E = e_admit
+        row = admit_hypothesis(state, start + 1)
+        state.lse[row] = lse
+    state.last_E = 0.0
+    return state
+
+
+def live_starts(state):
+    return state.start[:state.filled].tolist()
 
 
 def affine_lse(y):
@@ -45,80 +54,89 @@ def enumerate_all_segmentations(y, penalty, fitter):
 
 class TestBellmanStep:
     def test_single_hypothesis(self):
-        state = SegmentationState()
-        state.hypotheses.append(fake_hypothesis(0, lse=0.5, e_admit=0.0))
+        state = bank([(0, 0.5, 0.0)])
         E, best = bellman_step(state, penalty=0.01)
         assert E == pytest.approx(0.51)
         assert best == 0
 
     def test_picks_cheapest_total(self):
-        state = SegmentationState()
-        state.hypotheses.append(fake_hypothesis(0, lse=1.0, e_admit=0.0))
-        state.hypotheses.append(fake_hypothesis(5, lse=0.2, e_admit=0.3))
+        state = bank([(0, 1.0, 0.0), (5, 0.2, 0.3)])
         E, best = bellman_step(state, penalty=0.01)
         assert E == pytest.approx(0.51)
         assert best == 5
 
     def test_tie_breaks_to_earliest_start(self):
-        state = SegmentationState()
-        state.hypotheses.append(fake_hypothesis(7, lse=0.2, e_admit=0.1))
-        state.hypotheses.append(fake_hypothesis(3, lse=0.1, e_admit=0.2))
-        _, best = bellman_step(state, penalty=0.01)
+        # both totals are exactly 0.875
+        state = bank([(3, 0.25, 0.5), (7, 0.5, 0.25)])
+        _, best = bellman_step(state, penalty=0.125)
         assert best == 3
 
     def test_tracks_previous_best(self):
-        state = SegmentationState()
-        state.hypotheses.append(fake_hypothesis(0, lse=0.0, e_admit=0.0))
+        state = bank([(0, 0.0, 0.0)], capacity=2)
         bellman_step(state, penalty=0.01)
-        state.hypotheses.append(fake_hypothesis(4, lse=0.0, e_admit=-1.0))
+        state.last_E = -1.0
+        admit_hypothesis(state, 5)
         bellman_step(state, penalty=0.01)
         assert state.prev_best_start == 0
         assert state.best_start == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bellman_step(SegmentationState(), penalty=0.01)
+            bellman_step(SegmentationState(4, dim=1, ridge=1e-4),
+                         penalty=0.01)
 
 
 class TestAdmit:
     def test_start_and_prefix_cost(self):
-        state = SegmentationState()
-        hyp = admit_hypothesis(state, 1, rls.init(2, 1e-4))
-        assert hyp.start == 0
-        assert hyp.e_admit == 0.0
+        state = SegmentationState(4, dim=2, ridge=1e-4)
+        row = admit_hypothesis(state, 1, d_ref=[1.0, 1.5], tau=[2e-3, 3e-3])
+        assert row == 0
+        assert state.start[row] == 0
+        assert state.e_admit[row] == 0.0
+        assert state.lse[row] == 0.0
+        np.testing.assert_array_equal(state.factor[row],
+                                      rls.init(2, 1e-4).factor)
+        np.testing.assert_array_equal(state.d_ref[row], [1.0, 1.5])
+        np.testing.assert_array_equal(state.tau[row], [2e-3, 3e-3])
         assert state.filled == 1
 
     def test_admission_records_last_prefix_cost(self):
-        state = SegmentationState()
-        admit_hypothesis(state, 1, rls.init(1, 1e-4))
-        state.hypotheses[0].rls.lse = 0.25
+        state = SegmentationState(4, dim=1, ridge=1e-4)
+        admit_hypothesis(state, 1)
+        state.lse[0] = 0.25
         bellman_step(state, penalty=0.01)
-        hyp = admit_hypothesis(state, 2, rls.init(1, 1e-4))
-        assert hyp.start == 1
-        assert hyp.e_admit == pytest.approx(0.26)
+        row = admit_hypothesis(state, 2)
+        assert state.start[row] == 1
+        assert state.e_admit[row] == pytest.approx(0.26)
 
     def test_filled_increments(self):
-        state = SegmentationState()
+        state = SegmentationState(5, dim=1, ridge=1e-4)
         for n in range(1, 6):
-            admit_hypothesis(state, n, rls.init(1, 1e-4))
+            admit_hypothesis(state, n)
         assert state.filled == 5
-        assert state.e_values.keys() == {0, 1, 2, 3, 4}
+        assert live_starts(state) == [0, 1, 2, 3, 4]
+
+    def test_full_bank_and_stale_start_rejected(self):
+        state = SegmentationState(2, dim=1, ridge=1e-4)
+        admit_hypothesis(state, 3)
+        with pytest.raises(ValueError):
+            admit_hypothesis(state, 3)
+        admit_hypothesis(state, 4)
+        with pytest.raises(ValueError):
+            admit_hypothesis(state, 5)
+        assert live_starts(state) == [2, 3]
 
 
 class TestEvict:
     def build(self, lses):
-        state = SegmentationState()
-        for i, lse in enumerate(lses):
-            state.hypotheses.append(
-                fake_hypothesis(start=i, lse=lse, e_admit=0.0, admit_seq=i))
-        state._admit_counter = len(lses)
-        return state
+        return bank([(i, lse, 0.0) for i, lse in enumerate(lses)])
 
     def test_largest_lse_outside_recent_goes(self):
         state = self.build([5.0, 1.0, 0.1])
         gone = evict_if_full(state, n_best=2, n_recent=1)
-        assert gone.lse == 5.0
+        assert gone == 0
         assert state.filled == 2
+        assert state.lse[:2].tolist() == [1.0, 0.1]
 
     def test_below_capacity_is_noop(self):
         state = self.build([5.0, 1.0])
@@ -128,13 +146,107 @@ class TestEvict:
     def test_most_recent_always_survives(self):
         state = self.build([0.1, 0.2, 9.0])
         evict_if_full(state, n_best=2, n_recent=1)
-        assert 2 in {h.start for h in state.hypotheses}
+        assert 2 in live_starts(state)
 
     def test_protected_start_survives(self):
         state = self.build([9.0, 1.0, 0.1])
         gone = evict_if_full(state, n_best=2, n_recent=1, protect_start=0)
-        assert gone.start == 1
-        assert 0 in {h.start for h in state.hypotheses}
+        assert gone == 1
+        assert live_starts(state) == [0, 2]
+
+    def test_victim_row_shifted_out_of_every_column(self):
+        state = SegmentationState(4, dim=2, ridge=1e-4)
+        for n in range(1, 5):
+            row = admit_hypothesis(state, n, d_ref=[n, n], tau=[-n, -n])
+            state.e_admit[row] = 10.0 * n
+            state.lse[row] = 1.0 if n != 2 else 3.0
+            state.factor[row] = n
+        assert evict_if_full(state, n_best=2, n_recent=2) == 1
+        assert live_starts(state) == [0, 2, 3]
+        assert state.e_admit[:3].tolist() == [10.0, 30.0, 40.0]
+        assert state.lse[:3].tolist() == [1.0, 1.0, 1.0]
+        assert state.factor[:3, 0, 0].tolist() == [1.0, 3.0, 4.0]
+        assert state.d_ref[:3, 0].tolist() == [1.0, 3.0, 4.0]
+        assert state.tau[:3, 1].tolist() == [-1.0, -3.0, -4.0]
+
+
+class _Candidate:
+    def __init__(self, start, e_admit):
+        self.start = start
+        self.e_admit = e_admit
+        self.lse = 0.0
+
+
+class ListBank:
+    """Reference candidate memory: a list in admission order, with the
+    policy written out item by item."""
+
+    def __init__(self):
+        self.items = []
+        self.last_E = 0.0
+
+    def admit(self, n):
+        self.items.append(_Candidate(n - 1, self.last_E))
+
+    def evict(self, n_best, n_recent, protect_start):
+        if len(self.items) < n_best + n_recent:
+            return None
+        for n_keep in (n_recent, 1):
+            recent = self.items[-n_keep:]
+            pool = [h for h in self.items
+                    if all(h is not r for r in recent)
+                    and h.start != protect_start]
+            if pool:
+                break
+        else:
+            return None
+        victim = pool[0]
+        for h in pool[1:]:
+            if h.lse > victim.lse:
+                victim = h
+        self.items.remove(victim)
+        return victim.start
+
+    def bellman(self, penalty):
+        costs = [h.lse + penalty + h.e_admit for h in self.items]
+        best_cost = min(costs)
+        best_start = min(h.start for h, c in zip(self.items, costs)
+                         if c == best_cost)
+        self.last_E = best_cost
+        return best_cost, best_start
+
+
+TIE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+class TestBankMatchesListReference:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_random_admit_evict_bellman_sequences(self, n_best, n_recent,
+                                                  data):
+        state = SegmentationState(n_best + n_recent + 1, dim=1, ridge=1e-4)
+        ref = ListBank()
+        n = 0
+        for _ in range(data.draw(st.integers(1, 40))):
+            n += data.draw(st.integers(1, 3))
+            if state.filled and data.draw(st.booleans()):
+                protect = data.draw(st.one_of(
+                    st.none(), st.sampled_from(live_starts(state))))
+                assert evict_if_full(state, n_best, n_recent, protect) == \
+                    ref.evict(n_best, n_recent, protect)
+            if state.filled < state.capacity and data.draw(st.booleans()):
+                if data.draw(st.booleans()):
+                    state.last_E = ref.last_E = data.draw(TIE_VALUES)
+                admit_hypothesis(state, n)
+                ref.admit(n)
+            assert live_starts(state) == [h.start for h in ref.items]
+            assert state.e_admit[:state.filled].tolist() == \
+                [h.e_admit for h in ref.items]
+            for row, h in enumerate(ref.items):
+                h.lse = state.lse[row] = data.draw(TIE_VALUES)
+            if state.filled:
+                assert bellman_step(state, 0.25) == ref.bellman(0.25)
 
 
 class TestBatchSls:

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dopptrack import harness
 from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
-from dopptrack.signal_model import make_qpsk_signal
-from dopptrack.tracker import (DopplerSegment, DopplerTracker, TrackerConfig,
+from dopptrack.signal_model import TransmitSignal, make_qpsk_signal
+from dopptrack.tracker import (DopplerSegment, DopplerTracker,
+                               InvalidSampleError, TrackerConfig,
                                perturbed_rows, predict_and_gradient,
-                               reconstruct_timing, reconstruct_warp_array,
+                               reconstruct_warp_array, rows_batch,
                                update_delays)
 
 FS = 200e3
@@ -130,6 +134,57 @@ class TestPerturbedRows:
         assert s_full[-1] > 1e-12
 
 
+def rows_batch_per_model(sig, d_ref, tau, lever, epsilon, gains):
+    """Reference rows_batch: one signal time per path and model, H L (L+1)."""
+    H, L = d_ref.shape
+    base = d_ref * lever[:, None] + tau
+    times = np.repeat(base[:, None, :], L + 1, axis=1)
+    shift = epsilon * lever
+    idx = np.arange(L)
+    times[:, idx + 1, idx] += shift[:, None]
+    s, sd = sig.eval_passband_with_derivative(times.reshape(-1))
+    s = s.reshape(H, L + 1, L)
+    sd = sd.reshape(H, L + 1, L)
+    preds = (s * gains).sum(axis=2)
+    rows = gains * lever[:, None, None] * sd
+    offsets = np.zeros((H, L + 1))
+    offsets[:, 1:] = epsilon * np.diagonal(rows[:, 1:, :], axis1=1, axis2=2)
+    return rows, offsets, preds
+
+
+class CountingSignal(TransmitSignal):
+    """TransmitSignal that counts the times it is evaluated at."""
+
+    points = 0
+
+    def eval_passband_with_derivative(self, t):
+        self.points += np.size(t)
+        return super().eval_passband_with_derivative(t)
+
+
+class TestRowsBatch:
+    def test_bit_exact_against_per_model_reference(self):
+        base = build_signal()
+        sig = CountingSignal(base.symbols, base.pulse, base.carrier_freq,
+                             base.amplitude, base.start_time)
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            H = int(rng.integers(1, 9))
+            L = int(rng.integers(1, 5))
+            d_ref = 1.0 + rng.uniform(-1e-3, 1e-3, size=(H, L))
+            tau = rng.uniform(-2e-3, 5e-3, size=(H, L))
+            lever = rng.integers(0, 3000, size=H) * T
+            gains = rng.normal(size=L)
+            eps = float(rng.choice([0.0, 1e-6, 1e-3]))
+            sig.points = 0
+            got = rows_batch(sig, d_ref, tau, lever, eps, gains)
+            assert sig.points == 2 * H * L
+            want = rows_batch_per_model(base, d_ref, tau, lever, eps, gains)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
 class TestReconstruction:
     def segs(self):
         return [
@@ -140,22 +195,27 @@ class TestReconstruction:
         ]
 
     def test_segment_start_returns_tau(self):
-        segs = self.segs()
-        assert reconstruct_timing(segs, 0, 100, T) == pytest.approx(100 * T)
+        arr = reconstruct_warp_array(self.segs(), 1, 200, T)
+        assert arr[0, 100] == pytest.approx(100 * T, rel=1e-15)
 
     def test_identity_warp(self):
-        segs = self.segs()
-        assert reconstruct_timing(segs, 0, 42, T) == pytest.approx(42 * T)
+        arr = reconstruct_warp_array(self.segs(), 1, 200, T)
+        np.testing.assert_allclose(arr[0, :100], np.arange(100) * T,
+                                   rtol=1e-15, atol=0.0)
 
-    def test_uncovered_sample_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct_timing(self.segs(), 0, 200, T)
+    def test_uncovered_sample_is_nan(self):
+        arr = reconstruct_warp_array(self.segs()[1:], 1, 201, T)
+        assert np.isnan(arr[0, :100]).all()
+        assert np.isnan(arr[0, 200])
+        assert not np.isnan(arr[0, 100:200]).any()
 
-    def test_array_matches_scalar(self):
-        segs = self.segs()
-        arr = reconstruct_warp_array(segs, 1, 200, T)
-        for n in (0, 57, 99, 100, 150, 199):
-            assert arr[0, n] == pytest.approx(reconstruct_timing(segs, 0, n, T))
+    def test_array_matches_hand_computed_warp(self):
+        arr = reconstruct_warp_array(self.segs(), 1, 200, T)
+        # second segment: 100 T + 1.0002 (n - 100) T
+        for n, want in ((0, 0.0), (57, 57 * T), (99, 99 * T),
+                        (100, 100 * T), (150, 100 * T + 50.01 * T),
+                        (199, 100 * T + 99.0198 * T)):
+            assert arr[0, n] == pytest.approx(want, rel=1e-14, abs=1e-20)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -236,16 +296,39 @@ class TestTrackerRuns:
         sig = build_signal()
         r = sig.eval_passband(np.arange(10) * T - 1e-3)
         trk = DopplerTracker(sig, config([1.0], [-1e-3]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSampleError):
             trk.process_sample(np.nan)
         for v in r[:5]:
             trk.process_sample(float(v))
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidSampleError):
                 trk.process_sample(bad)
             assert trk.sample_index == 5
         trk.process_sample(float(r[5]))
         assert trk.sample_index == 6
+
+    def test_huge_finite_sample_flags_divergence_at_once(self):
+        cfg = harness.default_config()
+        cfg = dataclasses.replace(cfg, duration=600 / cfg.channel.sample_rate)
+        sig, _, r, truth = harness.simulate_stream(cfg)
+        r[300] = 1e300
+        _, _, summary = harness.track_stream(cfg, sig, r, truth)
+        assert summary["diverged"]
+        assert summary["diverged_at"] == 300
+
+    def test_one_best_one_recent_keeps_admitting(self):
+        # eviction finds nothing to drop while the anchor is the older of
+        # the two candidates; the newcomer is admitted all the same
+        sig = build_signal()
+        r = sig.eval_passband(1.0003 * np.arange(600) * T - 8e-4)
+        trk = DopplerTracker(sig, config([1.0], [-8e-4], keep_best=1,
+                                         keep_recent=1))
+        live = []
+        for v in r:
+            trk.process_sample(float(v))
+            live.append(trk.segmentation.filled)
+        assert max(live) == 3
+        assert trk.finalize().b == 599
 
     def test_missing_winner_raises_without_closing(self):
         trk, _, _ = self.static_run(50)
