@@ -13,7 +13,7 @@ singly-perturbed reference, which restores full column rank.
 
 Each sample is one batched pass over the live slice of the bank: the
 regression rows of all candidates come from one signal evaluation at the
-2 H L distinct times, one QR updates all factors in place, and the Bellman
+H (L+1) L model times, one QR updates all factors in place, and the Bellman
 step is an argmin over the slice. A non-finite lse flags divergence at once.
 
 A new segment is declared when the prefix-cost-optimal start jumps forward
@@ -108,24 +108,20 @@ def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,
     (H, L+1), (H, L+1): entry m=0 is the unperturbed linearization, entry
     m=l+1 perturbs reference Doppler component l by epsilon. The regression
     target for received value r is r - prediction + target_offset.
-
-    Entry m=l+1 differs from m=0 only in path l, so the signal is evaluated at
-    the 2 H L distinct times (all base times, then each path's perturbed
-    time) and scattered into the L+1 models.
     """
     H, L = d_ref.shape
     base = d_ref * lever[:, None] + tau
-    (s_base, s_pert), (sd_base, sd_pert) = sig.eval_passband_with_derivative(
-        np.stack([base, base + (epsilon * lever)[:, None]]))
+    times = np.repeat(base[:, None, :], L + 1, axis=1)
+    shift = epsilon * lever
     idx = np.arange(L)
-    s = np.repeat(s_base[:, None, :], L + 1, axis=1)
-    sd = np.repeat(sd_base[:, None, :], L + 1, axis=1)
-    s[:, idx + 1, idx] = s_pert
-    sd[:, idx + 1, idx] = sd_pert
+    times[:, idx + 1, idx] += shift[:, None]
+    s, sd = sig.eval_passband_with_derivative(times.reshape(-1))
+    s = s.reshape(H, L + 1, L)
+    sd = sd.reshape(H, L + 1, L)
     preds = (s * gains).sum(axis=2)
     rows = gains * lever[:, None, None] * sd
     offsets = np.zeros((H, L + 1))
-    offsets[:, 1:] = epsilon * rows[:, idx + 1, idx]
+    offsets[:, 1:] = epsilon * np.diagonal(rows[:, 1:, :], axis1=1, axis2=2)
     return rows, offsets, preds
 
 

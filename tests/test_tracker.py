@@ -135,20 +135,22 @@ class TestPerturbedRows:
 
 
 def rows_batch_per_model(sig, d_ref, tau, lever, epsilon, gains):
-    """Reference rows_batch: one signal time per path and model, H L (L+1)."""
+    """Reference rows_batch: one signal evaluation per candidate and model."""
     H, L = d_ref.shape
-    base = d_ref * lever[:, None] + tau
-    times = np.repeat(base[:, None, :], L + 1, axis=1)
-    shift = epsilon * lever
-    idx = np.arange(L)
-    times[:, idx + 1, idx] += shift[:, None]
-    s, sd = sig.eval_passband_with_derivative(times.reshape(-1))
-    s = s.reshape(H, L + 1, L)
-    sd = sd.reshape(H, L + 1, L)
-    preds = (s * gains).sum(axis=2)
-    rows = gains * lever[:, None, None] * sd
+    rows = np.zeros((H, L + 1, L))
     offsets = np.zeros((H, L + 1))
-    offsets[:, 1:] = epsilon * np.diagonal(rows[:, 1:, :], axis1=1, axis2=2)
+    preds = np.zeros((H, L + 1))
+    for h in range(H):
+        base = d_ref[h] * lever[h] + tau[h]
+        for m in range(L + 1):
+            t = base.copy()
+            if m:
+                t[m - 1] += epsilon * lever[h]
+            s, sd = sig.eval_passband_with_derivative(t)
+            preds[h, m] = (s * gains).sum()
+            rows[h, m] = gains * lever[h] * sd
+            if m:
+                offsets[h, m] = epsilon * rows[h, m, m - 1]
     return rows, offsets, preds
 
 
@@ -178,7 +180,7 @@ class TestRowsBatch:
             eps = float(rng.choice([0.0, 1e-6, 1e-3]))
             sig.points = 0
             got = rows_batch(sig, d_ref, tau, lever, eps, gains)
-            assert sig.points == 2 * H * L
+            assert sig.points == H * (L + 1) * L
             want = rows_batch_per_model(base, d_ref, tau, lever, eps, gains)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
