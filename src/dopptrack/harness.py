@@ -319,9 +319,6 @@ class ErrorTrace:
     def max_per_path(self) -> np.ndarray:
         return self.abs_err.max(axis=1)
 
-    def mean_per_path(self) -> np.ndarray:
-        return self.abs_err.mean(axis=1)
-
 
 def simulate_stream(cfg: RunConfig):
     """In-memory simulation: (signal, scene, received, truth)."""

@@ -1,53 +1,32 @@
 """Recursive least-squares in square-root (QR-factor) form.
 
 Unit forgetting factor: the segmentation layer, not exponential windowing,
-handles nonstationarity. The state is the upper-triangular R factor of the
-ridge-augmented data [[sqrt(ridge) I, 0], [A, y]]; absorbing rows is one QR
-of the old factor stacked on the new rows, batched over an (H, dim+1, dim+1)
-array of factors that is overwritten in place. The estimate solves
-R[:d, :d] x = R[:d, d] and the last diagonal entry squared is exactly
-ridge*||x||^2 + sum of squared residuals, so lse compares directly against
-solve_direct on the same rows. No inverse Gram is formed: there is no 1/ridge
-cancellation while a fit has fewer rows than unknowns, and the factor stays
-triangular with a nonzero leading diagonal (positive definite Gram) by
-construction.
+handles nonstationarity. A fit is nothing but its factor: the
+upper-triangular R (dim+1, dim+1) of the ridge-augmented data
+[[sqrt(ridge) I, 0], [A, y]]. init returns the factor of the empty fit;
+update (one row, checked) and update_batch (an (H, dim+1, dim+1) stack)
+absorb rows as one QR of the old factor stacked on the new rows, overwrite
+the factor in place and return lse, which is the last diagonal entry squared
+and equals ridge*||x||^2 + sum of squared residuals, so it compares directly
+against solve_direct on the same rows. estimate reads the fit x off a factor
+by solving R[:d, :d] x = R[:d, d]. No inverse Gram is formed: there is no
+1/ridge cancellation while a fit has fewer rows than unknowns, and the
+factor stays triangular with a nonzero leading diagonal (positive definite
+Gram) by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class RlsState:
-    """Value-type RLS state; never shared mutably between owners.
-
-    factor is the (dim+1, dim+1) upper-triangular R factor of the augmented
-    data; update reads estimate and lse off it. This single-state form serves
-    the oracle checks; many fits update together as a factor array through
-    update_batch.
-    """
-
-    factor: np.ndarray     # (dim+1, dim+1), upper triangular
-    estimate: np.ndarray   # (dim,)
-    lse: float
-    count: int
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0] - 1
-
-
-def init(dim: int, ridge: float) -> RlsState:
-    """Fresh state: factor diag(sqrt(ridge), ..., sqrt(ridge), 0), zero fit."""
+def init(dim: int, ridge: float) -> np.ndarray:
+    """Fresh factor diag(sqrt(ridge), ..., sqrt(ridge), 0): the empty fit."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if ridge <= 0.0:
         raise ValueError("ridge must be positive")
-    factor = np.diag(np.append(np.full(dim, np.sqrt(ridge)), 0.0))
-    return RlsState(factor=factor, estimate=np.zeros(dim), lse=0.0, count=0)
+    return np.diag(np.append(np.full(dim, np.sqrt(ridge)), 0.0))
 
 
 def estimate(factor: np.ndarray) -> np.ndarray:
@@ -60,19 +39,17 @@ def estimate(factor: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor[..., :d, :d], factor[..., :d, d:])[..., 0]
 
 
-def update(state: RlsState, row: np.ndarray, target: float) -> tuple[RlsState, float]:
-    """Absorb one regression row in place; returns (state, a-posteriori residual)."""
+def update(factor: np.ndarray, row: np.ndarray, target: float) -> float:
+    """Absorb one regression row into one factor in place; returns lse."""
     g = np.asarray(row, dtype=float)
-    if g.shape != (state.dim,):
-        raise ValueError("row must have shape (%d,)" % state.dim)
+    dim = factor.shape[0] - 1
+    if g.shape != (dim,):
+        raise ValueError("row must have shape (%d,)" % dim)
     if not (np.all(np.isfinite(g)) and np.isfinite(target)):
         raise ValueError("non-finite row or target")
-    lse = update_batch(state.factor[None], g[None, None, :],
+    lse = update_batch(factor[None], g[None, None, :],
                        np.array([[target]], dtype=float))
-    state.estimate = estimate(state.factor)
-    state.lse = float(lse[0])
-    state.count += 1
-    return state, float(target - g @ state.estimate)
+    return float(lse[0])
 
 
 def update_batch(factors: np.ndarray, rows: np.ndarray,

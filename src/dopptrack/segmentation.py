@@ -1,14 +1,16 @@
 """Online segmentation machinery and its exact batch counterpart.
 
 The online side keeps a bounded bank of candidate segment starts, each
-carrying a live RLS fit of "what if the current segment had started there".
-The bank is a set of fixed-capacity column arrays whose rows [:filled] are
-the live candidates, compact and in admission order; callers update slices
-of it in place. Every step the prefix cost
+carrying a live RLS fit (its bare factor) of "what if the current segment
+had started there". The bank is a set of fixed-capacity column arrays whose
+rows [:filled] are the live candidates, compact and in admission order;
+callers update slices of it in place. Every step the prefix cost
 E(n) = min over candidates of (candidate lse + penalty + E(candidate start))
 is an argmin over the live rows; a new-segment event is declared by the
-caller when the winning start jumps far enough. Eviction is an argmax of lse
-over the rows outside the most recent ones.
+caller when the winning start jumps far enough. The bank owns its memory
+policy: it is sized from keep_best and keep_recent, and evict_if_full, a
+no-op until keep_best + keep_recent rows are live, is an argmax of lse over
+the rows outside the keep_recent most recent ones.
 
 Cost accounting: a candidate admitted while processing sample n gets start
 n-1 and absorbs sample n onward, so candidate (a, n) charges samples a+1..n
@@ -26,6 +28,11 @@ from . import rls
 class SegmentationState:
     """Fixed-capacity candidate bank plus Bellman bookkeeping for one stream.
 
+    It keeps keep_best small-lse and keep_recent newest candidates in
+    keep_best + keep_recent + 1 rows. The spare row matters with one of each
+    kept: eviction finds nothing to drop while the protected anchor is the
+    older row, and the newcomer is admitted all the same.
+
     Row i < filled of each column is one live candidate. Rows stay in
     admission order, and each admission starts one sample later than the
     last, so row order is also start order:
@@ -38,10 +45,13 @@ class SegmentationState:
         tau      (capacity, dim)           reference, set at admission
     """
 
-    def __init__(self, capacity: int, dim: int, ridge: float):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, keep_best: int, keep_recent: int, dim: int,
+                 ridge: float):
+        if keep_best < 1 or keep_recent < 1:
+            raise ValueError("memory sizes must be >= 1")
+        self.keep_best = keep_best
+        self.keep_recent = keep_recent
+        self.capacity = capacity = keep_best + keep_recent + 1
         self.filled = 0
         self.start = np.zeros(capacity, dtype=np.int64)
         self.e_admit = np.zeros(capacity)
@@ -49,9 +59,8 @@ class SegmentationState:
         self.factor = np.zeros((capacity, dim + 1, dim + 1))
         self.d_ref = np.zeros((capacity, dim))
         self.tau = np.zeros((capacity, dim))
-        self._fresh_factor = rls.init(dim, ridge).factor
+        self._fresh_factor = rls.init(dim, ridge)
         self.last_E = 0.0          # E(n-1), the settled previous prefix cost
-        self.E_n = 0.0
         self.best_start = 0
         self.prev_best_start = 0
 
@@ -78,20 +87,20 @@ def admit_hypothesis(state: SegmentationState, n: int, d_ref=0.0,
     return k
 
 
-def evict_if_full(state: SegmentationState, n_best: int, n_recent: int,
+def evict_if_full(state: SegmentationState,
                   protect_start: int | None = None) -> int | None:
-    """Discard the largest-lse candidate outside the n_recent most recent.
+    """Discard the largest-lse candidate outside the keep_recent most recent.
 
-    No-op unless the memory is at capacity n_best + n_recent. A start given in
-    protect_start (the tracker's open-segment anchor) is never discarded; if
-    that empties the pool, the protection window shrinks to the single most
-    recent candidate. Among equal lse the oldest goes. Returns the discarded
-    start, if any.
+    No-op unless keep_best + keep_recent candidates are live. A start given
+    in protect_start (the tracker's open-segment anchor) is never discarded;
+    if that empties the pool, the protection window shrinks to the single
+    most recent candidate. Among equal lse the oldest goes. Returns the
+    discarded start, if any.
     """
     k = state.filled
-    if k < n_best + n_recent:
+    if k < state.keep_best + state.keep_recent:
         return None
-    for n_keep in (n_recent, 1):
+    for n_keep in (state.keep_recent, 1):
         pool = np.flatnonzero(state.start[:k - n_keep] != protect_start)
         if pool.size:
             break
@@ -120,9 +129,8 @@ def bellman_step(state: SegmentationState, penalty: float) -> tuple[float, int]:
     row = int(costs.argmin())
     state.prev_best_start = state.best_start
     state.best_start = int(state.start[row])
-    state.E_n = float(costs[row])
-    state.last_E = state.E_n
-    return state.E_n, state.best_start
+    state.last_E = float(costs[row])
+    return state.last_E, state.best_start
 
 
 def batch_sls(observations, penalty: float, segment_fitter) -> tuple[list[tuple[int, int]], float]:

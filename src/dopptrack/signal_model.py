@@ -127,13 +127,9 @@ class TransmitSignal:
         s = s.reshape(t_arr.shape)
         return float(s[0]) if np.ndim(t) == 0 else s
 
-    def eval_passband_derivative(self, t):
-        """Exact analytic ds/dt (product rule on pulses and carrier)."""
-        _, sd = self.eval_passband_with_derivative(t)
-        return sd
-
     def eval_passband_with_derivative(self, t):
-        """Return (s(t), ds/dt) sharing one pulse-evaluation pass."""
+        """Return (s(t), ds/dt) sharing one pulse-evaluation pass; ds/dt is
+        exact (product rule on pulses and carrier)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         flat = t_arr.ravel()
         b, b_dot = self._baseband_terms(flat)

@@ -3,25 +3,27 @@
 The per-path emission-time warp is modeled as piecewise linear in the sample
 index: over a segment starting at a, path l maps sample n to the transmit
 time d_l (n - a) T + tau_l. Candidate segment starts are rows of the
-segmentation layer's fixed-capacity array bank (keep_best + keep_recent
-rows plus one spare); each row fits, via RLS on linearized rows, the small Doppler
-correction of its own segment against the frozen reference Doppler vector
-and start time (d_ref, tau) stored with it. Because the per-path gradient
-rows become collinear when the reference Doppler components coincide, every
-sample contributes L+1 rows: one at the reference and one at each
-singly-perturbed reference, which restores full column rank.
+segmentation layer's array bank, which the tracker sizes from keep_best and
+keep_recent and which decides itself when it is full. Each row fits, via RLS
+on linearized rows, the small Doppler correction of its own segment against
+the frozen reference Doppler vector and start time (d_ref, tau) stored with
+it. Because the per-path gradient rows become collinear when the reference
+Doppler components coincide, every sample contributes L+1 rows: one at the
+reference and one at each singly-perturbed reference, which restores full
+column rank.
 
 Each sample is one batched pass over the live slice of the bank: the
 regression rows of all candidates come from one signal evaluation at the
 H (L+1) L model times, one QR updates all factors in place, and the Bellman
-step is an argmin over the slice. A non-finite lse flags divergence at once.
+step is an argmin over the slice. A non-finite lse flags divergence at once
+and halts the bank for the rest of the stream.
 
 A new segment is declared when the prefix-cost-optimal start jumps forward
 by at least detect_threshold samples. On closure the open segment's Doppler
 is fixed from the incumbent fit (the anchor, the candidate whose start is
-the open segment's start), the per-path delays are propagated so the
-reconstructed warp chains continuously across the boundary, and the winning
-candidate becomes the new open segment.
+the open segment's start) and clamped to DOPPLER_BOUNDS, the per-path delays
+are propagated so the reconstructed warp chains continuously across the
+boundary, and the winning candidate becomes the new open segment.
 
 One tracker instance consumes one strictly sample-ordered stream.
 """
@@ -36,6 +38,10 @@ from . import rls
 from .segmentation import (SegmentationState, admit_hypothesis, bellman_step,
                            evict_if_full)
 from .signal_model import TransmitSignal
+
+
+# closing Doppler factors are clamped to this range; a clamp flags divergence
+DOPPLER_BOUNDS = (0.5, 1.5)
 
 
 class InvalidSampleError(ValueError):
@@ -59,15 +65,12 @@ class TrackerConfig:
     initial_tau: tuple[float, ...]
     sample_period: float
     ridge: float = 1e-4
-    doppler_bounds: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
         if self.penalty <= 0.0:
             raise ValueError("penalty must be positive")
         if self.detect_threshold < 1:
             raise ValueError("detect_threshold must be >= 1")
-        if self.keep_best < 1 or self.keep_recent < 1:
-            raise ValueError("memory sizes must be >= 1")
         if self.perturbation <= 0.0:
             raise ValueError("perturbation must be positive")
         if self.sample_period <= 0.0:
@@ -186,16 +189,14 @@ class DopplerTracker:
         self._d_ref = np.ones(L)
         self._a_cur = 0
         self._tau_cur = np.asarray(config.initial_tau, dtype=float).copy()
-        # one row beyond keep_best + keep_recent: with one of each kept,
-        # eviction finds nothing to drop while the anchor is the older row,
-        # and the newcomer is admitted all the same
-        self._seg = SegmentationState(config.keep_best + config.keep_recent
-                                      + 1, L, config.ridge)
+        self._seg = SegmentationState(config.keep_best, config.keep_recent,
+                                      L, config.ridge)
         admit_hypothesis(self._seg, 1, self._d_ref, self._tau_cur)
         self._n = 0
         self.segments: list[DopplerSegment] = []
         self.diverged = False
         self.diverged_at: int | None = None
+        self._halted = False       # a live lse went non-finite
         self._finalized = False
 
     @property
@@ -208,24 +209,9 @@ class DopplerTracker:
         return self._seg
 
     @property
-    def current_doppler(self) -> np.ndarray:
-        """Running Doppler estimate of the open segment."""
-        return self._doppler_of(self._anchor())
-
-    @property
     def current_correction(self) -> np.ndarray:
         """Running Doppler-correction estimate of the open segment."""
         return rls.estimate(self._seg.factor[self._anchor()])
-
-    @property
-    def reference_doppler(self) -> np.ndarray:
-        """Linearization reference: Doppler of the last closed segment."""
-        return self._d_ref.copy()
-
-    @property
-    def current_tau(self) -> np.ndarray:
-        """Per-path emission time of the open segment's first sample."""
-        return self._tau_cur.copy()
 
     def _row(self, start: int) -> int:
         """Bank row of the live candidate with this start."""
@@ -257,7 +243,9 @@ class DopplerTracker:
         """Consume the next received sample; returns a segment when one closes.
 
         A non-finite sample raises InvalidSampleError and is not consumed. A
-        non-finite candidate lse flags divergence at this sample.
+        non-finite candidate lse flags divergence at this sample and halts the
+        bank: later samples are still checked and counted but fit nothing, and
+        finalize closes the open segment at the last of them.
         """
         if self._finalized:
             raise RuntimeError("tracker already finalized")
@@ -268,12 +256,11 @@ class DopplerTracker:
         seg = self._seg
         n = self._n
         self._n += 1
-        if n == 0:
-            # sample 0 is the known anchor point of the warp; no row to fit
+        if n == 0 or self._halted:
+            # sample 0 is the known anchor point of the warp, and a halted
+            # bank's fits are void: no row to fit
             return None
-        if seg.filled >= cfg.keep_best + cfg.keep_recent:
-            evict_if_full(seg, cfg.keep_best, cfg.keep_recent,
-                          protect_start=self._a_cur)
+        evict_if_full(seg, protect_start=self._a_cur)
         if n > 1:
             # the constructor admitted start 0, the candidate of sample 1
             admit_hypothesis(seg, n, self._d_ref,
@@ -291,6 +278,7 @@ class DopplerTracker:
         lse = rls.update_batch(seg.factor[:k], rows * scale, targets * scale)
         seg.lse[:k] = lse
         if not np.isfinite(lse).all():
+            self._halted = True
             self._flag_divergence(n)
         _, best = bellman_step(seg, cfg.penalty)
         jump = best - seg.prev_best_start
@@ -300,8 +288,7 @@ class DopplerTracker:
 
     def _clamped_doppler(self, row: int, n: int) -> np.ndarray:
         d = self._doppler_of(row)
-        lo, hi = self.config.doppler_bounds
-        clipped = np.clip(d, lo, hi)
+        clipped = np.clip(d, *DOPPLER_BOUNDS)
         if np.any(clipped != d):
             self._flag_divergence(n)
         return clipped

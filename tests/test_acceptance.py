@@ -74,13 +74,13 @@ def test_criterion_3_rls_matches_direct_solve():
         n_rows = int(rng.integers(dim + 1, 201))
         A = rng.normal(size=(n_rows, dim))
         y = rng.normal(size=n_rows)
-        state = rls.init(dim, ridge=1e-8)
+        factor = rls.init(dim, ridge=1e-8)
         for g, t in zip(A, y):
-            rls.update(state, g, t)
+            lse_rls = rls.update(factor, g, t)
         x, lse = rls.solve_direct(A, y, ridge=1e-8)
-        worst_x = max(worst_x, float(np.linalg.norm(state.estimate - x)
+        worst_x = max(worst_x, float(np.linalg.norm(rls.estimate(factor) - x)
                                      / max(np.linalg.norm(x), 1e-30)))
-        worst_l = max(worst_l, abs(state.lse - lse) / max(lse, 1e-30))
+        worst_l = max(worst_l, abs(lse_rls - lse) / max(lse, 1e-30))
     report(3, worst_x < 1e-8 and worst_l < 1e-8,
            "100 instances (dim<=5, rows<=200): worst relative deviation "
            "estimate %.2e, lse %.2e (tolerance 1e-8)" % (worst_x, worst_l))
@@ -159,7 +159,7 @@ def test_criterion_5_online_equals_batch_with_full_memory():
     y = np.where(k < 70, 0.5 * k,
                  np.where(k < 140, 35.0 - 1.2 * (k - 70),
                           -49.0 + 2.0 * (k - 140)))
-    state = SegmentationState(N, 2, ridge)
+    state = SegmentationState(N, N, 2, ridge)
     admit_hypothesis(state, 1)
     E_online = [0.0]
     detected = []
@@ -193,12 +193,11 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     N = 120
     y = np.cumsum(rng.normal(size=N) * 0.1)
     y[60:] += 3.0
-    state = SegmentationState(8, 2, ridge)
+    state = SegmentationState(4, 4, 2, ridge)
     admit_hypothesis(state, 1)
     E_online = [0.0]
     for n in range(1, N):
-        if state.filled >= 8:
-            evict_if_full(state, 4, 4)
+        evict_if_full(state)
         if n > 1:
             admit_hypothesis(state, n)
         _absorb_line_rows(state, n, y[n])

@@ -9,10 +9,9 @@ from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
                                     batch_sls, bellman_step, evict_if_full)
 
 
-def bank(candidates, capacity=None):
+def bank(candidates, keep_best=1, keep_recent=1):
     """A bank holding one candidate per (start, lse, e_admit), in this order."""
-    state = SegmentationState(capacity or max(len(candidates), 1), dim=1,
-                              ridge=1e-4)
+    state = SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
     for start, lse, e_admit in candidates:
         state.last_E = e_admit
         row = admit_hypothesis(state, start + 1)
@@ -72,7 +71,7 @@ class TestBellmanStep:
         assert best == 3
 
     def test_tracks_previous_best(self):
-        state = bank([(0, 0.0, 0.0)], capacity=2)
+        state = bank([(0, 0.0, 0.0)])
         bellman_step(state, penalty=0.01)
         state.last_E = -1.0
         admit_hypothesis(state, 5)
@@ -82,26 +81,46 @@ class TestBellmanStep:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bellman_step(SegmentationState(4, dim=1, ridge=1e-4),
+            bellman_step(SegmentationState(2, 1, dim=1, ridge=1e-4),
                          penalty=0.01)
+
+
+class TestBankSize:
+    def test_capacity_is_best_plus_recent_plus_one(self):
+        for keep_best, keep_recent in [(1, 1), (10, 20), (3, 1)]:
+            state = SegmentationState(keep_best, keep_recent, dim=2,
+                                      ridge=1e-4)
+            capacity = keep_best + keep_recent + 1
+            assert state.capacity == capacity
+            assert state.start.shape == (capacity,)
+            assert state.factor.shape == (capacity, 3, 3)
+            for n in range(1, capacity + 1):
+                admit_hypothesis(state, n)
+            with pytest.raises(ValueError):
+                admit_hypothesis(state, capacity + 1)
+
+    def test_sizes_below_one_rejected(self):
+        for keep_best, keep_recent in [(0, 1), (1, 0), (-1, 5), (0, 0)]:
+            with pytest.raises(ValueError):
+                SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
 
 
 class TestAdmit:
     def test_start_and_prefix_cost(self):
-        state = SegmentationState(4, dim=2, ridge=1e-4)
+        state = SegmentationState(2, 1, dim=2, ridge=1e-4)
         row = admit_hypothesis(state, 1, d_ref=[1.0, 1.5], tau=[2e-3, 3e-3])
         assert row == 0
         assert state.start[row] == 0
         assert state.e_admit[row] == 0.0
         assert state.lse[row] == 0.0
         np.testing.assert_array_equal(state.factor[row],
-                                      rls.init(2, 1e-4).factor)
+                                      rls.init(2, 1e-4))
         np.testing.assert_array_equal(state.d_ref[row], [1.0, 1.5])
         np.testing.assert_array_equal(state.tau[row], [2e-3, 3e-3])
         assert state.filled == 1
 
     def test_admission_records_last_prefix_cost(self):
-        state = SegmentationState(4, dim=1, ridge=1e-4)
+        state = SegmentationState(2, 1, dim=1, ridge=1e-4)
         admit_hypothesis(state, 1)
         state.lse[0] = 0.25
         bellman_step(state, penalty=0.01)
@@ -110,58 +129,60 @@ class TestAdmit:
         assert state.e_admit[row] == pytest.approx(0.26)
 
     def test_filled_increments(self):
-        state = SegmentationState(5, dim=1, ridge=1e-4)
+        state = SegmentationState(2, 2, dim=1, ridge=1e-4)
         for n in range(1, 6):
             admit_hypothesis(state, n)
         assert state.filled == 5
         assert live_starts(state) == [0, 1, 2, 3, 4]
 
     def test_full_bank_and_stale_start_rejected(self):
-        state = SegmentationState(2, dim=1, ridge=1e-4)
+        state = SegmentationState(1, 1, dim=1, ridge=1e-4)
         admit_hypothesis(state, 3)
         with pytest.raises(ValueError):
             admit_hypothesis(state, 3)
         admit_hypothesis(state, 4)
+        admit_hypothesis(state, 5)
         with pytest.raises(ValueError):
-            admit_hypothesis(state, 5)
-        assert live_starts(state) == [2, 3]
+            admit_hypothesis(state, 6)
+        assert live_starts(state) == [2, 3, 4]
 
 
 class TestEvict:
     def build(self, lses):
-        return bank([(i, lse, 0.0) for i, lse in enumerate(lses)])
+        return bank([(i, lse, 0.0) for i, lse in enumerate(lses)],
+                    keep_best=2, keep_recent=1)
 
     def test_largest_lse_outside_recent_goes(self):
         state = self.build([5.0, 1.0, 0.1])
-        gone = evict_if_full(state, n_best=2, n_recent=1)
+        gone = evict_if_full(state)
         assert gone == 0
         assert state.filled == 2
         assert state.lse[:2].tolist() == [1.0, 0.1]
 
     def test_below_capacity_is_noop(self):
         state = self.build([5.0, 1.0])
-        assert evict_if_full(state, n_best=2, n_recent=1) is None
+        assert evict_if_full(state) is None
         assert state.filled == 2
 
     def test_most_recent_always_survives(self):
         state = self.build([0.1, 0.2, 9.0])
-        evict_if_full(state, n_best=2, n_recent=1)
+        evict_if_full(state)
         assert 2 in live_starts(state)
 
     def test_protected_start_survives(self):
         state = self.build([9.0, 1.0, 0.1])
-        gone = evict_if_full(state, n_best=2, n_recent=1, protect_start=0)
+        gone = evict_if_full(state, protect_start=0)
         assert gone == 1
         assert live_starts(state) == [0, 2]
 
     def test_victim_row_shifted_out_of_every_column(self):
-        state = SegmentationState(4, dim=2, ridge=1e-4)
+        state = SegmentationState(2, 2, dim=2, ridge=1e-4)
         for n in range(1, 5):
             row = admit_hypothesis(state, n, d_ref=[n, n], tau=[-n, -n])
             state.e_admit[row] = 10.0 * n
             state.lse[row] = 1.0 if n != 2 else 3.0
             state.factor[row] = n
-        assert evict_if_full(state, n_best=2, n_recent=2) == 1
+        assert evict_if_full(state) == 1
         assert live_starts(state) == [0, 2, 3]
         assert state.e_admit[:3].tolist() == [10.0, 30.0, 40.0]
         assert state.lse[:3].tolist() == [1.0, 1.0, 1.0]
@@ -181,17 +202,19 @@ class ListBank:
     """Reference candidate memory: a list in admission order, with the
     policy written out item by item."""
 
-    def __init__(self):
+    def __init__(self, n_best, n_recent):
+        self.n_best = n_best
+        self.n_recent = n_recent
         self.items = []
         self.last_E = 0.0
 
     def admit(self, n):
         self.items.append(_Candidate(n - 1, self.last_E))
 
-    def evict(self, n_best, n_recent, protect_start):
-        if len(self.items) < n_best + n_recent:
+    def evict(self, protect_start):
+        if len(self.items) < self.n_best + self.n_recent:
             return None
-        for n_keep in (n_recent, 1):
+        for n_keep in (self.n_recent, 1):
             recent = self.items[-n_keep:]
             pool = [h for h in self.items
                     if all(h is not r for r in recent)
@@ -225,16 +248,15 @@ class TestBankMatchesListReference:
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     def test_random_admit_evict_bellman_sequences(self, n_best, n_recent,
                                                   data):
-        state = SegmentationState(n_best + n_recent + 1, dim=1, ridge=1e-4)
-        ref = ListBank()
+        state = SegmentationState(n_best, n_recent, dim=1, ridge=1e-4)
+        ref = ListBank(n_best, n_recent)
         n = 0
         for _ in range(data.draw(st.integers(1, 40))):
             n += data.draw(st.integers(1, 3))
             if state.filled and data.draw(st.booleans()):
                 protect = data.draw(st.one_of(
                     st.none(), st.sampled_from(live_starts(state))))
-                assert evict_if_full(state, n_best, n_recent, protect) == \
-                    ref.evict(n_best, n_recent, protect)
+                assert evict_if_full(state, protect) == ref.evict(protect)
             if state.filled < state.capacity and data.draw(st.booleans()):
                 if data.draw(st.booleans()):
                     state.last_E = ref.last_E = data.draw(TIE_VALUES)

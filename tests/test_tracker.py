@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dopptrack import harness
+from dopptrack import harness, rls
 from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
 from dopptrack.signal_model import TransmitSignal, make_qpsk_signal
 from dopptrack.tracker import (DopplerSegment, DopplerTracker,
@@ -314,9 +314,36 @@ class TestTrackerRuns:
         cfg = dataclasses.replace(cfg, duration=600 / cfg.channel.sample_rate)
         sig, _, r, truth = harness.simulate_stream(cfg)
         r[300] = 1e300
-        _, _, summary = harness.track_stream(cfg, sig, r, truth)
+        # the overflowing lse is the only warning: the bank halts with it
+        with pytest.warns(RuntimeWarning) as caught:
+            segments, _, summary = harness.track_stream(cfg, sig, r, truth)
+        assert [(w.filename, str(w.message)) for w in caught] == \
+            [(rls.__file__, "overflow encountered in square")]
         assert summary["diverged"]
         assert summary["diverged_at"] == 300
+        assert segments[-1].b == 599
+
+    def test_halted_bank_still_checks_and_counts_samples(self):
+        sig = build_signal()
+        r = sig.eval_passband(1.0003 * np.arange(200) * T - 8e-4)
+        trk = DopplerTracker(sig, config([1.0], [-8e-4]))
+        for v in r[:100]:
+            trk.process_sample(float(v))
+        with pytest.warns(RuntimeWarning):
+            trk.process_sample(1e300)
+        assert trk.diverged_at == 100
+        bank = trk.segmentation
+        frozen = (bank.filled, bank.start.copy(), bank.factor.copy())
+        with pytest.raises(InvalidSampleError):
+            trk.process_sample(float("nan"))
+        assert trk.sample_index == 101
+        for v in r[101:]:
+            assert trk.process_sample(float(v)) is None
+        assert trk.sample_index == 200
+        assert bank.filled == frozen[0]
+        np.testing.assert_array_equal(bank.start, frozen[1])
+        np.testing.assert_array_equal(bank.factor, frozen[2])
+        assert trk.finalize().b == 199
 
     def test_one_best_one_recent_keeps_admitting(self):
         # eviction finds nothing to drop while the anchor is the older of
@@ -367,3 +394,8 @@ class TestConfigValidation:
             config([1.0], [0.0], perturbation=0.0)
         with pytest.raises(ValueError):
             config([1.0], [0.0, 1.0])
+
+    def test_memory_sizes_rejected_by_the_bank(self):
+        for sizes in [dict(keep_best=0), dict(keep_recent=0)]:
+            with pytest.raises(ValueError):
+                DopplerTracker(build_signal(), config([1.0], [0.0], **sizes))
