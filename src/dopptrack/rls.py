@@ -6,7 +6,10 @@ upper-triangular R (dim+1, dim+1) of the ridge-augmented data
 [[sqrt(ridge) I, 0], [A, y]]. init returns the factor of the empty fit;
 update (one row, checked) and update_batch (an (H, dim+1, dim+1) stack)
 absorb rows as one QR of the old factor stacked on the new rows, overwrite
-the factor in place and return lse, which is the last diagonal entry squared
+the factor in place and return lse. The QR runs in numpy's raw mode on one
+freshly filled stack, and only the upper triangle of its output is copied
+back under a cached mask; this gives the same bits as mode "r" without its
+per-call triu. lse is the last diagonal entry squared
 and equals ridge*||x||^2 + sum of squared residuals, so it compares directly
 against solve_direct on the same rows. estimate reads the fit x off a factor
 by solving R[:d, :d] x = R[:d, d]. No inverse Gram is formed: there is no
@@ -16,6 +19,8 @@ Gram) by construction.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -64,14 +69,24 @@ def update_batch(factors: np.ndarray, rows: np.ndarray,
     H, R, dim = rows.shape
     if factors.shape != (H, dim + 1, dim + 1):
         raise ValueError("rows/factors shape mismatch")
+    stack = np.empty((H, dim + 1 + R, dim + 1))
+    stack[:, :dim + 1] = factors
+    stack[:, dim + 1:, :dim] = rows
     # zeroing the target makes a zero row a zero row of the augmented data,
     # which the QR passes over
-    live = np.any(rows != 0.0, axis=2)
-    data = np.concatenate(
-        [rows, np.where(live, targets, 0.0)[:, :, None]], axis=2)
-    factors[...] = np.linalg.qr(np.concatenate([factors, data], axis=1),
-                                mode="r")
+    live = (rows != 0.0).any(axis=2)
+    stack[:, dim + 1:, dim] = np.where(live, targets, 0.0)
+    # raw mode returns the Householder output transposed, R in its upper
+    # triangle; the factors' lower triangle is already zero
+    h = np.linalg.qr(stack, mode="raw")[0]
+    np.copyto(factors, h[:, :, :dim + 1].mT, where=_upper(dim + 1))
     return factors[:, dim, dim] ** 2
+
+
+@functools.cache
+def _upper(n: int) -> np.ndarray:
+    """Upper-triangular (n, n) mask, built once per size."""
+    return np.triu(np.ones((n, n), dtype=bool))
 
 
 def solve_direct(rows, targets, ridge: float) -> tuple[np.ndarray, float]:

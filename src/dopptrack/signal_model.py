@@ -105,7 +105,7 @@ class TransmitSignal:
         inside = (k >= 0) & (k < self.symbols.size) & \
             (np.abs(dt) <= self.pulse.window)
         env = np.where(inside, np.exp(-0.5 * (dt / sig) ** 2), 0.0)
-        sym = self.symbols[np.clip(k, 0, self.symbols.size - 1)]
+        sym = self.symbols.take(k, mode="clip")
         terms = sym * env
         b = terms.sum(axis=1)
         b_dot = (terms * (-dt / (sig * sig))).sum(axis=1)

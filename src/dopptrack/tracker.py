@@ -19,17 +19,22 @@ step is an argmin over the slice. A non-finite lse flags divergence at once
 and halts the bank for the rest of the stream.
 
 A new segment is declared when the prefix-cost-optimal start jumps forward
-by at least detect_threshold samples. On closure the open segment's Doppler
-is fixed from the incumbent fit (the anchor, the candidate whose start is
-the open segment's start) and clamped to DOPPLER_BOUNDS, the per-path delays
-are propagated so the reconstructed warp chains continuously across the
-boundary, and the winning candidate becomes the new open segment.
+by at least detect_threshold samples. The incumbent fit is the anchor, the
+candidate whose start is the open segment's start; eviction never drops it,
+and the tracker keeps its bank row rather than searching for it. The row
+moves up by one when eviction removes an earlier row (rows are in start
+order) and becomes the winner's row at closure. On closure the open
+segment's Doppler is fixed from the anchor and clamped to DOPPLER_BOUNDS,
+the per-path delays are propagated so the reconstructed warp chains
+continuously across the boundary, and the winning candidate becomes the new
+open segment.
 
 One tracker instance consumes one strictly sample-ordered stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +118,17 @@ def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,
     target for received value r is r - prediction + target_offset.
     """
     H, L = d_ref.shape
-    base = d_ref * lever[:, None] + tau
-    times = np.repeat(base[:, None, :], L + 1, axis=1)
-    shift = epsilon * lever
-    idx = np.arange(L)
-    times[:, idx + 1, idx] += shift[:, None]
+    times = np.empty((H, L + 1, L))
+    times[:] = (d_ref * lever[:, None] + tau)[:, None]
+    # entries (l+1, l) of each flattened (L+1, L) block lie L+1 apart from L
+    times.reshape(H, -1)[:, L::L + 1] += (epsilon * lever)[:, None]
     s, sd = sig.eval_passband_with_derivative(times.reshape(-1))
     s = s.reshape(H, L + 1, L)
     sd = sd.reshape(H, L + 1, L)
     preds = (s * gains).sum(axis=2)
     rows = gains * lever[:, None, None] * sd
     offsets = np.zeros((H, L + 1))
-    offsets[:, 1:] = epsilon * np.diagonal(rows[:, 1:, :], axis1=1, axis2=2)
+    offsets[:, 1:] = epsilon * rows.reshape(H, -1)[:, L::L + 1]
     return rows, offsets, preds
 
 
@@ -191,7 +195,10 @@ class DopplerTracker:
         self._tau_cur = np.asarray(config.initial_tau, dtype=float).copy()
         self._seg = SegmentationState(config.keep_best, config.keep_recent,
                                       L, config.ridge)
-        admit_hypothesis(self._seg, 1, self._d_ref, self._tau_cur)
+        # bank row of the open segment's fit, the candidate at start _a_cur
+        # that eviction protects
+        self._anchor = admit_hypothesis(self._seg, 1, self._d_ref,
+                                        self._tau_cur)
         self._n = 0
         self.segments: list[DopplerSegment] = []
         self.diverged = False
@@ -211,7 +218,7 @@ class DopplerTracker:
     @property
     def current_correction(self) -> np.ndarray:
         """Running Doppler-correction estimate of the open segment."""
-        return rls.estimate(self._seg.factor[self._anchor()])
+        return rls.estimate(self._seg.factor[self._anchor])
 
     def _row(self, start: int) -> int:
         """Bank row of the live candidate with this start."""
@@ -221,16 +228,11 @@ class DopplerTracker:
                                % start)
         return int(rows[0])
 
-    def _anchor(self) -> int:
-        """Bank row of the open segment's fit: the candidate at start _a_cur,
-        which eviction protects."""
-        return self._row(self._a_cur)
-
     def _doppler_of(self, row: int) -> np.ndarray:
         return self._seg.d_ref[row] + rls.estimate(self._seg.factor[row])
 
     def _running_warp_at(self, m: int) -> np.ndarray:
-        d_run = self._doppler_of(self._anchor())
+        d_run = self._doppler_of(self._anchor)
         return self._tau_cur + d_run * (m - self._a_cur) \
             * self.config.sample_period
 
@@ -249,7 +251,7 @@ class DopplerTracker:
         """
         if self._finalized:
             raise RuntimeError("tracker already finalized")
-        if not np.isfinite(r_n):
+        if not math.isfinite(r_n):
             raise InvalidSampleError("non-finite sample at index %d"
                                      % self._n)
         cfg = self.config
@@ -260,7 +262,9 @@ class DopplerTracker:
             # sample 0 is the known anchor point of the warp, and a halted
             # bank's fits are void: no row to fit
             return None
-        evict_if_full(seg, protect_start=self._a_cur)
+        victim = evict_if_full(seg, protect_start=self._a_cur)
+        if victim is not None and victim < self._a_cur:
+            self._anchor -= 1   # rows are in start order
         if n > 1:
             # the constructor admitted start 0, the candidate of sample 1
             admit_hypothesis(seg, n, self._d_ref,
@@ -294,16 +298,17 @@ class DopplerTracker:
         return clipped
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
-        self._row(new_start)   # the winner must be live before anything closes
-        anchor = self._anchor()
-        d_closed = self._clamped_doppler(anchor, n)
+        # the winner must be live before anything closes
+        winner = self._row(new_start)
+        d_closed = self._clamped_doppler(self._anchor, n)
         seg = DopplerSegment(a=self._a_cur, b=new_start - 1,
                              doppler=d_closed, tau=self._tau_cur.copy(),
-                             lse=float(self._seg.lse[anchor]))
+                             lse=float(self._seg.lse[self._anchor]))
         self.segments.append(seg)
         self._tau_cur = update_delays(d_closed, self._tau_cur, self._a_cur,
                                       new_start, self.config.sample_period)
         self._a_cur = new_start
+        self._anchor = winner
         self._d_ref = d_closed.copy()
         return seg
 
@@ -315,10 +320,9 @@ class DopplerTracker:
         last = self._n - 1
         if last < self._a_cur:
             return None
-        anchor = self._anchor()
-        d = self._clamped_doppler(anchor, last)
+        d = self._clamped_doppler(self._anchor, last)
         seg = DopplerSegment(a=self._a_cur, b=last, doppler=d,
                              tau=self._tau_cur.copy(),
-                             lse=float(self._seg.lse[anchor]))
+                             lse=float(self._seg.lse[self._anchor]))
         self.segments.append(seg)
         return seg

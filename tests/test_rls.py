@@ -157,6 +157,14 @@ class TestSolveDirect:
             rls.solve_direct(np.empty((0, 2)), [], ridge=1e-8)
 
 
+def stacked_qr(factors, rows, targets):
+    """The update spelled out: R of the old factors stacked on the new rows."""
+    live = np.any(rows != 0.0, axis=2)
+    data = np.concatenate([rows, np.where(live, targets, 0.0)[:, :, None]],
+                          axis=2)
+    return np.linalg.qr(np.concatenate([factors, data], axis=1), mode="r")
+
+
 class TestUpdateBatch:
     def test_matches_sequential_updates(self):
         rng = np.random.default_rng(5)
@@ -184,6 +192,27 @@ class TestUpdateBatch:
         np.testing.assert_array_equal(lse, factors[:3, 2, 2] ** 2)
         assert np.all(lse > 0.0)
         np.testing.assert_array_equal(factors[3:], untouched)
+
+    def test_bit_exact_against_stacked_qr(self):
+        rng = np.random.default_rng(8)
+        for dim in range(1, 6):
+            bank = np.stack([rls.init(dim, ridge=1e-4) for _ in range(7)])
+            factors = bank[:6]
+            spare = bank[6].copy()
+            for step in range(4):
+                rows = rng.normal(size=(6, dim + 1, dim)) \
+                    * 10.0 ** rng.uniform(-3, 3, size=(6, 1, 1))
+                rows[step] = 0.0                  # a fit that sees no data
+                rows[:, step % (dim + 1)] *= rng.random((6, 1)) < 0.5
+                targets = rng.normal(size=(6, dim + 1))
+                want = stacked_qr(factors, rows, targets)
+                lse = rls.update_batch(factors, rows, targets)
+                assert np.array_equal(bank[:6], want)
+                assert np.array_equal(lse, want[:, dim, dim] ** 2)
+                below = np.tril_indices(dim + 1, -1)
+                lower = bank[:, below[0], below[1]]
+                assert np.all(lower == 0.0) and not np.signbit(lower).any()
+            assert np.array_equal(bank[6], spare)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

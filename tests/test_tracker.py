@@ -359,6 +359,27 @@ class TestTrackerRuns:
         assert max(live) == 3
         assert trk.finalize().b == 599
 
+    def test_kept_anchor_row_follows_open_segment(self):
+        # the tracker keeps the anchor's bank row instead of searching for
+        # it; eviction below the anchor and closures both move that row
+        cfg = harness.default_config()
+        cfg = dataclasses.replace(cfg, duration=3000 / cfg.channel.sample_rate)
+        sig, _, r, truth = harness.simulate_stream(cfg)
+        for keep_best, keep_recent in [(1, 1), (1, 2), (2, 1), (3, 2)]:
+            trk = DopplerTracker(sig, config(cfg.channel.gains,
+                                             truth.alpha[:, 0],
+                                             keep_best=keep_best,
+                                             keep_recent=keep_recent))
+            bank = trk.segmentation
+            closures = shifts = 0
+            for v in r:
+                row = trk._anchor
+                closures += trk.process_sample(float(v)) is not None
+                shifts += trk._anchor < row
+                assert trk._anchor < bank.filled
+                assert bank.start[trk._anchor] == trk._a_cur
+            assert closures >= 1 and shifts >= 1
+
     def test_missing_winner_raises_without_closing(self):
         trk, _, _ = self.static_run(50)
         with pytest.raises(RuntimeError):
