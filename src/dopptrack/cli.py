@@ -8,8 +8,12 @@ Subcommands:
     demo         full pipeline at reduced duration in one output directory
     dump-signal  sample the transmitted waveform to CSV for inspection
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 the tracker
-reported numerical divergence, 4 a received sample the tracker cannot consume.
+Exit codes: 0 success, 1 configuration error, 2 I/O error (a file that
+cannot be opened, read or written), 3 the tracker reported numerical
+divergence, 4 bad input (an input CSV whose content does not parse or is laid
+out wrongly, error traces that cannot be compared, or a received sample the
+tracker cannot consume). Any other exception is a fault of the program, not
+of its input: it is not caught, and Python prints its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .harness import ConfigError
+from .harness import BadInputError, ConfigError
 from .tracker import InvalidSampleError
 
 
@@ -181,10 +185,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except InvalidSampleError as exc:
+    except (BadInputError, InvalidSampleError) as exc:
         print("bad input: %s" % exc, file=sys.stderr)
         return 4
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
 

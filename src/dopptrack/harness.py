@@ -36,6 +36,11 @@ class ConfigError(Exception):
     """Invalid or unparsable run configuration."""
 
 
+class BadInputError(ValueError):
+    """Input data the pipeline cannot use: an input CSV whose content does not
+    parse or is laid out wrongly, or error traces that cannot be compared."""
+
+
 @dataclass(frozen=True)
 class SignalParams:
     # Amplitude calibrates the absolute residual scale against the segment
@@ -355,11 +360,13 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     trace = ErrorTrace(n=np.arange(n_samples),
                        abs_err=np.abs(warp_hat - truth.alpha))
     warmup = 2 * t.detect_threshold
+    final_lse = tracker.segments[-1].lse if tracker.segments else 0.0
     summary = {
         "tracker": "segmented_rls",
         "config": config_echo(cfg),
         "segment_count": len(tracker.segments),
-        "final_lse": tracker.segments[-1].lse if tracker.segments else 0.0,
+        # an overflowed fit (only after divergence) is written as null
+        "final_lse": final_lse if math.isfinite(final_lse) else None,
         "diverged": tracker.diverged,
         "diverged_at": tracker.diverged_at,
         "warmup_samples": warmup,
@@ -411,10 +418,10 @@ def compare(err_a: ErrorTrace, err_b: ErrorTrace,
             miss_threshold: float = 5e-6) -> dict:
     """Per-path max/mean table plus sample-miss counts for two traces."""
     if err_a.abs_err.shape[0] != err_b.abs_err.shape[0]:
-        raise ValueError("path count mismatch")
+        raise BadInputError("path count mismatch")
     common, ia, ib = np.intersect1d(err_a.n, err_b.n, return_indices=True)
     if common.size == 0:
-        raise ValueError("no overlapping samples to compare")
+        raise BadInputError("no overlapping samples to compare")
     report = {"miss_threshold_s": miss_threshold,
               "common_samples": int(common.size), "paths": {}}
     for i, name in enumerate(PATHS[:err_a.abs_err.shape[0]]):
@@ -445,9 +452,18 @@ def write_received(path: str, r: np.ndarray) -> None:
         f.writelines("%d,%s\n" % (i, _w(v)) for i, v in enumerate(r))
 
 
+def _read_csv(path: str, usecols=None) -> np.ndarray:
+    """Numeric rows of a CSV below its header line; content that does not
+    parse raises BadInputError, a file that cannot be opened OSError."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols,
+                          ndmin=2)
+    except ValueError as exc:
+        raise BadInputError("%s: %s" % (path, exc)) from exc
+
+
 def read_received(path: str) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 1]
+    return _read_csv(path, usecols=(0, 1))[:, 1]
 
 
 def write_truth(path: str, truth: GroundTruth) -> None:
@@ -462,16 +478,15 @@ def write_truth(path: str, truth: GroundTruth) -> None:
 
 
 def read_truth(path: str) -> GroundTruth:
-    data = np.loadtxt(path, delimiter=",", skiprows=1,
-                      usecols=(0, 2, 3), ndmin=2)
+    data = _read_csv(path, usecols=(0, 2, 3))
     total = data.shape[0]
     if total % len(PATHS) != 0:
-        raise ValueError("truth file rows not divisible by path count")
+        raise BadInputError("truth file rows not divisible by path count")
     n = total // len(PATHS)
     idx = data[:, 0].astype(int)
     expected = np.tile(np.arange(n), len(PATHS))
     if not np.array_equal(idx, expected):
-        raise ValueError("truth file not in path-major sample order")
+        raise BadInputError("truth file not in path-major sample order")
     alpha = data[:, 1].reshape(len(PATHS), n)
     doppler = data[:, 2].reshape(len(PATHS), n)
     return GroundTruth(alpha=alpha, doppler=doppler)
@@ -496,16 +511,15 @@ def write_errors(path: str, trace: ErrorTrace) -> None:
 
 
 def read_errors(path: str) -> ErrorTrace:
-    data = np.loadtxt(path, delimiter=",", skiprows=1,
-                      usecols=(0, 2), ndmin=2)
+    data = _read_csv(path, usecols=(0, 2))
     total = data.shape[0]
     if total % len(PATHS) != 0:
-        raise ValueError("errors file rows not divisible by path count")
+        raise BadInputError("errors file rows not divisible by path count")
     n = total // len(PATHS)
     idx = data[:, 0].astype(int)
     first = idx[:n]
     if not np.array_equal(idx, np.tile(first, len(PATHS))):
-        raise ValueError("errors file not in path-major sample order")
+        raise BadInputError("errors file not in path-major sample order")
     return ErrorTrace(n=first, abs_err=data[:, 1].reshape(len(PATHS), n))
 
 
@@ -521,8 +535,10 @@ def write_delays(path: str, n_grid: np.ndarray, delays: np.ndarray,
 
 
 def write_summary(path: str, summary: dict) -> None:
+    """Write strict JSON: a non-finite float raises instead of being written
+    as the non-JSON tokens NaN or Infinity."""
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -254,6 +254,57 @@ class TestCli:
         assert "bad input" in err
         assert "i/o error" not in err
 
+    def simulate(self, tmp_path, duration):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--duration", duration,
+                         "--out", str(sim)]) == 0
+        return sim
+
+    def set_sample(self, sim, n, text):
+        received = sim / "received.csv"
+        lines = received.read_text().splitlines()
+        assert lines[n + 1].startswith("%d," % n)
+        lines[n + 1] = "%d,%s" % (n, text)
+        received.write_text("\n".join(lines) + "\n")
+
+    def test_missing_truth_is_io_error(self, tmp_path, capsys):
+        sim = self.simulate(tmp_path, "0.005")
+        (sim / "truth.csv").unlink()
+        capsys.readouterr()
+        code = cli.main(["track", "--duration", "0.005", "--in", str(sim),
+                         "--out", str(tmp_path / "trk")])
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_malformed_received_is_bad_input(self, tmp_path, capsys):
+        sim = self.simulate(tmp_path, "0.005")
+        self.set_sample(sim, 49, "0.1x")
+        capsys.readouterr()
+        code = cli.main(["track", "--duration", "0.005", "--in", str(sim),
+                         "--out", str(tmp_path / "trk")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bad input" in err and "received.csv" in err
+        assert "i/o error" not in err
+
+    def test_summary_is_strict_json_after_divergence(self, tmp_path):
+        sim = self.simulate(tmp_path, "0.003")
+        self.set_sample(sim, 300, "1e+300")
+        trk = tmp_path / "trk"
+        with pytest.warns(RuntimeWarning):
+            code = cli.main(["track", "--duration", "0.003", "--in", str(sim),
+                             "--out", str(trk)])
+        assert code == 3
+
+        def reject(constant):
+            raise ValueError("not JSON: %s" % constant)
+
+        summary = json.loads((trk / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["diverged"] is True
+        assert summary["diverged_at"] == 300
+        assert summary["final_lse"] is None
+
     def test_dump_signal(self, tmp_path):
         out = tmp_path / "sig.csv"
         code = cli.main(["dump-signal", "--duration", "0.005",
