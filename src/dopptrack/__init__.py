@@ -3,9 +3,9 @@ arrivals of a known transmitted signal, plus a channel simulator and a
 matched-filter peak-tracking baseline for evaluation."""
 
 from .channel import (ChannelScene, Geometry, GroundTruth, MotionSpec, PATHS,
-                      ground_truth_doppler, path_length, synthesize, warp)
-from .peak_tracking import (PeakTracker, PeakTrackState, crosscorr,
-                            subsample_interp, track_step)
+                      path_length, synthesize)
+from .peak_tracking import (PeakTracker, crosscorr, subsample_interp,
+                            track_step)
 from .rls import solve_direct
 from .segmentation import (SegmentationState, admit_hypothesis, batch_sls,
                            bellman_step, evict_if_full)

@@ -2,9 +2,10 @@
 
 Direct, surface-reflected (image across the instantaneously displaced flat
 surface) and bottom-reflected arrivals of a known waveform, with a horizontally
-oscillating receiver and a sinusoidally heaving surface. Produces received
-samples plus the ground-truth emission-time warp and its derivative for every
-path, for evaluating trackers.
+oscillating receiver and a sinusoidally heaving surface. synthesize produces
+received samples plus the ground-truth emission-time warp and its derivative
+for every path, for evaluating trackers; it is the one place that computes
+them.
 
 Delays use the quasi-static convention: geometry is frozen at reception time,
 alpha(n T) = n T - L(n T) / c. At the sub-m/s speeds simulated here the
@@ -137,25 +138,10 @@ def _length_and_rate(scene: ChannelScene, path: str, t: np.ndarray):
     return length, rate
 
 
-def path_length(scene: ChannelScene, path: str, t):
-    """Propagation path length in meters at time t (scalar or array)."""
-    length, _ = _length_and_rate(scene, path, np.asarray(t, dtype=float))
-    return float(length) if np.ndim(t) == 0 else length
-
-
-def warp(scene: ChannelScene, path: str, n):
-    """Emission time alpha(n T) = n T - L(n T) / c for sample index n."""
-    t = np.asarray(n, dtype=float) * scene.sample_period
+def path_length(scene: ChannelScene, path: str, t: np.ndarray) -> np.ndarray:
+    """Propagation path lengths in meters at a 1-D array of times."""
     length, _ = _length_and_rate(scene, path, t)
-    a = t - length / scene.geometry.sound_speed
-    return float(a) if np.ndim(n) == 0 else a
-
-
-def ground_truth_doppler(scene: ChannelScene, path: str, t):
-    """d(alpha)/dt = 1 - (dL/dt) / c, from the motion sinusoids analytically."""
-    _, rate = _length_and_rate(scene, path, np.asarray(t, dtype=float))
-    d = 1.0 - rate / scene.geometry.sound_speed
-    return float(d) if np.ndim(t) == 0 else d
+    return length
 
 
 def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,

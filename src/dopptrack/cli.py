@@ -8,12 +8,14 @@ Subcommands:
     demo         full pipeline at reduced duration in one output directory
     dump-signal  sample the transmitted waveform to CSV for inspection
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error (a file that
-cannot be opened, read or written), 3 the tracker reported numerical
-divergence, 4 bad input (an input CSV whose content does not parse or is laid
-out wrongly, error traces that cannot be compared, or a received sample the
-tracker cannot consume). Any other exception is a fault of the program, not
-of its input: it is not caught, and Python prints its traceback.
+Exit codes: 0 success, 1 configuration error (including a run no longer
+than the tracker warm-up), 2 I/O error (a file that cannot be opened, read
+or written), 3 the tracker reported numerical divergence, 4 bad input (an
+input CSV whose content does not parse or is laid out wrongly, a
+received.csv and truth.csv that do not hold the same non-zero number of
+samples, error traces that cannot be compared, or a received sample the
+tracker cannot consume), 5 internal fault: any other exception is a fault of
+the program, not of its input, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -191,6 +194,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:   # a fault of the program, not of its input
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

@@ -99,8 +99,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.duration <= 0.0:
             raise ConfigError("duration must be positive")
-        if self.n_samples < self.tracker.detect_threshold + 2:
-            raise ConfigError("run too short for the detection threshold")
+        warmup = 2 * self.tracker.detect_threshold
+        if self.n_samples <= warmup:
+            raise ConfigError("run of %d samples must be longer than the "
+                              "tracker warm-up of %d"
+                              % (self.n_samples, warmup))
         nyq = 2.0 * (self.signal.carrier_freq + self.signal.symbol_rate)
         if self.channel.sample_rate <= nyq:
             raise ConfigError("sample_rate must exceed twice the carrier "
@@ -320,9 +323,6 @@ class ErrorTrace:
             sel = block == b
             means[:, j] = self.abs_err[:, sel].mean(axis=1)
         return starts * window, means
-
-    def max_per_path(self) -> np.ndarray:
-        return self.abs_err.max(axis=1)
 
 
 def simulate_stream(cfg: RunConfig):
@@ -555,10 +555,21 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
             "sample_rate_hz": cfg.channel.sample_rate}
 
 
-def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+def _read_inputs(in_dir: str) -> tuple[np.ndarray, GroundTruth]:
+    """received.csv and truth.csv of one simulation; BadInputError unless
+    they hold the same non-zero number of samples."""
     r = read_received(os.path.join(in_dir, "received.csv"))
     truth = read_truth(os.path.join(in_dir, "truth.csv"))
+    if r.size == 0 or r.size != truth.alpha.shape[1]:
+        raise BadInputError("received.csv holds %d samples, truth.csv %d; "
+                            "need the same non-zero count"
+                            % (r.size, truth.alpha.shape[1]))
+    return r, truth
+
+
+def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
+    r, truth = _read_inputs(in_dir)
+    os.makedirs(out_dir, exist_ok=True)
     sig = build_signal(cfg)
     segments, trace, summary = track_stream(cfg, sig, r, truth)
     write_segments(os.path.join(out_dir, "segments.csv"), segments)
@@ -568,9 +579,8 @@ def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 
 def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
+    r, truth = _read_inputs(in_dir)
     os.makedirs(out_dir, exist_ok=True)
-    r = read_received(os.path.join(in_dir, "received.csv"))
-    truth = read_truth(os.path.join(in_dir, "truth.csv"))
     sig = build_signal(cfg)
     n_grid, delays, flags, trace, summary = baseline_stream(cfg, sig, r, truth)
     write_delays(os.path.join(out_dir, "delays.csv"), n_grid, delays, flags)

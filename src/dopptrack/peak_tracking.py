@@ -9,37 +9,13 @@ two neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .signal_model import TransmitSignal
 
 
-@dataclass
-class PeakTrackState:
-    """Last accepted per-path delays plus search configuration."""
-
-    prev_delays: np.ndarray      # seconds, length = number of paths
-    template_len: float          # seconds
-    search_halfwidth: int        # samples
-    flags: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.prev_delays = np.asarray(self.prev_delays, dtype=float).copy()
-        if self.template_len <= 0.0:
-            raise ValueError("template_len must be positive")
-        if np.any(self.prev_delays < 0.0):
-            raise ValueError("delays must be non-negative")
-        if self.search_halfwidth < 1:
-            raise ValueError("search_halfwidth must be >= 1")
-        self.flags = np.zeros(self.prev_delays.size, dtype=bool)
-
-
 def crosscorr(received: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Sliding inner products of template against received, lag in samples."""
-    received = np.asarray(received, dtype=float)
-    template = np.asarray(template, dtype=float)
     if received.size < template.size:
         raise ValueError("window shorter than template")
     return np.correlate(received, template, mode="valid")
@@ -62,35 +38,34 @@ def _local_maxima(corr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ge & gt) + 1
 
 
-def track_step(state: PeakTrackState, corr: np.ndarray,
-               sample_period: float) -> np.ndarray:
+def track_step(prev_delays: np.ndarray, corr: np.ndarray,
+               sample_period: float,
+               search_halfwidth: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance the per-path delay track over one correlation output.
 
-    corr is indexed by lag in samples (lag * sample_period = delay). Paths
-    with no local maximum within the search window keep their previous delay
-    and get their flag raised.
+    corr is indexed by lag in samples (lag * sample_period = delay). Returns
+    (delays, flags): paths with no local maximum within search_halfwidth
+    samples of their previous delay keep it and get their flag raised.
     """
-    corr = np.asarray(corr, dtype=float)
     if corr.size == 0:
         raise ValueError("empty correlation")
     maxima = _local_maxima(corr)
-    out = state.prev_delays.copy()
-    state.flags[:] = False
+    out = prev_delays.copy()
+    flags = np.zeros(out.size, dtype=bool)
     for p in range(out.size):
-        prev_lag = state.prev_delays[p] / sample_period
+        prev_lag = prev_delays[p] / sample_period
         if maxima.size:
             dist = np.abs(maxima - prev_lag)
-            near = maxima[dist <= state.search_halfwidth]
+            near = maxima[dist <= search_halfwidth]
         else:
             near = maxima
         if near.size == 0:
-            state.flags[p] = True
+            flags[p] = True
             continue
         i = int(near[np.argmin(np.abs(near - prev_lag))])
         off = subsample_interp(corr[i - 1], corr[i], corr[i + 1])
         out[p] = (i + off) * sample_period
-    state.prev_delays = out.copy()
-    return out
+    return out, flags
 
 
 class PeakTracker:
@@ -99,34 +74,38 @@ class PeakTracker:
     At iteration n the template is the template_len-long stretch of the
     transmitted signal ending at sample n, correlated against the received
     samples from n - template up to n + max_lag, so path delays appear
-    directly as correlation lags.
+    directly as correlation lags. max_lag covers twice the longest initial
+    delay plus four search half-widths.
     """
 
     def __init__(self, sig: TransmitSignal, initial_delays, sample_rate: float,
                  template_len: float = 3e-3, search_halfwidth: int = 20,
-                 hop: int = 10, max_delay: float | None = None):
+                 hop: int = 10):
         self.sig = sig
-        self.sample_rate = float(sample_rate)
         self.T = 1.0 / sample_rate
-        self.state = PeakTrackState(np.asarray(initial_delays, dtype=float),
-                                    template_len, search_halfwidth)
+        self._initial_delays = np.asarray(initial_delays, dtype=float).copy()
+        if template_len <= 0.0:
+            raise ValueError("template_len must be positive")
+        if np.any(self._initial_delays < 0.0):
+            raise ValueError("delays must be non-negative")
+        if search_halfwidth < 1:
+            raise ValueError("search_halfwidth must be >= 1")
+        self._search_halfwidth = search_halfwidth
         self.hop = int(hop)
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
         self.template_samples = int(round(template_len * sample_rate))
-        if max_delay is None:
-            max_delay = 2.0 * float(np.max(self.state.prev_delays))
+        max_delay = 2.0 * float(np.max(self._initial_delays))
         self.max_lag = int(np.ceil(max_delay * sample_rate)) \
             + 4 * search_halfwidth
 
     def run(self, received: np.ndarray):
-        """Track delays over the stream.
+        """Track delays over the stream from the initial delays.
 
         Returns (n_grid, delays, flags): iteration sample indices, per-path
         delays in seconds with shape (num_paths, len(n_grid)), and the
         no-peak-found flags with the same shape.
         """
-        received = np.asarray(received, dtype=float)
         K = self.template_samples
         first = K
         last = received.size - 1 - self.max_lag
@@ -135,13 +114,14 @@ class PeakTracker:
         n_grid = np.arange(first, last + 1, self.hop)
         tx_times = np.arange(received.size) * self.T
         tx = self.sig.eval_passband(tx_times)
-        L = self.state.prev_delays.size
-        delays = np.empty((L, n_grid.size))
-        flags = np.zeros((L, n_grid.size), dtype=bool)
+        prev = self._initial_delays
+        delays = np.empty((prev.size, n_grid.size))
+        flags = np.zeros((prev.size, n_grid.size), dtype=bool)
         for j, n in enumerate(n_grid):
             template = tx[n - K + 1:n + 1]
             window = received[n - K + 1:n + 1 + self.max_lag]
             corr = crosscorr(window, template)
-            delays[:, j] = track_step(self.state, corr, self.T)
-            flags[:, j] = self.state.flags
+            prev, flags[:, j] = track_step(prev, corr, self.T,
+                                           self._search_halfwidth)
+            delays[:, j] = prev
         return n_grid, delays, flags

@@ -90,12 +90,8 @@ class TransmitSignal:
         self._offsets = np.arange(-pulse.truncation_halfwidth,
                                   pulse.truncation_halfwidth + 1)
 
-    @property
-    def duration(self) -> float:
-        return self.symbols.size * self.pulse.symbol_period
-
     def _baseband_terms(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (b(t), db/dt) for a flat float array of times."""
+        """Return (b(t), db/dt) for a 1-D float array of times."""
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std
         t = t - self.start_time
@@ -111,36 +107,22 @@ class TransmitSignal:
         b_dot = (terms * (-dt / (sig * sig))).sum(axis=1)
         return b, b_dot
 
-    def eval_baseband(self, t):
-        """Complex baseband b(t); zero outside the pulse-truncated support."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        b, _ = self._baseband_terms(t_arr.ravel())
-        b = b.reshape(t_arr.shape)
-        return complex(b[0]) if np.ndim(t) == 0 else b
-
-    def eval_passband(self, t):
-        """Real passband value s(t)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        b, _ = self._baseband_terms(t_arr.ravel())
+    def eval_passband(self, t: np.ndarray) -> np.ndarray:
+        """Real passband values s(t) at a 1-D float array of times; zero
+        outside the pulse-truncated support."""
+        b, _ = self._baseband_terms(t)
         omega = 2.0 * np.pi * self.carrier_freq
-        s = self.amplitude * np.real(b * np.exp(1j * omega * t_arr.ravel()))
-        s = s.reshape(t_arr.shape)
-        return float(s[0]) if np.ndim(t) == 0 else s
+        return self.amplitude * np.real(b * np.exp(1j * omega * t))
 
-    def eval_passband_with_derivative(self, t):
-        """Return (s(t), ds/dt) sharing one pulse-evaluation pass; ds/dt is
-        exact (product rule on pulses and carrier)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        flat = t_arr.ravel()
-        b, b_dot = self._baseband_terms(flat)
+    def eval_passband_with_derivative(self, t: np.ndarray):
+        """Return (s(t), ds/dt) at a 1-D float array of times, sharing one
+        pulse-evaluation pass; ds/dt is exact (product rule on pulses and
+        carrier)."""
+        b, b_dot = self._baseband_terms(t)
         omega = 2.0 * np.pi * self.carrier_freq
-        carrier = np.exp(1j * omega * flat)
+        carrier = np.exp(1j * omega * t)
         s = self.amplitude * np.real(b * carrier)
         sd = self.amplitude * np.real((b_dot + 1j * omega * b) * carrier)
-        s = s.reshape(t_arr.shape)
-        sd = sd.reshape(t_arr.shape)
-        if np.ndim(t) == 0:
-            return float(s[0]), float(sd[0])
         return s, sd
 
 

@@ -164,8 +164,7 @@ def update_delays(d_prev, tau_prev, a_prev: int, b_prev: int, T: float) -> np.nd
     """Propagate per-path delays over one segment: tau + d (b - a) T."""
     if b_prev <= a_prev:
         raise ValueError("b_prev must exceed a_prev")
-    return np.asarray(tau_prev, dtype=float) \
-        + np.asarray(d_prev, dtype=float) * (b_prev - a_prev) * T
+    return tau_prev + d_prev * (b_prev - a_prev) * T
 
 
 def reconstruct_warp_array(segments: list[DopplerSegment], num_paths: int,

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dopptrack import cli, harness, rls
 from dopptrack.channel import PATHS
@@ -56,7 +57,7 @@ def test_criterion_1_tracker_within_one_sample_interval(scenario):
 
 def test_criterion_2_baseline_misses_samples(scenario):
     _, _, _, _, btrace, _ = scenario
-    worst_per_path = btrace.max_per_path()
+    worst_per_path = btrace.abs_err.max(axis=1)
     exceeding = [PATHS[i] for i, v in enumerate(worst_per_path)
                  if v > SAMPLE_INTERVAL]
     report(2, len(exceeding) >= 1,
@@ -211,6 +212,64 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     report(5, slack > -1e-9,
            "memory-restricted online prefix costs stay >= batch costs "
            "(worst slack %.2e)" % slack)
+
+
+def _online_and_batch_costs(y, ridge, penalty, keep_best, keep_recent):
+    """Online prefix costs E(n) of line fits with the given memory, and the
+    exact batch prefix DP B(n) over the same half-open accounting."""
+    N = y.size
+    state = SegmentationState(keep_best, keep_recent, 2, ridge)
+    admit_hypothesis(state, 1)
+    E_online = [0.0]
+    for n in range(1, N):
+        evict_if_full(state)
+        if n > 1:
+            admit_hypothesis(state, n)
+        _absorb_line_rows(state, n, y[n])
+        E_online.append(bellman_step(state, penalty)[0])
+    B = np.zeros(N)
+    for n in range(1, N):
+        B[n] = min(_ridged_line_fit(y, a, n, ridge) + penalty + B[a]
+                   for a in range(n))
+    return np.array(E_online), B
+
+
+@st.composite
+def line_streams(draw):
+    """(y, ridge, penalty): a random walk of 2-40 samples with one jump,
+    ridge 1e-10 to 1e-2 and penalty 1e-3 to 1, both log-uniform."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(2, 40))
+    y = np.cumsum(rng.normal(size=N))
+    y[int(rng.integers(0, N)):] += rng.normal(scale=5.0)
+    ridge = 10.0 ** draw(st.floats(-10.0, -2.0))
+    penalty = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return y, ridge, penalty
+
+
+ONLINE_VS_BATCH = settings(max_examples=50, deadline=None, derandomize=True,
+                           database=None)
+
+
+@ONLINE_VS_BATCH
+@given(line_streams())
+def test_online_equals_batch_with_full_memory_on_random_streams(stream):
+    # generalizes criterion 5 over seeds, ridges and penalties
+    y, ridge, penalty = stream
+    E_online, B = _online_and_batch_costs(y, ridge, penalty, y.size, y.size)
+    gaps = np.abs(E_online - B) / np.maximum(1.0, B)
+    assert float(gaps.max()) < 1e-8
+
+
+@ONLINE_VS_BATCH
+@given(line_streams(), st.integers(1, 4), st.integers(1, 4))
+def test_restricted_memory_never_beats_batch_on_random_streams(
+        stream, keep_best, keep_recent):
+    # generalizes criterion 5b over seeds, ridges, penalties and memory sizes
+    y, ridge, penalty = stream
+    E_online, B = _online_and_batch_costs(y, ridge, penalty, keep_best,
+                                          keep_recent)
+    assert float(np.min(E_online - B)) > -1e-9
 
 
 def test_criterion_6_jacobian_matches_finite_differences():

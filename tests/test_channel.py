@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dopptrack.channel import (ChannelScene, Geometry, MotionSpec, PATHS,
-                               ground_truth_doppler, path_length, synthesize,
-                               warp)
+                               path_length, synthesize)
 from dopptrack.signal_model import make_qpsk_signal
 
 C_SOUND = 1500.0
@@ -19,12 +20,24 @@ def static_scene(gains=(1.0, -0.8, 0.5), noise_std=0.0):
                         gains=gains, noise_std=noise_std, sample_rate=200e3)
 
 
-def moving_scene(noise_std=0.0):
+def moving_scene(noise_std=0.0, sample_rate=200e3):
     motion = MotionSpec(rx_osc_freq=0.6, rx_osc_amp=0.125,
                         surface_freq=0.6, surface_amp=0.165)
     return ChannelScene(geometry=tank_geometry(), motion=motion,
                         gains=(1.0, -0.8, 0.5), noise_std=noise_std,
-                        sample_rate=200e3)
+                        sample_rate=sample_rate)
+
+
+def truth_of(scene, n_samples):
+    """Ground truth of the first n_samples; zero gains skip the signal."""
+    silent = dataclasses.replace(scene, gains=(0.0, 0.0, 0.0))
+    sig = make_qpsk_signal(1, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+    _, truth = synthesize(silent, sig, n_samples, noise_seed=0)
+    return truth
+
+
+def length_at(scene, path, t):
+    return path_length(scene, path, np.array([t]))[0]
 
 
 class TestPathLength:
@@ -33,57 +46,51 @@ class TestPathLength:
     #   surface = sqrt(1.45^2 + 0.92^2) = 1.71724
     #   bottom  = sqrt(1.45^2 + 2.68^2) = 3.04712
     def test_direct(self):
-        assert path_length(static_scene(), "direct", 0.0) == pytest.approx(1.45, abs=1e-9)
+        assert length_at(static_scene(), "direct", 0.0) == pytest.approx(1.45, abs=1e-9)
 
     def test_surface(self):
-        assert path_length(static_scene(), "surface", 0.0) == pytest.approx(1.71724, abs=1e-5)
+        assert length_at(static_scene(), "surface", 0.0) == pytest.approx(1.71724, abs=1e-5)
 
     def test_bottom(self):
-        assert path_length(static_scene(), "bottom", 0.0) == pytest.approx(3.04712, abs=1e-5)
+        assert length_at(static_scene(), "bottom", 0.0) == pytest.approx(3.04712, abs=1e-5)
 
     def test_unknown_path(self):
         with pytest.raises(ValueError):
-            path_length(static_scene(), "sideways", 0.0)
+            length_at(static_scene(), "sideways", 0.0)
 
     def test_surface_heave_lengthens_image(self):
         scene = moving_scene()
         quarter = 0.25 / 0.6  # surface sinusoid peak
-        up = path_length(scene, "surface", quarter)
-        flat = path_length(static_scene(), "surface", 0.0)
+        up = length_at(scene, "surface", quarter)
+        flat = length_at(static_scene(), "surface", 0.0)
         assert up > flat
 
 
 class TestWarp:
     def test_static_delay_only(self):
-        scene = static_scene()
         n = np.arange(100)
         expect = n / 200e3 - 1.45 / C_SOUND
-        np.testing.assert_allclose(warp(scene, "direct", n), expect, atol=1e-15)
+        alpha = truth_of(static_scene(), 100).alpha
+        np.testing.assert_allclose(alpha[0], expect, atol=1e-15)
 
     def test_direct_delay_value(self):
         # 1.45 m at 1500 m/s -> 0.96667 ms
-        scene = static_scene()
-        delay = 0.0 - warp(scene, "direct", 0)
+        delay = 0.0 - truth_of(static_scene(), 1).alpha[0, 0]
         assert delay == pytest.approx(9.6667e-4, abs=1e-8)
 
     def test_monotone_in_paper_scenario(self):
-        scene = moving_scene()
-        n = np.arange(10000)
-        for path in PATHS:
-            a = warp(scene, path, n)
-            assert np.all(np.diff(a) > 0.0)
+        alpha = truth_of(moving_scene(), 10000).alpha
+        assert np.all(np.diff(alpha, axis=1) > 0.0)
 
 
 class TestGroundTruthDoppler:
     def test_static_is_one(self):
-        scene = static_scene()
-        assert ground_truth_doppler(scene, "direct", 0.123) == 1.0
+        assert np.all(truth_of(static_scene(), 100).doppler == 1.0)
 
     def test_receiver_speed_bound(self):
-        # |d - 1| <= v_max / c with v_max = 2 pi * 0.6 * 0.125
-        scene = moving_scene()
-        t = np.linspace(0.0, 2.0, 5000)
-        d = ground_truth_doppler(scene, "direct", t)
+        # |d - 1| <= v_max / c with v_max = 2 pi * 0.6 * 0.125; 5000
+        # samples at 2.5 kHz span 2 s, more than one sway period
+        d = truth_of(moving_scene(sample_rate=2500.0), 5000).doppler[0]
         bound = 2 * np.pi * 0.6 * 0.125 / C_SOUND
         assert np.all(np.abs(d - 1.0) <= bound + 1e-12)
         assert np.max(np.abs(d - 1.0)) > 0.5 * bound
@@ -91,14 +98,12 @@ class TestGroundTruthDoppler:
     def test_matches_finite_difference_of_warp(self):
         scene = moving_scene()
         T = scene.sample_period
+        truth = truth_of(scene, 90005)
         rng = np.random.default_rng(3)
-        n = rng.uniform(100, 90000, size=200)
-        dn = 4.0
-        for path in PATHS:
-            fd = (warp(scene, path, n + dn) - warp(scene, path, n - dn)) \
-                / (2 * dn * T)
-            an = ground_truth_doppler(scene, path, n * T)
-            np.testing.assert_allclose(an, fd, rtol=1e-9)
+        n = rng.integers(100, 90000, size=200)
+        dn = 4
+        fd = (truth.alpha[:, n + dn] - truth.alpha[:, n - dn]) / (2 * dn * T)
+        np.testing.assert_allclose(truth.doppler[:, n], fd, rtol=1e-9)
 
 
 class TestSynthesize:

@@ -73,10 +73,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config("/nonexistent/run.ini")
 
-    def test_validation_short_run(self):
+    # 20 samples are below the detection threshold of 50; 60 are above it
+    # but within the 100-sample warm-up the error summary skips
+    @pytest.mark.parametrize("duration", [1e-4, 3e-4])
+    def test_validation_short_run(self, duration):
         cfg = harness.default_config()
-        cfg = dataclasses.replace(cfg, duration=1e-4)
-        with pytest.raises(ConfigError):
+        cfg = dataclasses.replace(cfg, duration=duration)
+        with pytest.raises(ConfigError, match="warm-up"):
             cfg.validate()
 
     def test_validation_undersampled(self, tmp_path):
@@ -286,6 +289,37 @@ class TestCli:
         assert code == 4
         assert "bad input" in err and "received.csv" in err
         assert "i/o error" not in err
+
+    # numpy warns that a header-only file holds no data
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize("command", ["track", "baseline"])
+    @pytest.mark.parametrize("kept", [500, 0])
+    def test_received_shorter_than_truth_is_bad_input(self, tmp_path, capsys,
+                                                      command, kept):
+        sim = self.simulate(tmp_path, "0.005")
+        received = sim / "received.csv"
+        lines = received.read_text().splitlines()
+        assert len(lines) == 1 + 1000
+        received.write_text("\n".join(lines[:1 + kept]) + "\n")
+        capsys.readouterr()
+        code = cli.main([command, "--duration", "0.005", "--in", str(sim),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bad input" in err and "%d samples" % kept in err
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_fault_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, out_dir):
+            raise RuntimeError("simulated internal fault")
+
+        monkeypatch.setattr(harness, "run_simulation", broken)
+        code = cli.main(["simulate", "--duration", "0.005",
+                         "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "Traceback" in err
+        assert "RuntimeError: simulated internal fault" in err
 
     def test_summary_is_strict_json_after_divergence(self, tmp_path):
         sim = self.simulate(tmp_path, "0.003")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dopptrack.peak_tracking import (PeakTracker, PeakTrackState, crosscorr,
-                                     subsample_interp, track_step)
+from dopptrack.peak_tracking import (PeakTracker, crosscorr, subsample_interp,
+                                     track_step)
 from dopptrack.signal_model import make_qpsk_signal
 
 FS = 200e3
@@ -63,50 +63,41 @@ class TestTrackStep:
         return np.exp(-0.5 * ((lag - center) / width) ** 2)
 
     def test_drifting_peak_followed(self):
-        state = PeakTrackState(np.array([100 * T]), template_len=1e-3,
-                               search_halfwidth=20)
+        delays = np.array([100 * T])
         center = 100.0
         for _ in range(60):
             center += 0.3
-            delays = track_step(state, self.gaussian_peak(center), T)
+            delays, _ = track_step(delays, self.gaussian_peak(center), T, 20)
             assert abs(delays[0] / T - center) < 0.1
 
     def test_nearest_local_max_beats_global(self):
         corr = self.gaussian_peak(120) + 2.0 * self.gaussian_peak(220)
-        state = PeakTrackState(np.array([125 * T]), template_len=1e-3,
-                               search_halfwidth=20)
-        delays = track_step(state, corr, T)
+        delays, _ = track_step(np.array([125 * T]), corr, T, 20)
         assert abs(delays[0] / T - 120) < 1.0
 
     def test_flat_correlation_holds_and_flags(self):
-        state = PeakTrackState(np.array([50 * T]), template_len=1e-3,
-                               search_halfwidth=20)
-        delays = track_step(state, np.ones(200), T)
+        delays, flags = track_step(np.array([50 * T]), np.ones(200), T, 20)
         assert delays[0] == pytest.approx(50 * T)
-        assert state.flags[0]
+        assert flags[0]
 
     def test_peak_outside_window_holds(self):
-        state = PeakTrackState(np.array([30 * T]), template_len=1e-3,
-                               search_halfwidth=10)
-        delays = track_step(state, self.gaussian_peak(300), T)
+        delays, flags = track_step(np.array([30 * T]),
+                                   self.gaussian_peak(300), T, 10)
         assert delays[0] == pytest.approx(30 * T)
-        assert state.flags[0]
+        assert flags[0]
 
     def test_locality_invariant(self):
         rng = np.random.default_rng(5)
-        state = PeakTrackState(np.array([200 * T]), template_len=1e-3,
-                               search_halfwidth=15)
+        delays = np.array([200 * T])
         for _ in range(50):
             corr = rng.normal(size=500)
-            prev = state.prev_delays[0]
-            delays = track_step(state, corr, T)
+            prev = delays[0]
+            delays, _ = track_step(delays, corr, T, 15)
             assert abs(delays[0] - prev) / T <= 15 + 0.5
 
     def test_empty_correlation_rejected(self):
-        state = PeakTrackState(np.array([1e-4]), template_len=1e-3,
-                               search_halfwidth=5)
         with pytest.raises(ValueError):
-            track_step(state, np.array([]), T)
+            track_step(np.array([1e-4]), np.array([]), T, 5)
 
 
 class TestPeakTrackerRun:
@@ -117,7 +108,7 @@ class TestPeakTrackerRun:
         n = np.arange(6000)
         r = sig.eval_passband(n * T - delay)
         pk = PeakTracker(sig, [delay], FS, template_len=3e-3,
-                         search_halfwidth=20, hop=10, max_delay=3e-3)
+                         search_halfwidth=20, hop=10)
         n_grid, delays, flags = pk.run(r)
         assert not flags.any()
         assert np.max(np.abs(delays - delay)) < T
@@ -127,3 +118,14 @@ class TestPeakTrackerRun:
         pk = PeakTracker(sig, [1e-3], FS, template_len=3e-3, hop=1)
         with pytest.raises(ValueError):
             pk.run(np.zeros(100))
+
+    @pytest.mark.parametrize("delays, kw", [
+        ([1e-3], {"template_len": 0.0}),
+        ([-1e-6], {}),
+        ([1e-3], {"search_halfwidth": 0}),
+        ([1e-3], {"hop": 0}),
+    ])
+    def test_bad_arguments_rejected(self, delays, kw):
+        sig = make_qpsk_signal(10, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+        with pytest.raises(ValueError):
+            PeakTracker(sig, delays, FS, **kw)

@@ -64,7 +64,8 @@ class TestPredictAndGradient:
         n = 777
         pred, _ = predict_and_gradient(sig, np.array([1.0]), np.array([0.0]),
                                        a=0, n=n, T=T, gains=np.array([1.0]))
-        assert pred == pytest.approx(sig.eval_passband(n * T), rel=1e-12)
+        want = sig.eval_passband(np.array([n * T]))[0]
+        assert pred == pytest.approx(want, rel=1e-12)
 
     def test_gradient_matches_finite_difference(self):
         sig = build_signal()
