@@ -8,11 +8,12 @@ Subcommands:
     demo         full pipeline at reduced duration in one output directory
     dump-signal  sample the transmitted waveform to CSV for inspection
 
-Exit codes: 0 success, 1 configuration error (including a run no longer
-than the tracker warm-up), 2 I/O error (a file that cannot be opened, read
-or written), 3 the tracker reported numerical divergence, 4 bad input (an
-input CSV whose content does not parse or is laid out wrongly, a
-received.csv and truth.csv that do not hold the same non-zero number of
+Exit codes: 0 success, 1 configuration error (a value that does not parse
+or is not finite, any value the simulator or a tracker rejects, or a run no
+longer than the tracker warm-up), 2 I/O error (a file that cannot be opened,
+read or written), 3 the tracker reported numerical divergence, 4 bad input
+(an input CSV whose content does not parse or is laid out wrongly, a
+received.csv or truth.csv that does not hold the configured run's number of
 samples, error traces that cannot be compared, or a received sample the
 tracker cannot consume), 5 internal fault: any other exception is a fault of
 the program, not of its input, and its traceback goes to stderr.

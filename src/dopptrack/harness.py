@@ -21,7 +21,9 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+import warnings
+from dataclasses import dataclass, asdict, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -97,8 +99,12 @@ class RunConfig:
         return int(round(self.duration * self.channel.sample_rate))
 
     def validate(self) -> None:
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be positive")
+        """Check the rules that span fields or that the harness applies, then
+        build each configured object once so that every value a library
+        constructor rejects is a ConfigError too."""
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite, got %r"
+                              % self.duration)
         warmup = 2 * self.tracker.detect_threshold
         if self.n_samples <= warmup:
             raise ConfigError("run of %d samples must be longer than the "
@@ -110,23 +116,19 @@ class RunConfig:
                               "plus signal bandwidth")
         if self.error_window < 1:
             raise ConfigError("error_window must be >= 1")
-        t = self.tracker
-        if t.penalty <= 0.0 or t.perturbation <= 0.0 or t.ridge <= 0.0:
-            raise ConfigError("tracker penalty, perturbation and ridge must "
-                              "be positive")
-        if t.detect_threshold < 1 or t.keep_best < 1 or t.keep_recent < 1:
-            raise ConfigError("tracker thresholds and memory sizes must be "
-                              ">= 1")
+        if self.signal.symbol_rate <= 0.0:
+            raise ConfigError("symbol_rate must be positive")
+        zeros = np.zeros(len(PATHS))
         b = self.baseline
-        if b.template_len <= 0.0:
-            raise ConfigError("baseline template length must be positive")
-        if b.search_halfwidth < 1 or b.hop < 1:
-            raise ConfigError("baseline search_halfwidth and hop must be >= 1")
-        if self.signal.amplitude <= 0.0 or self.signal.symbol_rate <= 0.0 \
-                or self.signal.carrier_freq < 0.0:
-            raise ConfigError("invalid signal parameters")
-        if self.channel.noise_std is not None and self.channel.noise_std < 0.0:
-            raise ConfigError("noise_std must be >= 0")
+        try:
+            sig = build_signal(self)
+            _scene(self, self.channel.gains, self.channel.noise_std or 0.0)
+            DopplerTracker(sig, _tracker_config(self, zeros))
+            PeakTracker(sig, zeros, self.channel.sample_rate,
+                        template_len=b.template_len,
+                        search_halfwidth=b.search_halfwidth, hop=b.hop)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def default_config() -> RunConfig:
@@ -146,52 +148,55 @@ def default_config() -> RunConfig:
     )
 
 
-# INI section/key -> (dataclass field path, parser); peak-to-peak motion keys
-# are halved into amplitudes.
-_FLOAT = float
-_INT = int
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number: %r" % text)
+    return value
 
 
 def _parse_optional_float(text: str):
-    return None if text.strip() == "" else float(text)
+    return None if text.strip() == "" else _float(text)
 
 
+# INI section/key -> (dataclass field path, parser); peak-to-peak motion keys
+# are halved into amplitudes.
 _CONFIG_KEYS = {
-    ("signal", "symbol_rate_hz"): ("signal", "symbol_rate", _FLOAT),
-    ("signal", "carrier_freq_hz"): ("signal", "carrier_freq", _FLOAT),
-    ("signal", "amplitude"): ("signal", "amplitude", _FLOAT),
-    ("signal", "pulse_std_fraction"): ("signal", "pulse_std_fraction", _FLOAT),
-    ("signal", "pulse_halfwidth"): ("signal", "pulse_halfwidth", _INT),
-    ("signal", "symbol_seed"): ("signal", "symbol_seed", _INT),
-    ("geometry", "bottom_depth_m"): ("geometry", "bottom_depth", _FLOAT),
-    ("geometry", "tx_depth_m"): ("geometry", "tx_depth", _FLOAT),
-    ("geometry", "rx_depth_m"): ("geometry", "rx_depth", _FLOAT),
-    ("geometry", "horizontal_range_m"): ("geometry", "horizontal_range", _FLOAT),
-    ("geometry", "sound_speed_mps"): ("geometry", "sound_speed", _FLOAT),
-    ("motion", "rx_osc_freq_hz"): ("motion", "rx_osc_freq", _FLOAT),
-    ("motion", "rx_osc_pp_m"): ("motion", "rx_osc_amp", lambda s: 0.5 * float(s)),
-    ("motion", "rx_osc_phase_rad"): ("motion", "rx_osc_phase", _FLOAT),
-    ("motion", "surface_freq_hz"): ("motion", "surface_freq", _FLOAT),
-    ("motion", "surface_pp_m"): ("motion", "surface_amp", lambda s: 0.5 * float(s)),
-    ("motion", "surface_phase_rad"): ("motion", "surface_phase", _FLOAT),
-    ("channel", "gain_direct"): ("channel", "_gain0", _FLOAT),
-    ("channel", "gain_surface"): ("channel", "_gain1", _FLOAT),
-    ("channel", "gain_bottom"): ("channel", "_gain2", _FLOAT),
-    ("channel", "snr_db"): ("channel", "snr_db", _FLOAT),
+    ("signal", "symbol_rate_hz"): ("signal", "symbol_rate", _float),
+    ("signal", "carrier_freq_hz"): ("signal", "carrier_freq", _float),
+    ("signal", "amplitude"): ("signal", "amplitude", _float),
+    ("signal", "pulse_std_fraction"): ("signal", "pulse_std_fraction", _float),
+    ("signal", "pulse_halfwidth"): ("signal", "pulse_halfwidth", int),
+    ("signal", "symbol_seed"): ("signal", "symbol_seed", int),
+    ("geometry", "bottom_depth_m"): ("geometry", "bottom_depth", _float),
+    ("geometry", "tx_depth_m"): ("geometry", "tx_depth", _float),
+    ("geometry", "rx_depth_m"): ("geometry", "rx_depth", _float),
+    ("geometry", "horizontal_range_m"): ("geometry", "horizontal_range", _float),
+    ("geometry", "sound_speed_mps"): ("geometry", "sound_speed", _float),
+    ("motion", "rx_osc_freq_hz"): ("motion", "rx_osc_freq", _float),
+    ("motion", "rx_osc_pp_m"): ("motion", "rx_osc_amp", lambda s: 0.5 * _float(s)),
+    ("motion", "rx_osc_phase_rad"): ("motion", "rx_osc_phase", _float),
+    ("motion", "surface_freq_hz"): ("motion", "surface_freq", _float),
+    ("motion", "surface_pp_m"): ("motion", "surface_amp", lambda s: 0.5 * _float(s)),
+    ("motion", "surface_phase_rad"): ("motion", "surface_phase", _float),
+    ("channel", "gain_direct"): ("channel", "_gain0", _float),
+    ("channel", "gain_surface"): ("channel", "_gain1", _float),
+    ("channel", "gain_bottom"): ("channel", "_gain2", _float),
+    ("channel", "snr_db"): ("channel", "snr_db", _float),
     ("channel", "noise_std"): ("channel", "noise_std", _parse_optional_float),
-    ("channel", "sample_rate_hz"): ("channel", "sample_rate", _FLOAT),
-    ("channel", "noise_seed"): ("channel", "noise_seed", _INT),
-    ("tracker", "penalty"): ("tracker", "penalty", _FLOAT),
-    ("tracker", "detect_threshold"): ("tracker", "detect_threshold", _INT),
-    ("tracker", "keep_best"): ("tracker", "keep_best", _INT),
-    ("tracker", "keep_recent"): ("tracker", "keep_recent", _INT),
-    ("tracker", "perturbation"): ("tracker", "perturbation", _FLOAT),
-    ("tracker", "ridge"): ("tracker", "ridge", _FLOAT),
-    ("baseline", "template_ms"): ("baseline", "template_len", lambda s: 1e-3 * float(s)),
-    ("baseline", "search_halfwidth"): ("baseline", "search_halfwidth", _INT),
-    ("baseline", "hop"): ("baseline", "hop", _INT),
-    ("run", "duration_s"): ("run", "duration", _FLOAT),
-    ("run", "error_window"): ("run", "error_window", _INT),
+    ("channel", "sample_rate_hz"): ("channel", "sample_rate", _float),
+    ("channel", "noise_seed"): ("channel", "noise_seed", int),
+    ("tracker", "penalty"): ("tracker", "penalty", _float),
+    ("tracker", "detect_threshold"): ("tracker", "detect_threshold", int),
+    ("tracker", "keep_best"): ("tracker", "keep_best", int),
+    ("tracker", "keep_recent"): ("tracker", "keep_recent", int),
+    ("tracker", "perturbation"): ("tracker", "perturbation", _float),
+    ("tracker", "ridge"): ("tracker", "ridge", _float),
+    ("baseline", "template_ms"): ("baseline", "template_len", lambda s: 1e-3 * _float(s)),
+    ("baseline", "search_halfwidth"): ("baseline", "search_halfwidth", int),
+    ("baseline", "hop"): ("baseline", "hop", int),
+    ("run", "duration_s"): ("run", "duration", _float),
+    ("run", "error_window"): ("run", "error_window", int),
 }
 
 
@@ -205,15 +210,7 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
     base = default_config()
-    fields = {
-        "signal": dict(asdict(base.signal)),
-        "geometry": dict(asdict(base.geometry)),
-        "motion": dict(asdict(base.motion)),
-        "channel": dict(asdict(base.channel)),
-        "tracker": dict(asdict(base.tracker)),
-        "baseline": dict(asdict(base.baseline)),
-        "run": {"duration": base.duration, "error_window": base.error_window},
-    }
+    changes = {}    # group -> {field: value}
     gains = list(base.channel.gains)
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -228,30 +225,27 @@ def load_config(path: str) -> RunConfig:
                                   % (section, key, raw)) from exc
             if name.startswith("_gain"):
                 gains[int(name[-1])] = value
-            else:
-                fields[group][name] = value
-    fields["channel"]["gains"] = tuple(gains)
+                name, value = "gains", tuple(gains)
+            changes.setdefault(group, {})[name] = value
+    run = changes.pop("run", {})
     try:
-        cfg = RunConfig(
-            signal=SignalParams(**fields["signal"]),
-            geometry=Geometry(**fields["geometry"]),
-            motion=MotionSpec(**fields["motion"]),
-            channel=ChannelParams(**fields["channel"]),
-            tracker=TrackerParams(**fields["tracker"]),
-            baseline=BaselineParams(**fields["baseline"]),
-            duration=fields["run"]["duration"],
-            error_window=fields["run"]["error_window"],
-        )
+        cfg = replace(base, **run, **{
+            group: replace(getattr(base, group), **fields)
+            for group, fields in changes.items()})
         cfg.validate()
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
 
+def _scene(cfg: RunConfig, gains, noise_std: float) -> ChannelScene:
+    return ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
+                        gains=gains, noise_std=noise_std,
+                        sample_rate=cfg.channel.sample_rate)
+
+
 def _max_path_delay(cfg: RunConfig) -> float:
-    probe = ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
-                         gains=cfg.channel.gains, noise_std=0.0,
-                         sample_rate=cfg.channel.sample_rate)
+    probe = _scene(cfg, cfg.channel.gains, 0.0)
     t = np.linspace(0.0, cfg.duration, 512)
     longest = max(float(np.max(path_length(probe, p, t))) for p in PATHS)
     return longest / cfg.geometry.sound_speed
@@ -276,9 +270,7 @@ def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
     clean direct-path signal power."""
     if cfg.channel.noise_std is not None:
         return cfg.channel.noise_std
-    probe = ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
-                         gains=(cfg.channel.gains[0], 0.0, 0.0),
-                         noise_std=0.0, sample_rate=cfg.channel.sample_rate)
+    probe = _scene(cfg, (cfg.channel.gains[0], 0.0, 0.0), 0.0)
     clean, _ = synthesize(probe, sig, cfg.n_samples, noise_seed=0)
     power = float(np.mean(clean * clean))
     if power == 0.0:
@@ -287,10 +279,19 @@ def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
 
 
 def build_scene(cfg: RunConfig, sig: TransmitSignal) -> ChannelScene:
-    return ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
-                        gains=cfg.channel.gains,
-                        noise_std=resolve_noise_std(cfg, sig),
-                        sample_rate=cfg.channel.sample_rate)
+    return _scene(cfg, cfg.channel.gains, resolve_noise_std(cfg, sig))
+
+
+def _tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
+    t = cfg.tracker
+    return TrackerConfig(penalty=t.penalty,
+                         detect_threshold=t.detect_threshold,
+                         keep_best=t.keep_best, keep_recent=t.keep_recent,
+                         perturbation=t.perturbation,
+                         gains=tuple(cfg.channel.gains),
+                         initial_tau=tuple(initial_tau),
+                         sample_period=1.0 / cfg.channel.sample_rate,
+                         ridge=t.ridge)
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -341,15 +342,7 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     Returns (segments, error trace, summary dict). Initial per-path delays
     and gains are taken as known: the warp of sample 0 comes from the truth.
     """
-    t = cfg.tracker
-    tcfg = TrackerConfig(penalty=t.penalty,
-                         detect_threshold=t.detect_threshold,
-                         keep_best=t.keep_best, keep_recent=t.keep_recent,
-                         perturbation=t.perturbation,
-                         gains=tuple(cfg.channel.gains),
-                         initial_tau=tuple(truth.alpha[:, 0]),
-                         sample_period=1.0 / cfg.channel.sample_rate,
-                         ridge=t.ridge)
+    tcfg = _tracker_config(cfg, truth.alpha[:, 0])
     tracker = DopplerTracker(sig, tcfg)
     for value in r:
         tracker.process_sample(float(value))
@@ -359,7 +352,7 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
                                       n_samples, tcfg.sample_period)
     trace = ErrorTrace(n=np.arange(n_samples),
                        abs_err=np.abs(warp_hat - truth.alpha))
-    warmup = 2 * t.detect_threshold
+    warmup = 2 * cfg.tracker.detect_threshold
     final_lse = tracker.segments[-1].lse if tracker.segments else 0.0
     summary = {
         "tracker": "segmented_rls",
@@ -414,19 +407,25 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     return n_grid, delays, flags, trace, summary
 
 
-def compare(err_a: ErrorTrace, err_b: ErrorTrace,
-            miss_threshold: float = 5e-6) -> dict:
-    """Per-path max/mean table plus sample-miss counts for two traces."""
+def _paired(err_a: ErrorTrace, err_b: ErrorTrace):
+    """Both traces cut to the samples they share; BadInputError when they
+    differ in path count or share no sample."""
     if err_a.abs_err.shape[0] != err_b.abs_err.shape[0]:
         raise BadInputError("path count mismatch")
     common, ia, ib = np.intersect1d(err_a.n, err_b.n, return_indices=True)
     if common.size == 0:
         raise BadInputError("no overlapping samples to compare")
+    return (ErrorTrace(n=common, abs_err=err_a.abs_err[:, ia]),
+            ErrorTrace(n=common, abs_err=err_b.abs_err[:, ib]))
+
+
+def compare(err_a: ErrorTrace, err_b: ErrorTrace,
+            miss_threshold: float = 5e-6) -> dict:
+    """Per-path max/mean table plus sample-miss counts for two traces."""
+    sub_a, sub_b = _paired(err_a, err_b)
     report = {"miss_threshold_s": miss_threshold,
-              "common_samples": int(common.size), "paths": {}}
-    for i, name in enumerate(PATHS[:err_a.abs_err.shape[0]]):
-        ea = err_a.abs_err[i, ia]
-        eb = err_b.abs_err[i, ib]
+              "common_samples": int(sub_a.n.size), "paths": {}}
+    for name, ea, eb in zip(PATHS, sub_a.abs_err, sub_b.abs_err):
         report["paths"][name] = {
             "a_max_s": float(ea.max()), "a_mean_s": float(ea.mean()),
             "a_misses": int((ea > miss_threshold).sum()),
@@ -442,24 +441,53 @@ def compare(err_a: ErrorTrace, err_b: ErrorTrace,
 # CSV artifacts
 
 
-def _w(value) -> str:
-    return repr(float(value))
-
-
-def write_received(path: str, r: np.ndarray) -> None:
+def _write_csv(path: str, header: str, lines) -> None:
     with open(path, "w") as f:
-        f.write("n,r\n")
-        f.writelines("%d,%s\n" % (i, _w(v)) for i, v in enumerate(r))
+        f.write(header + "\n")
+        f.writelines(lines)
+
+
+def _path_major(fmt: str, n, *columns):
+    """Lines fmt % (n[k], path, column[i, k], ...): one block of len(n) lines
+    per path i, for each row of the (num_paths, len(n)) columns. Values go
+    in as Python floats, so %r writes them with repr."""
+    for name, *values in zip(PATHS, *columns):
+        yield from (fmt % row for row in
+                    zip(n, repeat(name), *(map(float, v) for v in values)))
 
 
 def _read_csv(path: str, usecols=None) -> np.ndarray:
     """Numeric rows of a CSV below its header line; content that does not
     parse raises BadInputError, a file that cannot be opened OSError."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols,
-                          ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is an empty array here; callers judge it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            return np.loadtxt(path, delimiter=",", skiprows=1,
+                              usecols=usecols, ndmin=2)
     except ValueError as exc:
         raise BadInputError("%s: %s" % (path, exc)) from exc
+
+
+def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
+    """A path-major CSV whose first used column is the sample index:
+    (n, values), n the samples that every path's block lists and values the
+    other used columns, shape (len(usecols) - 1, num_paths, len(n))."""
+    data = _read_csv(path, usecols)
+    if data.shape[0] % len(PATHS) != 0:
+        raise BadInputError("%s: rows not divisible by path count" % path)
+    blocks = data.reshape(len(PATHS), data.shape[0] // len(PATHS),
+                          data.shape[1])
+    idx = blocks[:, :, 0].astype(int)
+    if not (idx == idx[0]).all():
+        raise BadInputError("%s: path blocks list different samples" % path)
+    return idx[0], np.moveaxis(blocks[:, :, 1:], 2, 0)
+
+
+def write_received(path: str, r: np.ndarray) -> None:
+    _write_csv(path, "n,r",
+               ("%d,%r\n" % row for row in enumerate(map(float, r))))
 
 
 def read_received(path: str) -> np.ndarray:
@@ -467,71 +495,41 @@ def read_received(path: str) -> np.ndarray:
 
 
 def write_truth(path: str, truth: GroundTruth) -> None:
-    n = truth.alpha.shape[1]
-    with open(path, "w") as f:
-        f.write("n,path,alpha_s,doppler\n")
-        for i, name in enumerate(PATHS):
-            f.writelines("%d,%s,%s,%s\n"
-                         % (j, name, _w(truth.alpha[i, j]),
-                            _w(truth.doppler[i, j]))
-                         for j in range(n))
+    _write_csv(path, "n,path,alpha_s,doppler",
+               _path_major("%d,%s,%r,%r\n", range(truth.alpha.shape[1]),
+                           truth.alpha, truth.doppler))
 
 
 def read_truth(path: str) -> GroundTruth:
-    data = _read_csv(path, usecols=(0, 2, 3))
-    total = data.shape[0]
-    if total % len(PATHS) != 0:
-        raise BadInputError("truth file rows not divisible by path count")
-    n = total // len(PATHS)
-    idx = data[:, 0].astype(int)
-    expected = np.tile(np.arange(n), len(PATHS))
-    if not np.array_equal(idx, expected):
-        raise BadInputError("truth file not in path-major sample order")
-    alpha = data[:, 1].reshape(len(PATHS), n)
-    doppler = data[:, 2].reshape(len(PATHS), n)
+    n, (alpha, doppler) = _read_blocks(path, usecols=(0, 2, 3))
+    if not np.array_equal(n, np.arange(n.size)):
+        raise BadInputError("%s: samples not numbered from 0" % path)
     return GroundTruth(alpha=alpha, doppler=doppler)
 
 
 def write_segments(path: str, segments) -> None:
-    with open(path, "w") as f:
-        f.write("segment,path,a,b,d,tau_s,lse\n")
-        for k, seg in enumerate(segments):
-            for i, name in enumerate(PATHS[:seg.doppler.size]):
-                f.write("%d,%s,%d,%d,%s,%s,%s\n"
-                        % (k, name, seg.a, seg.b, _w(seg.doppler[i]),
-                           _w(seg.tau[i]), _w(seg.lse)))
+    _write_csv(path, "segment,path,a,b,d,tau_s,lse",
+               ("%d,%s,%d,%d,%r,%r,%r\n"
+                % (k, name, seg.a, seg.b, d, tau, float(seg.lse))
+                for k, seg in enumerate(segments)
+                for name, d, tau in zip(PATHS, map(float, seg.doppler),
+                                        map(float, seg.tau))))
 
 
 def write_errors(path: str, trace: ErrorTrace) -> None:
-    with open(path, "w") as f:
-        f.write("n,path,abs_err_s\n")
-        for i, name in enumerate(PATHS[:trace.abs_err.shape[0]]):
-            f.writelines("%d,%s,%s\n" % (j, name, _w(trace.abs_err[i, k]))
-                         for k, j in enumerate(trace.n))
+    _write_csv(path, "n,path,abs_err_s",
+               _path_major("%d,%s,%r\n", trace.n, trace.abs_err))
 
 
 def read_errors(path: str) -> ErrorTrace:
-    data = _read_csv(path, usecols=(0, 2))
-    total = data.shape[0]
-    if total % len(PATHS) != 0:
-        raise BadInputError("errors file rows not divisible by path count")
-    n = total // len(PATHS)
-    idx = data[:, 0].astype(int)
-    first = idx[:n]
-    if not np.array_equal(idx, np.tile(first, len(PATHS))):
-        raise BadInputError("errors file not in path-major sample order")
-    return ErrorTrace(n=first, abs_err=data[:, 1].reshape(len(PATHS), n))
+    n, (abs_err,) = _read_blocks(path, usecols=(0, 2))
+    return ErrorTrace(n=n, abs_err=abs_err)
 
 
 def write_delays(path: str, n_grid: np.ndarray, delays: np.ndarray,
                  flags: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write("n,path,delay_seconds,flag\n")
-        for i, name in enumerate(PATHS[:delays.shape[0]]):
-            f.writelines("%d,%s,%s,%d\n"
-                         % (n_grid[k], name, _w(delays[i, k]),
-                            int(flags[i, k]))
-                         for k in range(n_grid.size))
+    _write_csv(path, "n,path,delay_seconds,flag",
+               _path_major("%d,%s,%r,%d\n", n_grid, delays, flags))
 
 
 def write_summary(path: str, summary: dict) -> None:
@@ -555,20 +553,21 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
             "sample_rate_hz": cfg.channel.sample_rate}
 
 
-def _read_inputs(in_dir: str) -> tuple[np.ndarray, GroundTruth]:
+def _read_inputs(cfg: RunConfig,
+                 in_dir: str) -> tuple[np.ndarray, GroundTruth]:
     """received.csv and truth.csv of one simulation; BadInputError unless
-    they hold the same non-zero number of samples."""
+    both hold the configured run's n_samples samples."""
     r = read_received(os.path.join(in_dir, "received.csv"))
     truth = read_truth(os.path.join(in_dir, "truth.csv"))
-    if r.size == 0 or r.size != truth.alpha.shape[1]:
+    if not r.size == truth.alpha.shape[1] == cfg.n_samples:
         raise BadInputError("received.csv holds %d samples, truth.csv %d; "
-                            "need the same non-zero count"
-                            % (r.size, truth.alpha.shape[1]))
+                            "the configured run needs %d"
+                            % (r.size, truth.alpha.shape[1], cfg.n_samples))
     return r, truth
 
 
 def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
-    r, truth = _read_inputs(in_dir)
+    r, truth = _read_inputs(cfg, in_dir)
     os.makedirs(out_dir, exist_ok=True)
     sig = build_signal(cfg)
     segments, trace, summary = track_stream(cfg, sig, r, truth)
@@ -579,7 +578,7 @@ def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 
 def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
-    r, truth = _read_inputs(in_dir)
+    r, truth = _read_inputs(cfg, in_dir)
     os.makedirs(out_dir, exist_ok=True)
     sig = build_signal(cfg)
     n_grid, delays, flags, trace, summary = baseline_stream(cfg, sig, r, truth)
@@ -596,16 +595,9 @@ def compare_dirs(a_dir: str, b_dir: str, out_file: str,
     report = compare(err_a, err_b, miss_threshold)
     write_summary(out_file, report)
     # block-averaged long-format trace for plotting
-    common, ia, ib = np.intersect1d(err_a.n, err_b.n, return_indices=True)
-    sub_a = ErrorTrace(n=common, abs_err=err_a.abs_err[:, ia])
-    sub_b = ErrorTrace(n=common, abs_err=err_b.abs_err[:, ib])
-    plot_path = out_file + ".plot.csv"
-    with open(plot_path, "w") as f:
-        f.write("block_start_n,path,method,mean_abs_err_s\n")
-        for label, sub in (("a", sub_a), ("b", sub_b)):
-            starts, means = sub.block_mean(window)
-            for i, name in enumerate(PATHS[:means.shape[0]]):
-                f.writelines("%d,%s,%s,%s\n"
-                             % (starts[k], name, label, _w(means[i, k]))
-                             for k in range(starts.size))
+    _write_csv(out_file + ".plot.csv",
+               "block_start_n,path,method,mean_abs_err_s",
+               (line for label, sub in zip("ab", _paired(err_a, err_b))
+                for line in _path_major("%d,%s," + label + ",%r\n",
+                                        *sub.block_mean(window))))
     return report

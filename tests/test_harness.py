@@ -138,6 +138,28 @@ class TestSimulationArtifacts:
         np.testing.assert_array_equal(truth.alpha, t2.alpha)
         np.testing.assert_array_equal(truth.doppler, t2.doppler)
 
+    # (reader, file, (n, path) of each row): every row list breaks the
+    # path-major block layout that both readers require
+    @pytest.mark.parametrize("read, name, rows, match", [
+        (harness.read_truth, "truth.csv",
+         [(n, p) for p in ("direct", "surface", "bottom") for n in (1, 2)],
+         "not numbered from 0"),
+        (harness.read_errors, "errors.csv",
+         [(n, p) for p in ("direct", "surface") for n in (0, 1)],
+         "not divisible"),
+        (harness.read_errors, "errors.csv",
+         [(0, "direct"), (1, "direct"), (0, "surface"), (1, "surface"),
+          (0, "bottom"), (2, "bottom")],
+         "different samples"),
+    ])
+    def test_malformed_blocks_are_bad_input(self, tmp_path, read, name, rows,
+                                            match):
+        path = tmp_path / name
+        path.write_text("n,path,value,value\n"
+                        + "".join("%d,%s,0.0,1.0\n" % row for row in rows))
+        with pytest.raises(harness.BadInputError, match=match):
+            read(str(path))
+
 
 class TestTrackerPipeline:
     def test_static_scene_error_below_tenth_microsecond(self):
@@ -290,8 +312,8 @@ class TestCli:
         assert "bad input" in err and "received.csv" in err
         assert "i/o error" not in err
 
-    # numpy warns that a header-only file holds no data
-    @pytest.mark.filterwarnings("ignore:loadtxt")
+    # numpy warns that a header-only file holds no data; none may escape
+    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("command", ["track", "baseline"])
     @pytest.mark.parametrize("kept", [500, 0])
     def test_received_shorter_than_truth_is_bad_input(self, tmp_path, capsys,
@@ -308,6 +330,45 @@ class TestCli:
         assert code == 4
         assert "bad input" in err and "%d samples" % kept in err
         assert not (tmp_path / "out").exists()
+
+    # both files cut to 60 samples: consistent with each other, but shorter
+    # than the configured run of 1 000 and than the 100-sample warm-up
+    @pytest.mark.parametrize("command", ["track", "baseline"])
+    def test_inputs_shorter_than_configured_run_are_bad_input(
+            self, tmp_path, capsys, command):
+        sim = self.simulate(tmp_path, "0.005")
+        for name in ("received.csv", "truth.csv"):
+            header, *rows = (sim / name).read_text().splitlines(True)
+            (sim / name).write_text(header + "".join(
+                row for row in rows if int(row.split(",")[0]) < 60))
+        capsys.readouterr()
+        code = cli.main([command, "--duration", "0.005", "--in", str(sim),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bad input" in err and "needs 1000" in err
+        assert not (tmp_path / "out").exists()
+
+    # values the simulator or a tracker rejects, and non-finite values
+    @pytest.mark.parametrize("ini, duration", [
+        ("[motion]\nsurface_pp_m = 1.0\n", "0.005"),
+        ("[signal]\npulse_std_fraction = 1.0\n", "0.005"),
+        ("[signal]\npulse_halfwidth = 0\n", "0.005"),
+        ("[tracker]\npenalty = nan\n", "0.005"),
+        ("", "nan"),
+        ("", "inf"),
+    ])
+    def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
+                                            duration):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--duration", duration,
+                         "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert not (tmp_path / "sim").exists()
 
     def test_internal_fault_exit_code(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, out_dir):
