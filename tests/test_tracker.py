@@ -30,6 +30,27 @@ def config(gains, tau0, **kw):
                          **defaults)
 
 
+# closed segments (a, b, doppler) of the 3 000-sample default stream per
+# (keep_best, keep_recent), committed so eviction-heavy answers cannot drift
+# unnoticed; the three smallest memories close the same two segments
+_SMALL_MEMORY_SEGMENTS = [
+    ((0, 1287), (0.9996715346069646, 0.9993727935147405, 0.9998310596553807)),
+    ((1288, 2368), (0.999722353344074, 0.9992201416070012,
+                    0.9998412610233806)),
+]
+EVICTION_HEAVY_SEGMENTS = {
+    (1, 1): _SMALL_MEMORY_SEGMENTS,
+    (1, 2): _SMALL_MEMORY_SEGMENTS,
+    (2, 1): _SMALL_MEMORY_SEGMENTS,
+    (3, 2): [
+        ((0, 1085), (0.9996816721009465, 0.9993536539290618,
+                     0.9998360549889747)),
+        ((1086, 2105), (0.9997071085988117, 0.9992489511565529,
+                        0.9998565987363325)),
+    ],
+}
+
+
 class TestUpdateDelays:
     def test_unit_doppler(self):
         out = update_delays(np.array([1.0]), np.array([1e-3]), 0, 1000, 5e-6)
@@ -366,7 +387,8 @@ class TestTrackerRuns:
         cfg = harness.default_config()
         cfg = dataclasses.replace(cfg, duration=3000 / cfg.channel.sample_rate)
         sig, _, r, truth = harness.simulate_stream(cfg)
-        for keep_best, keep_recent in [(1, 1), (1, 2), (2, 1), (3, 2)]:
+        for memory, pinned in EVICTION_HEAVY_SEGMENTS.items():
+            keep_best, keep_recent = memory
             trk = DopplerTracker(sig, config(cfg.channel.gains,
                                              truth.alpha[:, 0],
                                              keep_best=keep_best,
@@ -380,6 +402,11 @@ class TestTrackerRuns:
                 assert trk._anchor < bank.filled
                 assert bank.start[trk._anchor] == trk._a_cur
             assert closures >= 1 and shifts >= 1
+            assert [(s.a, s.b) for s in trk.segments] == \
+                [ab for ab, _ in pinned], memory
+            for seg, (_, doppler) in zip(trk.segments, pinned):
+                np.testing.assert_allclose(seg.doppler, doppler, rtol=1e-12,
+                                           atol=0.0, err_msg=str(memory))
 
     def test_missing_winner_raises_without_closing(self):
         trk, _, _ = self.static_run(50)
