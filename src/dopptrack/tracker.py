@@ -20,12 +20,12 @@ and halts the bank for the rest of the stream.
 
 A new segment is declared when the prefix-cost-optimal start jumps forward
 by at least detect_threshold samples. The incumbent fit is the anchor, the
-candidate whose start is the open segment's start; eviction never drops it,
-and the tracker keeps its bank row rather than searching for it. The row
-moves up by one when eviction removes an earlier row (rows are in start
-order) and becomes the winner's row at closure. On closure the open
-segment's Doppler is fixed from the anchor and clamped to DOPPLER_BOUNDS,
-the per-path delays are propagated so the reconstructed warp chains
+candidate whose start is the open segment's start. The bank keeps its row:
+eviction never drops it and moves it with the rows it shifts, and at
+closure the tracker hands it the Bellman step's winning row, so the tracker
+holds no row index itself. On closure, as at finalize, the open segment's
+Doppler is fixed from the anchor and clamped to DOPPLER_BOUNDS; the
+per-path delays are then propagated so the reconstructed warp chains
 continuously across the boundary, and the winning candidate becomes the new
 open segment.
 
@@ -194,13 +194,11 @@ class DopplerTracker:
         self._tau_cur = np.asarray(config.initial_tau, dtype=float).copy()
         self._seg = SegmentationState(config.keep_best, config.keep_recent,
                                       L, config.ridge)
-        # bank row of the open segment's fit, the candidate at start _a_cur
-        # that eviction protects
-        self._anchor = admit_hypothesis(self._seg, 1, self._d_ref,
-                                        self._tau_cur)
+        # the open segment's fit: the candidate at start _a_cur
+        self._seg.anchor = admit_hypothesis(self._seg, 1, self._d_ref,
+                                            self._tau_cur)
         self._n = 0
         self.segments: list[DopplerSegment] = []
-        self.diverged = False
         self.diverged_at: int | None = None
         self._halted = False       # a live lse went non-finite
         self._finalized = False
@@ -215,28 +213,22 @@ class DopplerTracker:
         return self._seg
 
     @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
+
+    @property
     def current_correction(self) -> np.ndarray:
         """Running Doppler-correction estimate of the open segment."""
-        return rls.estimate(self._seg.factor[self._anchor])
+        return rls.estimate(self._seg.factor[self._seg.anchor])
 
-    def _row(self, start: int) -> int:
-        """Bank row of the live candidate with this start."""
-        rows = np.flatnonzero(self._seg.start[:self._seg.filled] == start)
-        if rows.size == 0:
-            raise RuntimeError("candidate start %d missing from memory"
-                               % start)
-        return int(rows[0])
-
-    def _doppler_of(self, row: int) -> np.ndarray:
-        return self._seg.d_ref[row] + rls.estimate(self._seg.factor[row])
+    def _running_doppler(self) -> np.ndarray:
+        return self._seg.d_ref[self._seg.anchor] + self.current_correction
 
     def _running_warp_at(self, m: int) -> np.ndarray:
-        d_run = self._doppler_of(self._anchor)
-        return self._tau_cur + d_run * (m - self._a_cur) \
+        return self._tau_cur + self._running_doppler() * (m - self._a_cur) \
             * self.config.sample_period
 
     def _flag_divergence(self, n: int) -> None:
-        self.diverged = True
         if self.diverged_at is None:
             self.diverged_at = n
 
@@ -261,9 +253,7 @@ class DopplerTracker:
             # sample 0 is the known anchor point of the warp, and a halted
             # bank's fits are void: no row to fit
             return None
-        victim = evict_if_full(seg, protect_start=self._a_cur)
-        if victim is not None and victim < self._a_cur:
-            self._anchor -= 1   # rows are in start order
+        evict_if_full(seg)
         if n > 1:
             # the constructor admitted start 0, the candidate of sample 1
             admit_hypothesis(seg, n, self._d_ref,
@@ -289,26 +279,29 @@ class DopplerTracker:
             return self._close_segment(best, n)
         return None
 
-    def _clamped_doppler(self, row: int, n: int) -> np.ndarray:
-        d = self._doppler_of(row)
+    def _close(self, b: int, n: int) -> DopplerSegment:
+        """Close the open segment at sample b with the anchor's fit.
+
+        A Doppler clamped to DOPPLER_BOUNDS flags divergence at sample n.
+        """
+        d = self._running_doppler()
         clipped = np.clip(d, *DOPPLER_BOUNDS)
         if np.any(clipped != d):
             self._flag_divergence(n)
-        return clipped
+        seg = DopplerSegment(a=self._a_cur, b=b, doppler=clipped,
+                             tau=self._tau_cur.copy(),
+                             lse=float(self._seg.lse[self._seg.anchor]))
+        self.segments.append(seg)
+        return seg
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
-        # the winner must be live before anything closes
-        winner = self._row(new_start)
-        d_closed = self._clamped_doppler(self._anchor, n)
-        seg = DopplerSegment(a=self._a_cur, b=new_start - 1,
-                             doppler=d_closed, tau=self._tau_cur.copy(),
-                             lse=float(self._seg.lse[self._anchor]))
-        self.segments.append(seg)
-        self._tau_cur = update_delays(d_closed, self._tau_cur, self._a_cur,
-                                      new_start, self.config.sample_period)
+        seg = self._close(new_start - 1, n)
+        self._tau_cur = update_delays(seg.doppler, self._tau_cur,
+                                      self._a_cur, new_start,
+                                      self.config.sample_period)
         self._a_cur = new_start
-        self._anchor = winner
-        self._d_ref = d_closed.copy()
+        self._seg.anchor = self._seg.best_row
+        self._d_ref = seg.doppler.copy()
         return seg
 
     def finalize(self) -> DopplerSegment | None:
@@ -319,9 +312,4 @@ class DopplerTracker:
         last = self._n - 1
         if last < self._a_cur:
             return None
-        d = self._clamped_doppler(self._anchor, last)
-        seg = DopplerSegment(a=self._a_cur, b=last, doppler=d,
-                             tau=self._tau_cur.copy(),
-                             lse=float(self._seg.lse[self._anchor]))
-        self.segments.append(seg)
-        return seg
+        return self._close(last, last)

@@ -171,7 +171,8 @@ class TestEvict:
 
     def test_protected_start_survives(self):
         state = self.build([9.0, 1.0, 0.1])
-        gone = evict_if_full(state, protect_start=0)
+        state.anchor = 0
+        gone = evict_if_full(state)
         assert gone == 1
         assert live_starts(state) == [0, 2]
 
@@ -254,9 +255,13 @@ class TestBankMatchesListReference:
         for _ in range(data.draw(st.integers(1, 40))):
             n += data.draw(st.integers(1, 3))
             if state.filled and data.draw(st.booleans()):
-                protect = data.draw(st.one_of(
-                    st.none(), st.sampled_from(live_starts(state))))
-                assert evict_if_full(state, protect) == ref.evict(protect)
+                state.anchor = data.draw(st.one_of(
+                    st.none(), st.integers(0, state.filled - 1)))
+                protect = None if state.anchor is None \
+                    else int(state.start[state.anchor])
+                assert evict_if_full(state) == ref.evict(protect)
+                if protect is not None:
+                    assert state.start[state.anchor] == protect
             if state.filled < state.capacity and data.draw(st.booleans()):
                 if data.draw(st.booleans()):
                     state.last_E = ref.last_E = data.draw(TIE_VALUES)
@@ -269,6 +274,7 @@ class TestBankMatchesListReference:
                 h.lse = state.lse[row] = data.draw(TIE_VALUES)
             if state.filled:
                 assert bellman_step(state, 0.25) == ref.bellman(0.25)
+                assert state.start[state.best_row] == state.best_start
 
 
 class TestBatchSls:

@@ -382,8 +382,8 @@ class TestTrackerRuns:
         assert trk.finalize().b == 599
 
     def test_kept_anchor_row_follows_open_segment(self):
-        # the tracker keeps the anchor's bank row instead of searching for
-        # it; eviction below the anchor and closures both move that row
+        # the bank keeps the anchor's row; eviction below the anchor and
+        # closures both move that row
         cfg = harness.default_config()
         cfg = dataclasses.replace(cfg, duration=3000 / cfg.channel.sample_rate)
         sig, _, r, truth = harness.simulate_stream(cfg)
@@ -396,23 +396,17 @@ class TestTrackerRuns:
             bank = trk.segmentation
             closures = shifts = 0
             for v in r:
-                row = trk._anchor
+                row = bank.anchor
                 closures += trk.process_sample(float(v)) is not None
-                shifts += trk._anchor < row
-                assert trk._anchor < bank.filled
-                assert bank.start[trk._anchor] == trk._a_cur
+                shifts += bank.anchor < row
+                assert bank.anchor < bank.filled
+                assert bank.start[bank.anchor] == trk._a_cur
             assert closures >= 1 and shifts >= 1
             assert [(s.a, s.b) for s in trk.segments] == \
                 [ab for ab, _ in pinned], memory
             for seg, (_, doppler) in zip(trk.segments, pinned):
                 np.testing.assert_allclose(seg.doppler, doppler, rtol=1e-12,
                                            atol=0.0, err_msg=str(memory))
-
-    def test_missing_winner_raises_without_closing(self):
-        trk, _, _ = self.static_run(50)
-        with pytest.raises(RuntimeError):
-            trk._close_segment(10**6, 50)
-        assert trk.segments == []
 
     def test_delay_chain_continuity(self):
         sig = build_signal(n_symbols=1200)
