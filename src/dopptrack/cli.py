@@ -9,9 +9,11 @@ Subcommands:
     dump-signal  sample the transmitted waveform to CSV for inspection
 
 Exit codes: 0 success, 1 configuration error (a value that does not parse
-or is not finite, any value the simulator or a tracker rejects, or a run no
-longer than the tracker warm-up), 2 I/O error (a file that cannot be opened,
-read or written), 3 the tracker reported numerical divergence, 4 bad input
+or is not finite, any value the simulator or a tracker rejects, a run no
+longer than the tracker warm-up, a baseline run too short for the template
+and lag range, or a compare window below 1 or threshold that is negative or
+not finite), 2 I/O error (a file that cannot be opened, read or written), 3
+the tracker reported numerical divergence, 4 bad input
 (an input CSV whose content does not parse or is laid out wrongly, a
 received.csv or truth.csv that does not hold the configured run's number of
 samples, error traces that cannot be compared, or a received sample the

@@ -382,12 +382,16 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     b = cfg.baseline
     T = 1.0 / cfg.channel.sample_rate
     first = int(round(b.template_len * cfg.channel.sample_rate))
-    if first >= r.size:
+    if first >= r.size:   # the truth at sample first gives the start delays
         raise ConfigError("run too short for the baseline template")
     init_delays = first * T - truth.alpha[:, first]
     pk = PeakTracker(sig, init_delays, cfg.channel.sample_rate,
                      template_len=b.template_len,
                      search_halfwidth=b.search_halfwidth, hop=b.hop)
+    if r.size - 1 - pk.max_lag < pk.template_samples:
+        raise ConfigError("run of %d samples too short for the baseline "
+                          "template of %d and lag range of %d samples"
+                          % (r.size, pk.template_samples, pk.max_lag))
     n_grid, delays, flags = pk.run(r)
     n_all = np.arange(n_grid[0], n_grid[-1] + 1)
     held = np.searchsorted(n_grid, n_all, side="right") - 1
@@ -579,9 +583,9 @@ def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
     r, truth = _read_inputs(cfg, in_dir)
-    os.makedirs(out_dir, exist_ok=True)
     sig = build_signal(cfg)
     n_grid, delays, flags, trace, summary = baseline_stream(cfg, sig, r, truth)
+    os.makedirs(out_dir, exist_ok=True)
     write_delays(os.path.join(out_dir, "delays.csv"), n_grid, delays, flags)
     write_errors(os.path.join(out_dir, "errors.csv"), trace)
     write_summary(os.path.join(out_dir, "summary.json"), summary)
@@ -590,6 +594,11 @@ def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 def compare_dirs(a_dir: str, b_dir: str, out_file: str,
                  miss_threshold: float = 5e-6, window: int = 1000) -> dict:
+    if window < 1:
+        raise ConfigError("window must be >= 1, got %r" % window)
+    if not 0.0 <= miss_threshold < math.inf:
+        raise ConfigError("threshold must be non-negative and finite, got %r"
+                          % miss_threshold)
     err_a = read_errors(os.path.join(a_dir, "errors.csv"))
     err_b = read_errors(os.path.join(b_dir, "errors.csv"))
     report = compare(err_a, err_b, miss_threshold)

@@ -21,6 +21,7 @@ Gram) by construction.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -29,8 +30,8 @@ def init(dim: int, ridge: float) -> np.ndarray:
     """Fresh factor diag(sqrt(ridge), ..., sqrt(ridge), 0): the empty fit."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if ridge <= 0.0:
-        raise ValueError("ridge must be positive")
+    if not 0.0 < ridge < math.inf:
+        raise ValueError("ridge must be positive and finite")
     return np.diag(np.append(np.full(dim, np.sqrt(ridge)), 0.0))
 
 

@@ -72,18 +72,20 @@ class TrackerConfig:
     ridge: float = 1e-4
 
     def __post_init__(self):
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be positive and finite")
         if self.detect_threshold < 1:
             raise ValueError("detect_threshold must be >= 1")
-        if self.perturbation <= 0.0:
-            raise ValueError("perturbation must be positive")
-        if self.sample_period <= 0.0:
-            raise ValueError("sample_period must be positive")
+        if not 0.0 < self.perturbation < math.inf:
+            raise ValueError("perturbation must be positive and finite")
+        if not 0.0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be positive and finite")
         if len(self.gains) != len(self.initial_tau):
             raise ValueError("gains and initial_tau must have equal length")
         if len(self.gains) < 1:
             raise ValueError("need at least one path")
+        if not all(map(math.isfinite, (*self.gains, *self.initial_tau))):
+            raise ValueError("gains and initial_tau must be finite")
 
     @property
     def num_paths(self) -> int:

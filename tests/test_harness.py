@@ -349,6 +349,41 @@ class TestCli:
         assert "bad input" in err and "needs 1000" in err
         assert not (tmp_path / "out").exists()
 
+    # 700 samples: longer than the 100-sample tracker warm-up and the
+    # 600-sample template, shorter than the template plus the lag range
+    def test_baseline_too_short_for_lag_range_is_config_error(
+            self, tmp_path, capsys):
+        sim = self.simulate(tmp_path, "0.0035")
+        capsys.readouterr()
+        code = cli.main(["baseline", "--duration", "0.0035", "--in", str(sim),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "lag range" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--window", "0"),
+        ("--window", "-5"),
+        ("--threshold", "nan"),
+        ("--threshold", "-1"),
+    ])
+    def test_bad_compare_argument_is_config_error(self, tmp_path, capsys,
+                                                  option, value):
+        trace = harness.ErrorTrace(n=np.arange(5), abs_err=np.zeros((3, 5)))
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            harness.write_errors(str(tmp_path / name / "errors.csv"), trace)
+        out = tmp_path / "compare.json"
+        code = cli.main(["compare", "--a", str(tmp_path / "a"),
+                         "--b", str(tmp_path / "b"), "--out", str(out),
+                         option, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert not out.exists()
+        assert not (tmp_path / "compare.json.plot.csv").exists()
+
     # values the simulator or a tracker rejects, and non-finite values
     @pytest.mark.parametrize("ini, duration", [
         ("[motion]\nsurface_pp_m = 1.0\n", "0.005"),

@@ -18,8 +18,9 @@ class TestInit:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             rls.init(0, ridge=1e-4)
-        with pytest.raises(ValueError):
-            rls.init(2, ridge=0.0)
+        for ridge in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                rls.init(2, ridge=ridge)
 
 
 class TestUpdate:

@@ -437,6 +437,14 @@ class TestConfigValidation:
             config([1.0], [0.0], perturbation=0.0)
         with pytest.raises(ValueError):
             config([1.0], [0.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            for key in ("penalty", "perturbation", "sample_period"):
+                with pytest.raises(ValueError):
+                    config([1.0], [0.0], **{key: bad})
+            with pytest.raises(ValueError):
+                config([bad], [0.0])
+            with pytest.raises(ValueError):
+                config([1.0], [bad])
 
     def test_memory_sizes_rejected_by_the_bank(self):
         for sizes in [dict(keep_best=0), dict(keep_recent=0)]:
