@@ -98,44 +98,35 @@ class GroundTruth:
     doppler: np.ndarray  # shape (num_paths, n_samples)
 
 
-def _range_and_rate(scene: ChannelScene, t: np.ndarray):
-    m = scene.motion
-    w = 2.0 * np.pi * m.rx_osc_freq
-    phase = w * t + m.rx_osc_phase
-    x = scene.geometry.horizontal_range + m.rx_osc_amp * np.sin(phase)
-    x_dot = m.rx_osc_amp * w * np.cos(phase)
-    return x, x_dot
-
-
-def _surface_and_rate(scene: ChannelScene, t: np.ndarray):
-    m = scene.motion
-    w = 2.0 * np.pi * m.surface_freq
-    phase = w * t + m.surface_phase
-    eta = m.surface_amp * np.sin(phase)
-    eta_dot = m.surface_amp * w * np.cos(phase)
-    return eta, eta_dot
+def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray):
+    """amp sin(2 pi freq t + phase) and its rate of change."""
+    w = 2.0 * np.pi * freq
+    arg = w * t + phase
+    return amp * np.sin(arg), amp * w * np.cos(arg)
 
 
 def _length_and_rate(scene: ChannelScene, path: str, t: np.ndarray):
-    """Path length L(t) in meters and dL/dt in m/s, both analytic."""
-    g = scene.geometry
-    x, x_dot = _range_and_rate(scene, t)
+    """Path length L(t) in meters and dL/dt in m/s, both analytic.
+
+    L = hypot(x, v) for the swaying horizontal range x and the path's
+    vertical extent v: the depth difference, the image across the heaving
+    surface, or the image across the bottom.
+    """
+    g, m = scene.geometry, scene.motion
+    sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t)
+    x = g.horizontal_range + sway
     if path == "direct":
-        v = g.tx_depth - g.rx_depth
-        length = np.hypot(x, v)
-        rate = x * x_dot / length
+        v, v_dot = g.tx_depth - g.rx_depth, 0.0
     elif path == "surface":
-        eta, eta_dot = _surface_and_rate(scene, t)
-        v = g.tx_depth + g.rx_depth + 2.0 * eta
-        length = np.hypot(x, v)
-        rate = (x * x_dot + v * 2.0 * eta_dot) / length
+        eta, eta_dot = _sinusoid(m.surface_freq, m.surface_amp,
+                                 m.surface_phase, t)
+        v, v_dot = g.tx_depth + g.rx_depth + 2.0 * eta, 2.0 * eta_dot
     elif path == "bottom":
-        v = 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth
-        length = np.hypot(x, v)
-        rate = x * x_dot / length
+        v, v_dot = 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth, 0.0
     else:
         raise ValueError("unknown path %r" % path)
-    return length, rate
+    length = np.hypot(x, v)
+    return length, (x * x_dot + v * v_dot) / length
 
 
 def path_length(scene: ChannelScene, path: str, t: np.ndarray) -> np.ndarray:

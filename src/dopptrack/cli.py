@@ -8,6 +8,13 @@ Subcommands:
     demo         full pipeline at reduced duration in one output directory
     dump-signal  sample the transmitted waveform to CSV for inspection
 
+Each subcommand loads its configuration, then runs one step function that
+calls the harness and prints a summary; demo runs the simulate, baseline,
+track and compare steps in that order. The harness computes each step
+before it writes, so a step that rejects its configuration or input leaves
+no output behind, and a demo run too short for the baseline leaves only its
+sim/ directory.
+
 Exit codes: 0 success, 1 configuration error (a value that does not parse
 or is not finite, any value the simulator or a tracker rejects, a run no
 longer than the tracker warm-up, a baseline run too short for the template
@@ -29,38 +36,36 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import harness
 from .harness import BadInputError, ConfigError
 from .tracker import InvalidSampleError
 
 
 def _load(args) -> harness.RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = harness.load_config(args.config)
     else:
         cfg = harness.default_config()
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         cfg = dataclasses.replace(cfg, duration=args.duration)
-    cfg.validate()
     return cfg
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
-    info = harness.run_simulation(cfg, args.out)
+def _per_path(summary: dict) -> dict:
+    return {k: "%.3g" % v for k, v in summary["max_abs_err_s"].items()}
+
+
+def _simulate(cfg: harness.RunConfig, out: str) -> int:
+    info = harness.run_simulation(cfg, out)
     print("wrote %d samples to %s (noise_std=%.6g)"
-          % (info["n_samples"], args.out, info["noise_std"]))
+          % (info["n_samples"], out, info["noise_std"]))
     return 0
 
 
-def _cmd_track(args) -> int:
-    cfg = _load(args)
-    summary = harness.run_tracker(cfg, args.indir, args.out)
-    worst = max(summary["max_abs_err_s"].values())
-    print("tracker: %d segments, max |timing error| %.3g s"
-          % (summary["segment_count"], worst))
+def _track(cfg: harness.RunConfig, indir: str, out: str) -> int:
+    summary = harness.run_tracker(cfg, indir, out)
+    print("tracker : %d segments, per-path max |err| %s"
+          % (summary["segment_count"], _per_path(summary)))
     if summary["diverged"]:
         print("tracker flagged numerical divergence at sample %s"
               % summary["diverged_at"], file=sys.stderr)
@@ -68,66 +73,42 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    cfg = _load(args)
-    summary = harness.run_baseline(cfg, args.indir, args.out)
-    worst = max(summary["max_abs_err_s"].values())
-    print("baseline: %d iterations, max |timing error| %.3g s"
-          % (summary["iterations"], worst))
+def _baseline(cfg: harness.RunConfig, indir: str, out: str) -> int:
+    summary = harness.run_baseline(cfg, indir, out)
+    print("baseline: per-path max |err| %s" % _per_path(summary))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    report = harness.compare_dirs(args.a, args.b, args.out,
-                                  miss_threshold=args.threshold,
-                                  window=args.window)
+def _compare(a: str, b: str, out: str, **options) -> int:
+    report = harness.compare_dirs(a, b, out, **options)
     for name, row in report["paths"].items():
         print("%-8s a: max %.3g mean %.3g misses %d | "
               "b: max %.3g mean %.3g misses %d"
               % (name, row["a_max_s"], row["a_mean_s"], row["a_misses"],
                  row["b_max_s"], row["b_mean_s"], row["b_misses"]))
-    print("report written to %s" % args.out)
+    print("report written to %s" % out)
     return 0
 
 
-def _cmd_demo(args) -> int:
+def _demo(args) -> int:
     cfg = _load(args)
-    if getattr(args, "duration", None) is None and args.config is None:
+    if args.duration is None and args.config is None:
         cfg = dataclasses.replace(cfg, duration=0.1)
-        cfg.validate()
     sim_dir = os.path.join(args.out, "sim")
     trk_dir = os.path.join(args.out, "tracker")
     bas_dir = os.path.join(args.out, "baseline")
-    harness.run_simulation(cfg, sim_dir)
-    code = 0
-    summary = harness.run_tracker(cfg, sim_dir, trk_dir)
-    print("tracker : %d segments, per-path max |err| %s"
-          % (summary["segment_count"],
-             {k: "%.3g" % v for k, v in summary["max_abs_err_s"].items()}))
-    if summary["diverged"]:
-        print("tracker flagged numerical divergence", file=sys.stderr)
-        code = 3
-    bsum = harness.run_baseline(cfg, sim_dir, bas_dir)
-    print("baseline: per-path max |err| %s"
-          % {k: "%.3g" % v for k, v in bsum["max_abs_err_s"].items()})
-    harness.compare_dirs(trk_dir, bas_dir,
-                         os.path.join(args.out, "compare.json"),
-                         window=cfg.error_window)
+    _simulate(cfg, sim_dir)
+    _baseline(cfg, sim_dir, bas_dir)
+    code = _track(cfg, sim_dir, trk_dir)
+    _compare(trk_dir, bas_dir, os.path.join(args.out, "compare.json"),
+             window=cfg.error_window)
     print("artifacts under %s" % args.out)
     return code
 
 
-def _cmd_dump_signal(args) -> int:
-    cfg = _load(args)
-    sig = harness.build_signal(cfg)
-    T = 1.0 / cfg.channel.sample_rate
-    n = np.arange(cfg.n_samples)
-    values = sig.eval_passband(n * T)
-    with open(args.out, "w") as f:
-        f.write("n,t_seconds,value\n")
-        f.writelines("%d,%s,%s\n" % (i, repr(i * T), repr(float(v)))
-                     for i, v in zip(n, values))
-    print("wrote %d samples to %s" % (n.size, args.out))
+def _dump_signal(cfg: harness.RunConfig, out: str) -> int:
+    harness.dump_signal(cfg, out)
+    print("wrote %d samples to %s" % (cfg.n_samples, out))
     return 0
 
 
@@ -137,29 +118,23 @@ def build_parser() -> argparse.ArgumentParser:
                                             "simulator and trackers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_config(sp):
+    def add_step(name, about, func, out="output directory", indir=False):
+        sp = sub.add_parser(name, help=about)
         sp.add_argument("--config", default=None, help="INI config file")
         sp.add_argument("--duration", type=float, default=None,
                         help="override run duration in seconds")
+        if indir:
+            sp.add_argument("--in", dest="indir", required=True,
+                            help="directory with received.csv and truth.csv")
+        sp.add_argument("--out", required=True, help=out)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("simulate", help="synthesize a received stream")
-    add_config(sp)
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("track", help="run the Doppler tracker")
-    add_config(sp)
-    sp.add_argument("--in", dest="indir", required=True,
-                    help="directory with received.csv and truth.csv")
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=_cmd_track)
-
-    sp = sub.add_parser("baseline", help="run the peak-tracking baseline")
-    add_config(sp)
-    sp.add_argument("--in", dest="indir", required=True,
-                    help="directory with received.csv and truth.csv")
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=_cmd_baseline)
+    add_step("simulate", "synthesize a received stream",
+             lambda a: _simulate(_load(a), a.out))
+    add_step("track", "run the Doppler tracker",
+             lambda a: _track(_load(a), a.indir, a.out), indir=True)
+    add_step("baseline", "run the peak-tracking baseline",
+             lambda a: _baseline(_load(a), a.indir, a.out), indir=True)
 
     sp = sub.add_parser("compare", help="compare two error traces")
     sp.add_argument("--a", required=True, help="first output directory")
@@ -169,18 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sample-miss threshold in seconds")
     sp.add_argument("--window", type=int, default=1000,
                     help="block-average window for the plot CSV")
-    sp.set_defaults(func=_cmd_compare)
+    sp.set_defaults(func=lambda a: _compare(a.a, a.b, a.out,
+                                            miss_threshold=a.threshold,
+                                            window=a.window))
 
-    sp = sub.add_parser("demo", help="full pipeline at reduced duration")
-    add_config(sp)
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=_cmd_demo)
-
-    sp = sub.add_parser("dump-signal", help="dump sampled waveform to CSV")
-    add_config(sp)
-    sp.add_argument("--out", required=True, help="output CSV file")
-    sp.set_defaults(func=_cmd_dump_signal)
-
+    add_step("demo", "full pipeline at reduced duration", _demo)
+    add_step("dump-signal", "dump sampled waveform to CSV",
+             lambda a: _dump_signal(_load(a), a.out), out="output CSV file")
     return p
 
 

@@ -10,6 +10,7 @@ mandatory headers:
     segments.csv   segment,path,a,b,d,tau_s,lse
     errors.csv     n,path,abs_err_s            (path-major blocks)
     delays.csv     n,path,delay_seconds,flag   (baseline only)
+    <dump>.csv     n,t_seconds,value           (transmitted waveform)
 
 Floats are written with repr so outputs are byte-identical across runs with
 the same seeds.
@@ -85,6 +86,9 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A whole run's settings; building one (dataclasses.replace included)
+    validates it, so every instance is valid or was never made."""
+
     signal: SignalParams
     geometry: Geometry
     motion: MotionSpec
@@ -93,6 +97,9 @@ class RunConfig:
     baseline: BaselineParams
     duration: float = 0.5
     error_window: int = 1000
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_samples(self) -> int:
@@ -229,13 +236,11 @@ def load_config(path: str) -> RunConfig:
             changes.setdefault(group, {})[name] = value
     run = changes.pop("run", {})
     try:
-        cfg = replace(base, **run, **{
+        return replace(base, **run, **{
             group: replace(getattr(base, group), **fields)
             for group, fields in changes.items()})
-        cfg.validate()
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _scene(cfg: RunConfig, gains, noise_std: float) -> ChannelScene:
@@ -296,16 +301,14 @@ def _tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-ready dump of the full run configuration."""
-    return {
-        "signal": asdict(cfg.signal),
-        "geometry": asdict(cfg.geometry),
-        "motion": asdict(cfg.motion),
-        "channel": asdict(cfg.channel),
-        "tracker": asdict(cfg.tracker),
-        "baseline": asdict(cfg.baseline),
-        "duration_s": cfg.duration,
-        "error_window": cfg.error_window,
-    }
+    echo = asdict(cfg)
+    echo["duration_s"] = echo.pop("duration")
+    return echo
+
+
+def _max_per_path(abs_err: np.ndarray) -> dict:
+    """{path: largest error} over the rows of a (num_paths, N) array."""
+    return {name: float(row.max()) for name, row in zip(PATHS, abs_err)}
 
 
 @dataclass
@@ -328,7 +331,6 @@ class ErrorTrace:
 
 def simulate_stream(cfg: RunConfig):
     """In-memory simulation: (signal, scene, received, truth)."""
-    cfg.validate()
     sig = build_signal(cfg)
     scene = build_scene(cfg, sig)
     r, truth = synthesize(scene, sig, cfg.n_samples, cfg.channel.noise_seed)
@@ -363,11 +365,8 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
         "diverged": tracker.diverged,
         "diverged_at": tracker.diverged_at,
         "warmup_samples": warmup,
-        "max_abs_err_s": {PATHS[i]: float(trace.abs_err[i].max())
-                          for i in range(len(PATHS))},
-        "max_abs_err_after_warmup_s": {
-            PATHS[i]: float(trace.abs_err[i, warmup:].max())
-            for i in range(len(PATHS))},
+        "max_abs_err_s": _max_per_path(trace.abs_err),
+        "max_abs_err_after_warmup_s": _max_per_path(trace.abs_err[:, warmup:]),
     }
     return tracker.segments, trace, summary
 
@@ -405,8 +404,7 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
         "iterations": int(n_grid.size),
         "hop": b.hop,
         "no_peak_flags": int(flags.sum()),
-        "max_abs_err_s": {PATHS[i]: float(trace.abs_err[i].max())
-                          for i in range(len(PATHS))},
+        "max_abs_err_s": _max_per_path(trace.abs_err),
     }
     return n_grid, delays, flags, trace, summary
 
@@ -536,6 +534,15 @@ def write_delays(path: str, n_grid: np.ndarray, delays: np.ndarray,
                _path_major("%d,%s,%r,%d\n", n_grid, delays, flags))
 
 
+def dump_signal(cfg: RunConfig, path: str) -> None:
+    """The transmitted waveform at the run's sample times, as CSV."""
+    t = np.arange(cfg.n_samples) * (1.0 / cfg.channel.sample_rate)
+    values = build_signal(cfg).eval_passband(t)
+    _write_csv(path, "n,t_seconds,value",
+               ("%d,%r,%r\n" % row for row in
+                zip(range(t.size), map(float, t), map(float, values))))
+
+
 def write_summary(path: str, summary: dict) -> None:
     """Write strict JSON: a non-finite float raises instead of being written
     as the non-JSON tokens NaN or Infinity."""
@@ -549,8 +556,8 @@ def write_summary(path: str, summary: dict) -> None:
 
 
 def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     sig, scene, r, truth = simulate_stream(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     write_received(os.path.join(out_dir, "received.csv"), r)
     write_truth(os.path.join(out_dir, "truth.csv"), truth)
     return {"n_samples": int(r.size), "noise_std": scene.noise_std,
@@ -572,9 +579,9 @@ def _read_inputs(cfg: RunConfig,
 
 def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
     r, truth = _read_inputs(cfg, in_dir)
-    os.makedirs(out_dir, exist_ok=True)
     sig = build_signal(cfg)
     segments, trace, summary = track_stream(cfg, sig, r, truth)
+    os.makedirs(out_dir, exist_ok=True)
     write_segments(os.path.join(out_dir, "segments.csv"), segments)
     write_errors(os.path.join(out_dir, "errors.csv"), trace)
     write_summary(os.path.join(out_dir, "summary.json"), summary)

@@ -54,11 +54,7 @@ def track_step(prev_delays: np.ndarray, corr: np.ndarray,
     flags = np.zeros(out.size, dtype=bool)
     for p in range(out.size):
         prev_lag = prev_delays[p] / sample_period
-        if maxima.size:
-            dist = np.abs(maxima - prev_lag)
-            near = maxima[dist <= search_halfwidth]
-        else:
-            near = maxima
+        near = maxima[np.abs(maxima - prev_lag) <= search_halfwidth]
         if near.size == 0:
             flags[p] = True
             continue

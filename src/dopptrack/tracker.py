@@ -192,11 +192,10 @@ class DopplerTracker:
         L = config.num_paths
         self._gains = np.asarray(config.gains, dtype=float)
         self._d_ref = np.ones(L)
-        self._a_cur = 0
         self._tau_cur = np.asarray(config.initial_tau, dtype=float).copy()
         self._seg = SegmentationState(config.keep_best, config.keep_recent,
                                       L, config.ridge)
-        # the open segment's fit: the candidate at start _a_cur
+        # the open segment's fit: the candidate at start 0
         self._seg.anchor = admit_hypothesis(self._seg, 1, self._d_ref,
                                             self._tau_cur)
         self._n = 0
@@ -223,12 +222,16 @@ class DopplerTracker:
         """Running Doppler-correction estimate of the open segment."""
         return rls.estimate(self._seg.factor[self._seg.anchor])
 
+    def _open_start(self) -> int:
+        """First sample of the open segment: the start of its anchor row."""
+        return int(self._seg.start[self._seg.anchor])
+
     def _running_doppler(self) -> np.ndarray:
         return self._seg.d_ref[self._seg.anchor] + self.current_correction
 
     def _running_warp_at(self, m: int) -> np.ndarray:
-        return self._tau_cur + self._running_doppler() * (m - self._a_cur) \
-            * self.config.sample_period
+        return self._tau_cur + self._running_doppler() \
+            * (m - self._open_start()) * self.config.sample_period
 
     def _flag_divergence(self, n: int) -> None:
         if self.diverged_at is None:
@@ -277,7 +280,7 @@ class DopplerTracker:
             self._flag_divergence(n)
         _, best = bellman_step(seg, cfg.penalty)
         jump = best - seg.prev_best_start
-        if jump >= cfg.detect_threshold and best > self._a_cur:
+        if jump >= cfg.detect_threshold and best > self._open_start():
             return self._close_segment(best, n)
         return None
 
@@ -290,7 +293,7 @@ class DopplerTracker:
         clipped = np.clip(d, *DOPPLER_BOUNDS)
         if np.any(clipped != d):
             self._flag_divergence(n)
-        seg = DopplerSegment(a=self._a_cur, b=b, doppler=clipped,
+        seg = DopplerSegment(a=self._open_start(), b=b, doppler=clipped,
                              tau=self._tau_cur.copy(),
                              lse=float(self._seg.lse[self._seg.anchor]))
         self.segments.append(seg)
@@ -298,10 +301,8 @@ class DopplerTracker:
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
         seg = self._close(new_start - 1, n)
-        self._tau_cur = update_delays(seg.doppler, self._tau_cur,
-                                      self._a_cur, new_start,
-                                      self.config.sample_period)
-        self._a_cur = new_start
+        self._tau_cur = update_delays(seg.doppler, self._tau_cur, seg.a,
+                                      new_start, self.config.sample_period)
         self._seg.anchor = self._seg.best_row
         self._d_ref = seg.doppler.copy()
         return seg
@@ -312,6 +313,6 @@ class DopplerTracker:
             return None
         self._finalized = True
         last = self._n - 1
-        if last < self._a_cur:
+        if last < self._open_start():
             return None
         return self._close(last, last)

@@ -78,9 +78,8 @@ class TestConfig:
     @pytest.mark.parametrize("duration", [1e-4, 3e-4])
     def test_validation_short_run(self, duration):
         cfg = harness.default_config()
-        cfg = dataclasses.replace(cfg, duration=duration)
         with pytest.raises(ConfigError, match="warm-up"):
-            cfg.validate()
+            dataclasses.replace(cfg, duration=duration)
 
     def test_validation_undersampled(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -278,6 +277,7 @@ class TestCli:
         assert code == 4
         assert "bad input" in err
         assert "i/o error" not in err
+        assert not (tmp_path / "trk").exists()
 
     def simulate(self, tmp_path, duration):
         sim = tmp_path / "sim"
@@ -390,6 +390,7 @@ class TestCli:
         ("[signal]\npulse_std_fraction = 1.0\n", "0.005"),
         ("[signal]\npulse_halfwidth = 0\n", "0.005"),
         ("[tracker]\npenalty = nan\n", "0.005"),
+        ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
         ("", "inf"),
     ])
@@ -443,6 +444,22 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,t_seconds,value"
         assert len(lines) == 1 + 1000
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 0], np.arange(1000))
+        assert data[:, 1].tobytes() == (np.arange(1000)
+                                        * (1.0 / 200e3)).tobytes()
+
+    # 1 480 samples: the tracker could run, but the baseline needs 1 494
+    def test_demo_too_short_for_baseline_leaves_only_simulation(
+            self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        code = cli.main(["demo", "--duration", "0.0074", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "lag range" in err
+        assert (out / "sim" / "received.csv").exists()
+        assert not (out / "tracker").exists()
+        assert not (out / "baseline").exists()
 
     def test_full_pipeline_via_cli(self, tmp_path):
         sim = str(tmp_path / "sim")

@@ -400,7 +400,8 @@ class TestTrackerRuns:
                 closures += trk.process_sample(float(v)) is not None
                 shifts += bank.anchor < row
                 assert bank.anchor < bank.filled
-                assert bank.start[bank.anchor] == trk._a_cur
+                open_start = trk.segments[-1].b + 1 if trk.segments else 0
+                assert bank.start[bank.anchor] == open_start
             assert closures >= 1 and shifts >= 1
             assert [(s.a, s.b) for s in trk.segments] == \
                 [ab for ab, _ in pinned], memory
