@@ -467,6 +467,36 @@ def test_default_scenario_answers_unchanged(scenario):
         assert seg.lse == pytest.approx(lse, rel=1e-10, abs=0.0)
 
 
+# The baseline's answers on the default scenario at hop 1: per-path maxima,
+# and per-path |error| at every 12 313th sample of its trace.
+BASELINE_MAX_ABS_ERR = {"direct": 1.4916894610084164e-06,
+                        "surface": 1.8888345711898236e-05,
+                        "bottom": 2.969857715015567e-06}
+BASELINE_ERR_STRIDE = 12313
+BASELINE_ERR_SUBSAMPLE = [
+    (7.188683104407227e-07, 3.8147551129075197e-07, 2.5524040067614884e-07,
+     3.008039428653575e-09, 2.7858504000888296e-07, 5.927632495961177e-08,
+     6.026484306032032e-08, 4.023186842005977e-07, 9.695844194190784e-08),
+    (1.5077394815886424e-05, 1.5392070249087286e-05, 1.5719734009655983e-05,
+     1.5092660873156083e-05, 1.5107710102824079e-05, 1.618655059659746e-05,
+     1.641421379150465e-05, 1.5613613509490865e-05, 1.6127560839129806e-05),
+    (1.0287557631028475e-06, 1.6162888176463053e-06, 3.0450136571935627e-07,
+     8.042040097466785e-07, 1.236447894903403e-07, 8.080439369284598e-07,
+     1.8339379664888966e-07, 4.076101141059496e-07, 1.1929062731508289e-06),
+]
+
+
+def test_default_scenario_baseline_unchanged(scenario):
+    _, _, _, _, btrace, bsummary = scenario
+    assert bsummary["iterations"] == 98507
+    assert bsummary["no_peak_flags"] == 0
+    np.testing.assert_array_equal(btrace.n, np.arange(600, 99107))
+    assert bsummary["max_abs_err_s"] == pytest.approx(BASELINE_MAX_ABS_ERR,
+                                                      rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(btrace.abs_err[:, ::BASELINE_ERR_STRIDE],
+                               BASELINE_ERR_SUBSAMPLE, rtol=1e-12, atol=0.0)
+
+
 def test_criterion_10_demo_determinism(tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
