@@ -24,6 +24,47 @@ def generate_symbols(count: int, seed: int) -> np.ndarray:
     return QPSK_CONSTELLATION[idx]
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum a complex (R, N) array over its rows in numpy's pairwise order.
+
+    Bit-identical to `.sum(axis=1)` of the C-contiguous (N, R) transpose.
+    numpy's reduction starts from +0.0, hence the + 0.0, which turns an
+    all-zero -0.0 into +0.0.
+    """
+    total = _pairwise(x)
+    total += 0.0
+    return total
+
+
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    """numpy's complex pairwise reduction: fewer than 4 rows add in order;
+    up to 64 rows add in 4 lanes, combined as ((0 + 1) + (2 + 3)), before
+    the leftover rows; more rows split at half, rounded down to a multiple
+    of 4."""
+    n = x.shape[0]
+    if n < 4:
+        total = x[0].copy()
+        for row in x[1:]:
+            total += row
+        return total
+    if n > 64:
+        half = n // 2 - (n // 2) % 4
+        total = _pairwise(x[:half])
+        total += _pairwise(x[half:])
+        return total
+    lanes = x[:4].copy()
+    blocked = n - n % 4
+    for i in range(4, blocked, 4):
+        lanes += x[i:i + 4]
+    total, rest = lanes[0], lanes[2]
+    total += lanes[1]
+    rest += lanes[3]
+    total += rest
+    for row in x[blocked:]:
+        total += row
+    return total
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Gaussian shaping pulse.
@@ -87,25 +128,46 @@ class TransmitSignal:
         self.carrier_freq = float(carrier_freq)
         self.amplitude = float(amplitude)
         self.start_time = float(start_time)
-        self._offsets = np.arange(-pulse.truncation_halfwidth,
-                                  pulse.truncation_halfwidth + 1)
+        offsets = np.arange(-pulse.truncation_halfwidth,
+                            pulse.truncation_halfwidth + 1)[:, None]
+        self._offsets_f = offsets.astype(float)
+        # index into _padded: symbol k sits at k + 1
+        self._offsets_i = offsets + 1
+        self._padded = np.concatenate(([0j], symbols, [0j]))
 
     def _baseband_terms(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (b(t), db/dt) for a 1-D float array of times."""
+        """Return (b(t), db/dt) for a 1-D array of finite float times.
+
+        Offset-major: row j of every (2W+1, N) buffer holds the pulse of the
+        symbol j - W away from the nearest symbol instant of each time, W
+        being truncation_halfwidth. A symbol index outside the sequence reads
+        one of the zeros padding _padded, so only the window test remains,
+        and only the rows +-W can fail it: every nearer pulse has
+        |dt| <= (W - 1/2) symbol periods. Both sums follow numpy's own
+        order (see _pairwise_sum), so the values are bit-identical to the
+        point-major `.sum(axis=1)`. A non-finite time gives NaN.
+        """
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std
         t = t - self.start_time
-        k_center = np.rint(t / ts).astype(np.int64)
-        k = k_center[:, None] + self._offsets[None, :]
-        dt = t[:, None] - k * ts
-        inside = (k >= 0) & (k < self.symbols.size) & \
-            (np.abs(dt) <= self.pulse.window)
-        env = np.where(inside, np.exp(-0.5 * (dt / sig) ** 2), 0.0)
-        sym = self.symbols.take(k, mode="clip")
-        terms = sym * env
-        b = terms.sum(axis=1)
-        b_dot = (terms * (-dt / (sig * sig))).sum(axis=1)
-        return b, b_dot
+        k_center = np.rint(t / ts)
+        dt = self._offsets_f + k_center
+        dt *= ts
+        np.subtract(t, dt, out=dt)
+        env = dt / sig
+        np.square(env, out=env)
+        env *= -0.5
+        np.exp(env, out=env)
+        edges = env[::2 * self.pulse.truncation_halfwidth]
+        edges[np.abs(dt[::2 * self.pulse.truncation_halfwidth])
+              > self.pulse.window] = 0.0
+        terms = self._padded.take(self._offsets_i + k_center.astype(np.int64),
+                                  mode="clip")
+        terms *= env
+        b = _pairwise_sum(terms)
+        dt /= -(sig * sig)
+        terms *= dt
+        return b, _pairwise_sum(terms)
 
     def eval_passband(self, t: np.ndarray) -> np.ndarray:
         """Real passband values s(t) at a 1-D float array of times; zero

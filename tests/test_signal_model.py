@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dopptrack.signal_model import (PulseShape, TransmitSignal,
-                                    generate_symbols, make_qpsk_signal)
+                                    _pairwise_sum, generate_symbols,
+                                    make_qpsk_signal)
 
 QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
@@ -121,6 +122,78 @@ class TestDerivative:
         np.testing.assert_array_equal(s, sig.eval_passband(t))
         np.testing.assert_array_equal(sd,
                                       sig.eval_passband_with_derivative(t)[1])
+
+
+class PointMajorSignal(TransmitSignal):
+    """Reference kernel: one row per time, one column per pulse offset, an
+    explicit range-and-window mask, and numpy's own `.sum(axis=1)`."""
+
+    def _baseband_terms(self, t):
+        ts = self.pulse.symbol_period
+        sig = self.pulse.gaussian_std
+        offsets = np.arange(-self.pulse.truncation_halfwidth,
+                            self.pulse.truncation_halfwidth + 1)
+        t = t - self.start_time
+        k_center = np.rint(t / ts).astype(np.int64)
+        k = k_center[:, None] + offsets[None, :]
+        dt = t[:, None] - k * ts
+        inside = (k >= 0) & (k < self.symbols.size) & \
+            (np.abs(dt) <= self.pulse.window)
+        env = np.where(inside, np.exp(-0.5 * (dt / sig) ** 2), 0.0)
+        terms = self.symbols.take(k, mode="clip") * env
+        b = terms.sum(axis=1)
+        b_dot = (terms * (-dt / (sig * sig))).sum(axis=1)
+        return b, b_dot
+
+
+def signed_zeros_and_magnitudes(rng, shape):
+    """Complex values spanning 60 decades, a third of the parts zeros of
+    either sign, and some columns entirely -0.0."""
+    def part():
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        zero = rng.random(shape) < 0.35
+        x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        return x
+    x = part() + 1j * part()
+    x[:, ::5] = complex(-0.0, -0.0)
+    return x
+
+
+class TestKernelBitExact:
+    # the offset-major kernel must give the point-major kernel's bits
+
+    @pytest.mark.parametrize("rows", range(1, 131))
+    def test_pairwise_sum_matches_numpy_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        x = signed_zeros_and_magnitudes(rng, (rows, 23))
+        want = np.ascontiguousarray(x.T).sum(axis=1)
+        assert _pairwise_sum(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("halfwidth", [1, 2, 4, 8, 40])
+    @pytest.mark.parametrize("n", [0, 1, 3, 360, 5000])
+    def test_eval_matches_point_major(self, halfwidth, n):
+        period = 1 / 20e3
+        # the tail at the truncation boundary is exp(-18) for every width
+        pulse = PulseShape(symbol_period=period,
+                           gaussian_std=halfwidth * period / 6.0,
+                           truncation_halfwidth=halfwidth)
+        symbols = generate_symbols(60, seed=halfwidth)
+        args = (symbols, pulse, 30e3, 0.7, -5 * period)
+        new, ref = TransmitSignal(*args), PointMajorSignal(*args)
+        start, end = -5 * period, 55 * period
+        reach = (halfwidth + 2) * period
+        rng = np.random.default_rng(n + halfwidth)
+        for t in (rng.uniform(start, end, n),
+                  rng.uniform(start - reach, end + reach, n),
+                  np.where(rng.random(n) < 0.5,
+                           rng.uniform(start - 1.0, start - reach, n),
+                           rng.uniform(end + reach, end + 1.0, n))):
+            got = new.eval_passband_with_derivative(t)
+            want = ref.eval_passband_with_derivative(t)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert new.eval_passband(t).tobytes() == \
+                ref.eval_passband(t).tobytes()
 
 
 class TestLeadIn:
