@@ -21,13 +21,13 @@ def crosscorr(received: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.correlate(received, template, mode="valid")
 
 
-def subsample_interp(y_minus: float, y_0: float, y_plus: float) -> float:
-    """Vertex offset of the parabola through three points around a maximum."""
+def subsample_interp(y_minus, y_0, y_plus):
+    """Vertex offset of the parabola through three points around a maximum,
+    elementwise; 0 where the three points lie on a line."""
     denom = 2.0 * (y_minus - 2.0 * y_0 + y_plus)
-    if denom == 0.0:
-        return 0.0
-    off = (y_minus - y_plus) / denom
-    return float(np.clip(off, -0.5, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.divide(y_minus - y_plus, denom)
+    return np.where(denom == 0.0, 0.0, np.clip(off, -0.5, 0.5))
 
 
 def _local_maxima(corr: np.ndarray) -> np.ndarray:
@@ -50,17 +50,16 @@ def track_step(prev_delays: np.ndarray, corr: np.ndarray,
     if corr.size == 0:
         raise ValueError("empty correlation")
     maxima = _local_maxima(corr)
+    # (paths, maxima) distances in samples; a tie goes to the first maximum
+    dist = np.abs(maxima - (prev_delays / sample_period)[:, None])
+    near = dist <= search_halfwidth
+    flags = ~near.any(axis=1)
+    found = ~flags
     out = prev_delays.copy()
-    flags = np.zeros(out.size, dtype=bool)
-    for p in range(out.size):
-        prev_lag = prev_delays[p] / sample_period
-        near = maxima[np.abs(maxima - prev_lag) <= search_halfwidth]
-        if near.size == 0:
-            flags[p] = True
-            continue
-        i = int(near[np.argmin(np.abs(near - prev_lag))])
+    if found.any():
+        i = maxima[np.argmin(np.where(near, dist, np.inf), axis=1)[found]]
         off = subsample_interp(corr[i - 1], corr[i], corr[i + 1])
-        out[p] = (i + off) * sample_period
+        out[found] = (i + off) * sample_period
     return out, flags
 
 

@@ -4,6 +4,17 @@ evaluable (with exact time-derivative) at arbitrary continuous times.
 The waveform is kept as an analytic function rather than a sampled grid so
 that warped evaluation times falling between samples carry no interpolation
 error into the tracker's gradients.
+
+The pulse sum is evaluated offset-major: for N times, each of its buffers has
+one row per pulse offset -W..W (W = truncation_halfwidth) and one column per
+time, and is reused in place. The symbols are padded with one zero at each
+end and indexed with clipping, so an index outside the sequence reads a zero
+and needs no mask. Only the offsets +-W can leave the pulse window (every
+nearer pulse is at most W - 1/2 symbol periods away), so only those two rows
+are tested against it. Both sums over the offsets follow numpy's pairwise
+order (`_pairwise_sum`), which keeps every value bit-identical to numpy's
+`.sum(axis=1)` over the point-major (N, 2W+1) layout. Times must be finite:
+a NaN or infinite time gives NaN, with a RuntimeWarning from the index cast.
 """
 
 from __future__ import annotations
@@ -138,14 +149,9 @@ class TransmitSignal:
     def _baseband_terms(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (b(t), db/dt) for a 1-D array of finite float times.
 
-        Offset-major: row j of every (2W+1, N) buffer holds the pulse of the
-        symbol j - W away from the nearest symbol instant of each time, W
-        being truncation_halfwidth. A symbol index outside the sequence reads
-        one of the zeros padding _padded, so only the window test remains,
-        and only the rows +-W can fail it: every nearer pulse has
-        |dt| <= (W - 1/2) symbol periods. Both sums follow numpy's own
-        order (see _pairwise_sum), so the values are bit-identical to the
-        point-major `.sum(axis=1)`. A non-finite time gives NaN.
+        Row j of every (2W+1, N) buffer holds the pulse of the symbol j - W
+        away from each time's nearest symbol instant; row 0 and row 2W are
+        the two the window test can zero (see the module docstring).
         """
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std
@@ -170,15 +176,15 @@ class TransmitSignal:
         return b, _pairwise_sum(terms)
 
     def eval_passband(self, t: np.ndarray) -> np.ndarray:
-        """Real passband values s(t) at a 1-D float array of times; zero
-        outside the pulse-truncated support."""
+        """Real passband values s(t) at a 1-D array of finite float times;
+        zero outside the pulse-truncated support."""
         b, _ = self._baseband_terms(t)
         omega = 2.0 * np.pi * self.carrier_freq
         return self.amplitude * np.real(b * np.exp(1j * omega * t))
 
     def eval_passband_with_derivative(self, t: np.ndarray):
-        """Return (s(t), ds/dt) at a 1-D float array of times, sharing one
-        pulse-evaluation pass; ds/dt is exact (product rule on pulses and
+        """Return (s(t), ds/dt) at a 1-D array of finite float times, sharing
+        one pulse-evaluation pass; ds/dt is exact (product rule on pulses and
         carrier)."""
         b, b_dot = self._baseband_terms(t)
         omega = 2.0 * np.pi * self.carrier_freq

@@ -146,22 +146,6 @@ def predict_and_gradient(sig: TransmitSignal, d_ref, tau, a: int, n: int,
     return float(gains @ s), gains * u * sd
 
 
-def perturbed_rows(sig: TransmitSignal, d_ref, tau, a: int, n: int, T: float,
-                   epsilon: float, gains) -> list[tuple[np.ndarray, float, float]]:
-    """The L+1 linearization models for one candidate at one sample.
-
-    Returns [(row, target_offset, prediction), ...]; the regression target
-    for received value r is r - prediction + target_offset.
-    """
-    d_ref = np.asarray(d_ref, dtype=float)[None, :]
-    tau = np.asarray(tau, dtype=float)[None, :]
-    lever = np.array([(n - a) * T])
-    gains = np.asarray(gains, dtype=float)
-    rows, offsets, preds = rows_batch(sig, d_ref, tau, lever, epsilon, gains)
-    return [(rows[0, m].copy(), float(offsets[0, m]), float(preds[0, m]))
-            for m in range(rows.shape[1])]
-
-
 def update_delays(d_prev, tau_prev, a_prev: int, b_prev: int, T: float) -> np.ndarray:
     """Propagate per-path delays over one segment: tau + d (b - a) T."""
     if b_prev <= a_prev:

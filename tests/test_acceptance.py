@@ -14,8 +14,8 @@ from dopptrack.channel import PATHS
 from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
                                     batch_sls, bellman_step, evict_if_full)
 from dopptrack.signal_model import make_qpsk_signal
-from dopptrack.tracker import DopplerTracker, TrackerConfig, perturbed_rows, \
-    predict_and_gradient
+from dopptrack.tracker import DopplerTracker, TrackerConfig, \
+    predict_and_gradient, rows_batch
 
 SAMPLE_INTERVAL = 5e-6
 
@@ -309,10 +309,11 @@ def test_criterion_7_perturbation_restores_rank():
     tau = np.array([1.5e-3, 1.5e-3])
     plain, full = [], []
     for n in range(400, 406):
-        entries = perturbed_rows(sig, d, tau, a=0, n=n, T=SAMPLE_INTERVAL,
-                                 epsilon=1e-6, gains=gains)
-        plain.append(entries[0][0])
-        full.extend(e[0] for e in entries)
+        # the L+1 models of the candidate started at sample 0
+        rows, _, _ = rows_batch(sig, d[None, :], tau[None, :],
+                                np.array([n * SAMPLE_INTERVAL]), 1e-6, gains)
+        plain.append(rows[0, 0])
+        full.extend(rows[0])
     s_plain = np.linalg.svd(np.array(plain), compute_uv=False)
     s_full = np.linalg.svd(np.array(full), compute_uv=False)
     report(7, s_plain[-1] < 1e-12 * s_plain[0] and s_full[-1] > 1e-12,

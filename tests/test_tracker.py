@@ -8,9 +8,8 @@ from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
 from dopptrack.signal_model import TransmitSignal, make_qpsk_signal
 from dopptrack.tracker import (DopplerSegment, DopplerTracker,
                                InvalidSampleError, TrackerConfig,
-                               perturbed_rows, predict_and_gradient,
-                               reconstruct_warp_array, rows_batch,
-                               update_delays)
+                               predict_and_gradient, reconstruct_warp_array,
+                               rows_batch, update_delays)
 
 FS = 200e3
 T = 1.0 / FS
@@ -110,6 +109,16 @@ class TestPredictAndGradient:
                 tol = 1e-4 * max(abs(grad[l]),
                                  scale_base * abs(gains[l]) * u)
                 assert abs(grad[l] - fd) <= tol
+
+
+def perturbed_rows(sig, d_ref, tau, a, n, T, epsilon, gains):
+    """The L+1 linearization models of one candidate at sample n, as
+    [(row, target_offset, prediction), ...]: rows_batch with H = 1."""
+    rows, offsets, preds = rows_batch(
+        sig, np.asarray(d_ref, dtype=float)[None, :],
+        np.asarray(tau, dtype=float)[None, :], np.array([(n - a) * T]),
+        epsilon, np.asarray(gains, dtype=float))
+    return list(zip(rows[0], offsets[0], preds[0]))
 
 
 class TestPerturbedRows:
