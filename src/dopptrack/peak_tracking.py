@@ -53,14 +53,13 @@ def track_step(prev_delays: np.ndarray, corr: np.ndarray,
     # (paths, maxima) distances in samples; a tie goes to the first maximum
     dist = np.abs(maxima - (prev_delays / sample_period)[:, None])
     near = dist <= search_halfwidth
-    flags = ~near.any(axis=1)
-    found = ~flags
+    found = near.any(axis=1)
     out = prev_delays.copy()
     if found.any():
         i = maxima[np.argmin(np.where(near, dist, np.inf), axis=1)[found]]
         off = subsample_interp(corr[i - 1], corr[i], corr[i + 1])
         out[found] = (i + off) * sample_period
-    return out, flags
+    return out, ~found
 
 
 class PeakTracker:

@@ -134,7 +134,9 @@ class TransmitSignal:
             raise ValueError("carrier_freq must be >= 0")
         if amplitude <= 0.0:
             raise ValueError("amplitude must be positive")
-        self.symbols = symbols
+        # symbol k sits at _padded[k + 1], between two zeros
+        self._padded = np.concatenate(([0j], symbols, [0j]))
+        self.symbols = self._padded[1:-1]
         self.pulse = pulse
         self.carrier_freq = float(carrier_freq)
         self.amplitude = float(amplitude)
@@ -142,9 +144,7 @@ class TransmitSignal:
         offsets = np.arange(-pulse.truncation_halfwidth,
                             pulse.truncation_halfwidth + 1)[:, None]
         self._offsets_f = offsets.astype(float)
-        # index into _padded: symbol k sits at k + 1
         self._offsets_i = offsets + 1
-        self._padded = np.concatenate(([0j], symbols, [0j]))
 
     def _baseband_terms(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (b(t), db/dt) for a 1-D array of finite float times.
@@ -164,9 +164,8 @@ class TransmitSignal:
         np.square(env, out=env)
         env *= -0.5
         np.exp(env, out=env)
-        edges = env[::2 * self.pulse.truncation_halfwidth]
-        edges[np.abs(dt[::2 * self.pulse.truncation_halfwidth])
-              > self.pulse.window] = 0.0
+        outer = slice(None, None, 2 * self.pulse.truncation_halfwidth)
+        env[outer][np.abs(dt[outer]) > self.pulse.window] = 0.0
         terms = self._padded.take(self._offsets_i + k_center.astype(np.int64),
                                   mode="clip")
         terms *= env
