@@ -319,14 +319,21 @@ class ErrorTrace:
     abs_err: np.ndarray   # shape (num_paths, N)
 
     def block_mean(self, window: int) -> tuple[np.ndarray, np.ndarray]:
-        """Average the trace over consecutive index blocks of size window."""
+        """Average the trace over consecutive index blocks of size window.
+
+        n must be sorted ascending, as `track_stream` and `_paired` give it,
+        so each block is one contiguous slice. The slice is averaged as an
+        F-ordered copy, so numpy sums each row in sequence, as it does over
+        a boolean-mask selection, not pairwise.
+        """
         block = self.n // window
-        starts = np.unique(block)
-        means = np.empty((self.abs_err.shape[0], starts.size))
-        for j, b in enumerate(starts):
-            sel = block == b
-            means[:, j] = self.abs_err[:, sel].mean(axis=1)
-        return starts * window, means
+        first = np.flatnonzero(np.diff(block, prepend=block[:1] - 1))
+        ends = np.append(first[1:], block.size)
+        means = np.empty((self.abs_err.shape[0], first.size))
+        for j, (lo, hi) in enumerate(zip(first, ends)):
+            block_err = np.asfortranarray(self.abs_err[:, lo:hi])
+            means[:, j] = block_err.mean(axis=1)
+        return block[first] * window, means
 
 
 def simulate_stream(cfg: RunConfig):

@@ -247,6 +247,24 @@ class TestCompare:
         np.testing.assert_array_equal(starts, [0, 5])
         assert means[0, 0] == pytest.approx(np.mean(np.arange(5)))
 
+    @pytest.mark.parametrize("window", [1, 7, 1000])
+    def test_block_mean_matches_mask_reference(self, window):
+        rng = np.random.default_rng(window)
+        n = np.flatnonzero(rng.random(20_000) < 0.6)
+        n = n[(n < 3_000) | (n > 9_500)]
+        err = rng.exponential(1e-6, (3, 20_000)) ** 3
+        block = n // window
+        starts = np.unique(block)
+        # an F-ordered trace as `_paired` cuts it, and a C-ordered one
+        for abs_err in (err[:, n], np.ascontiguousarray(err[:, n])):
+            t = harness.ErrorTrace(n=n, abs_err=abs_err)
+            want = np.empty((3, starts.size))
+            for j, b in enumerate(starts):
+                want[:, j] = abs_err[:, block == b].mean(axis=1)
+            got_starts, got = t.block_mean(window)
+            np.testing.assert_array_equal(got_starts, starts * window)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCli:
     def test_bad_config_exit_code(self, tmp_path):

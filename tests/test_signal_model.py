@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dopptrack.signal_model import (PulseShape, TransmitSignal,
+from dopptrack.signal_model import (_BLOCK_TERMS, PulseShape, TransmitSignal,
                                     _pairwise_sum, generate_symbols,
                                     make_qpsk_signal)
 
@@ -159,6 +161,36 @@ def signed_zeros_and_magnitudes(rng, shape):
     return x
 
 
+# times per block = _BLOCK_TERMS // (2W + 1); the label gives (blocks, extra)
+AROUND_BLOCK = {"block-1": (1, -1), "block": (1, 0), "block+1": (1, 1),
+                "2block+1": (2, 1)}
+
+
+def assert_matches_point_major(halfwidth, n):
+    period = 1 / 20e3
+    # the tail at the truncation boundary is exp(-18) for every width
+    pulse = PulseShape(symbol_period=period,
+                       gaussian_std=halfwidth * period / 6.0,
+                       truncation_halfwidth=halfwidth)
+    symbols = generate_symbols(60, seed=halfwidth)
+    args = (symbols, pulse, 30e3, 0.7, -5 * period)
+    new, ref = TransmitSignal(*args), PointMajorSignal(*args)
+    start, end = -5 * period, 55 * period
+    reach = (halfwidth + 2) * period
+    rng = np.random.default_rng(n + halfwidth)
+    for t in (rng.uniform(start, end, n),
+              rng.uniform(start - reach, end + reach, n),
+              np.where(rng.random(n) < 0.5,
+                       rng.uniform(start - 1.0, start - reach, n),
+                       rng.uniform(end + reach, end + 1.0, n))):
+        got = new.eval_passband_with_derivative(t)
+        want = ref.eval_passband_with_derivative(t)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert new.eval_passband(t).tobytes() == \
+            ref.eval_passband(t).tobytes()
+
+
 class TestKernelBitExact:
     # the offset-major kernel must give the point-major kernel's bits
 
@@ -170,30 +202,47 @@ class TestKernelBitExact:
         assert _pairwise_sum(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("halfwidth", [1, 2, 4, 8, 40])
-    @pytest.mark.parametrize("n", [0, 1, 3, 360, 5000])
+    @pytest.mark.parametrize("n", [0, 1, 3, 360, 5000, *AROUND_BLOCK])
     def test_eval_matches_point_major(self, halfwidth, n):
-        period = 1 / 20e3
-        # the tail at the truncation boundary is exp(-18) for every width
-        pulse = PulseShape(symbol_period=period,
-                           gaussian_std=halfwidth * period / 6.0,
-                           truncation_halfwidth=halfwidth)
-        symbols = generate_symbols(60, seed=halfwidth)
-        args = (symbols, pulse, 30e3, 0.7, -5 * period)
-        new, ref = TransmitSignal(*args), PointMajorSignal(*args)
-        start, end = -5 * period, 55 * period
-        reach = (halfwidth + 2) * period
-        rng = np.random.default_rng(n + halfwidth)
-        for t in (rng.uniform(start, end, n),
-                  rng.uniform(start - reach, end + reach, n),
-                  np.where(rng.random(n) < 0.5,
-                           rng.uniform(start - 1.0, start - reach, n),
-                           rng.uniform(end + reach, end + 1.0, n))):
-            got = new.eval_passband_with_derivative(t)
-            want = ref.eval_passband_with_derivative(t)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            assert new.eval_passband(t).tobytes() == \
-                ref.eval_passband(t).tobytes()
+        if n in AROUND_BLOCK:
+            blocks, extra = AROUND_BLOCK[n]
+            n = blocks * (_BLOCK_TERMS // (2 * halfwidth + 1)) + extra
+        assert_matches_point_major(halfwidth, n)
+
+    def test_large_batch_matches_point_major(self):
+        assert_matches_point_major(4, 100_000)
+
+
+class TestBlocks:
+    # W = 4: 1 820 times per block
+    def signal(self):
+        return make_qpsk_signal(600, seed=5, symbol_rate=20e3,
+                                carrier_freq=30e3)
+
+    def test_tracker_sized_call_runs_one_block(self, monkeypatch):
+        sig = self.signal()
+        sizes = []
+        block = sig._baseband_block
+        monkeypatch.setattr(sig, "_baseband_block",
+                            lambda t: sizes.append(t.size) or block(t))
+        sig.eval_passband_with_derivative(np.linspace(0.0, 0.03, 1440))
+        assert sizes == [1440]
+        sizes.clear()
+        sig.eval_passband(np.linspace(0.0, 0.03, 2 * 1820 + 1))
+        assert sizes == [1214, 1214, 1213]
+
+    def test_large_batch_memory_per_point(self):
+        # one unblocked call traces 432 bytes per point at 10^5 points
+        sig = self.signal()
+        t = np.linspace(0.0, 0.03, 100_000)
+        sig.eval_passband_with_derivative(t[:10])
+        tracemalloc.start()
+        try:
+            sig.eval_passband_with_derivative(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * t.size
 
 
 class TestLeadIn:

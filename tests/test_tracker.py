@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dopptrack
 from dopptrack import harness, rls
 from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
 from dopptrack.signal_model import TransmitSignal, make_qpsk_signal
@@ -48,6 +52,16 @@ EVICTION_HEAVY_SEGMENTS = {
                         0.9998565987363325)),
     ],
 }
+
+# run in a child process whose OpenBLAS was loaded as the Nehalem core
+NEHALEM_CHILD = """
+from blas_core import openblas_core
+from test_tracker import TestTrackerRuns
+core = openblas_core()
+print(core)
+if core == "Nehalem":
+    TestTrackerRuns().test_kept_anchor_row_follows_open_segment()
+"""
 
 
 class TestUpdateDelays:
@@ -417,6 +431,24 @@ class TestTrackerRuns:
             for seg, (_, doppler) in zip(trk.segments, pinned):
                 np.testing.assert_allclose(seg.doppler, doppler, rtol=1e-12,
                                            atol=0.0, err_msg=str(memory))
+
+    def test_kept_anchor_pins_hold_on_nehalem_core(self):
+        # the same pins on OpenBLAS's SSE core without FMA: fails when a
+        # boundary or Doppler hangs on the last bits of one core's kernels
+        paths = [os.path.dirname(os.path.dirname(dopptrack.__file__)),
+                 os.path.dirname(os.path.abspath(__file__))]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+                   PYTHONPATH=os.pathsep.join(paths))
+        child = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             NEHALEM_CHILD], env=env, capture_output=True, text=True,
+            timeout=600)
+        assert child.returncode == 0, child.stderr
+        core = child.stdout.strip()
+        if core == "None":
+            pytest.skip("the OpenBLAS core cannot be read")
+        if core != "Nehalem":
+            pytest.skip("OPENBLAS_CORETYPE=Nehalem left the core at " + core)
 
     def test_delay_chain_continuity(self):
         sig = build_signal(n_symbols=1200)
