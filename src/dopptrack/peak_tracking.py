@@ -4,10 +4,14 @@ Each iteration cross-correlates the received signal against a short segment
 of the known transmitted signal, follows for every path the correlation
 local maximum nearest the previously accepted delay, and refines the peak
 location to subsample precision with a parabola through the maximum and its
-two neighbors.
+two neighbors. Only the lags each path's search reads are correlated, one
+short window of lags per path: each lag is the same dot product that a
+correlation over all lags computes, so the answers keep every bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,45 +25,77 @@ def crosscorr(received: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.correlate(received, template, mode="valid")
 
 
-def subsample_interp(y_minus, y_0, y_plus):
-    """Vertex offset of the parabola through three points around a maximum,
-    elementwise; 0 where the three points lie on a line."""
+def subsample_interp(y_minus: float, y_0: float, y_plus: float) -> float:
+    """Vertex offset of the parabola through three points around a maximum;
+    0 where the three points lie on a line."""
     denom = 2.0 * (y_minus - 2.0 * y_0 + y_plus)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.divide(y_minus - y_plus, denom)
-    return np.where(denom == 0.0, 0.0, np.clip(off, -0.5, 0.5))
+    if denom == 0.0:
+        return 0.0
+    return min(max((y_minus - y_plus) / denom, -0.5), 0.5)
 
 
-def _local_maxima(corr: np.ndarray) -> np.ndarray:
-    """Indices of discrete local maxima (plateaus do not count)."""
-    c0 = corr[1:-1]
-    ge = (c0 >= corr[:-2]) & (c0 >= corr[2:])
-    gt = (c0 > corr[:-2]) | (c0 > corr[2:])
-    return np.flatnonzero(ge & gt) + 1
-
-
-def track_step(prev_delays: np.ndarray, corr: np.ndarray,
-               sample_period: float,
+def track_step(prev_delays: np.ndarray, window: np.ndarray,
+               template: np.ndarray, sample_period: float,
                search_halfwidth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the per-path delay track over one correlation output.
+    """Advance the per-path delay track over one received window.
 
-    corr is indexed by lag in samples (lag * sample_period = delay). Returns
-    (delays, flags): paths with no local maximum within search_halfwidth
-    samples of their previous delay keep it and get their flag raised.
+    Lag i of the window is the inner product of template with
+    window[i:i + template.size], at delay i * sample_period; the lags run
+    from 0 to max_lag = window.size - template.size. Each path moves to the
+    local maximum over lags nearest its previous delay p (in samples),
+    within search_halfwidth samples (a tie goes to the lower lag), refined
+    by a parabola through the maximum and its two neighbors. Returns
+    (delays, flags): paths with no such maximum keep their delay and get
+    their flag raised.
+
+    Only the lags the search reads are correlated: per path, lags
+    ceil(p) - hw - 2 .. floor(p) + hw + 2 (hw = search_halfwidth) clipped to
+    0 .. max_lag, that is the candidates, their neighbors and one lag of
+    margin for a distance that rounds onto hw. A path whose lags number
+    fewer than 3 keeps its delay and is flagged. np.correlate computes each
+    lag as one dot product of the template with the same received samples
+    whether it is asked for all lags or a few, and the search does the same
+    operations in the same order, so delays and flags are bit-identical to
+    a search of the full correlation on any BLAS core.
     """
-    if corr.size == 0:
-        raise ValueError("empty correlation")
-    maxima = _local_maxima(corr)
-    # (paths, maxima) distances in samples; a tie goes to the first maximum
-    dist = np.abs(maxima - (prev_delays / sample_period)[:, None])
-    near = dist <= search_halfwidth
-    found = near.any(axis=1)
+    K = template.size
+    max_lag = window.size - K
+    if max_lag < 0:
+        raise ValueError("window shorter than template")
     out = prev_delays.copy()
-    if found.any():
-        i = maxima[np.argmin(np.where(near, dist, np.inf), axis=1)[found]]
-        off = subsample_interp(corr[i - 1], corr[i], corr[i + 1])
-        out[found] = (i + off) * sample_period
-    return out, ~found
+    flags = np.ones(prev_delays.size, dtype=bool)
+    for k, prev in enumerate(prev_delays.tolist()):
+        p = prev / sample_period
+        if not math.isfinite(p):   # only a NaN delay from a non-finite peak
+            continue
+        lo = max(0, math.ceil(p) - search_halfwidth - 2)
+        hi = min(max_lag, math.floor(p) + search_halfwidth + 2)
+        if hi - lo < 2:
+            continue
+        c = crosscorr(window[lo:hi + K], template).tolist()
+        # visit lags in order of distance from p, the lower lag first on a
+        # tie, so the first local maximum met is the one to follow
+        left = min(math.floor(p), hi - 1)
+        right = max(math.floor(p) + 1, lo + 1)
+        while True:
+            d_left = abs(left - p) if left > lo else math.inf
+            d_right = abs(right - p) if right < hi else math.inf
+            if d_left <= d_right:
+                i, dist = left, d_left
+                left -= 1
+            else:
+                i, dist = right, d_right
+                right += 1
+            if dist > search_halfwidth:
+                break
+            y_minus, y_0, y_plus = c[i - lo - 1], c[i - lo], c[i - lo + 1]
+            if y_0 >= y_minus and y_0 >= y_plus \
+                    and (y_0 > y_minus or y_0 > y_plus):
+                off = subsample_interp(y_minus, y_0, y_plus)
+                out[k] = (i + off) * sample_period
+                flags[k] = False
+                break
+    return out, flags
 
 
 class PeakTracker:
@@ -69,7 +105,8 @@ class PeakTracker:
     transmitted signal ending at sample n, correlated against the received
     samples from n - template up to n + max_lag, so path delays appear
     directly as correlation lags. max_lag covers twice the longest initial
-    delay plus four search half-widths.
+    delay plus four search half-widths; `track_step` correlates only the
+    2 * search_halfwidth + 5 or fewer lags around each path's delay.
     """
 
     def __init__(self, sig: TransmitSignal, initial_delays, sample_rate: float,
@@ -80,8 +117,9 @@ class PeakTracker:
         self._initial_delays = np.asarray(initial_delays, dtype=float).copy()
         if template_len <= 0.0:
             raise ValueError("template_len must be positive")
-        if np.any(self._initial_delays < 0.0):
-            raise ValueError("delays must be non-negative")
+        if not np.all(np.isfinite(self._initial_delays)
+                      & (self._initial_delays >= 0.0)):
+            raise ValueError("delays must be finite and non-negative")
         if search_halfwidth < 1:
             raise ValueError("search_halfwidth must be >= 1")
         self._search_halfwidth = search_halfwidth
@@ -112,10 +150,8 @@ class PeakTracker:
         delays = np.empty((prev.size, n_grid.size))
         flags = np.zeros((prev.size, n_grid.size), dtype=bool)
         for j, n in enumerate(n_grid):
-            template = tx[n - K + 1:n + 1]
-            window = received[n - K + 1:n + 1 + self.max_lag]
-            corr = crosscorr(window, template)
-            prev, flags[:, j] = track_step(prev, corr, self.T,
-                                           self._search_halfwidth)
+            prev, flags[:, j] = track_step(
+                prev, received[n - K + 1:n + 1 + self.max_lag],
+                tx[n - K + 1:n + 1], self.T, self._search_halfwidth)
             delays[:, j] = prev
         return n_grid, delays, flags

@@ -4,6 +4,8 @@ PASS/FAIL line with the measured values (run with -s to see them live)."""
 import dataclasses
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +27,24 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def run_default_baseline():
+    """The peak-tracking baseline at hop 1 on the default scenario:
+    (error trace, summary)."""
+    cfg = harness.default_config()
+    sig, _, r, truth = harness.simulate_stream(cfg)
+    cfg = dataclasses.replace(
+        cfg, baseline=dataclasses.replace(cfg.baseline, hop=1))
+    _, _, _, btrace, bsummary = harness.baseline_stream(cfg, sig, r, truth)
+    return btrace, bsummary
+
+
 @pytest.fixture(scope="module")
-def scenario():
+def default_baseline():
+    return run_default_baseline()
+
+
+@pytest.fixture(scope="module")
+def scenario(default_baseline):
     """The full evaluation scenario: 0.5 s at 200 kHz, 3-ray tank geometry
     and motion, gains (1, -0.8, 0.5), 20 dB SNR, penalty 0.01, detection
     threshold 50, perturbation 1e-6, memory 10 + 20."""
@@ -34,11 +52,7 @@ def scenario():
     assert cfg.duration == 0.5
     sig, scene, r, truth = harness.simulate_stream(cfg)
     segments, trace, summary = harness.track_stream(cfg, sig, r, truth)
-    baseline_cfg = dataclasses.replace(
-        cfg, baseline=dataclasses.replace(cfg.baseline, hop=1))
-    _, _, _, btrace, bsummary = harness.baseline_stream(baseline_cfg, sig, r,
-                                                        truth)
-    return cfg, segments, trace, summary, btrace, bsummary
+    return cfg, segments, trace, summary, *default_baseline
 
 
 def test_criterion_1_tracker_within_one_sample_interval(scenario):
@@ -487,8 +501,8 @@ BASELINE_ERR_SUBSAMPLE = [
 ]
 
 
-def test_default_scenario_baseline_unchanged(scenario):
-    _, _, _, _, btrace, bsummary = scenario
+def test_default_scenario_baseline_unchanged(default_baseline):
+    btrace, bsummary = default_baseline
     assert bsummary["iterations"] == 98507
     assert bsummary["no_peak_flags"] == 0
     np.testing.assert_array_equal(btrace.n, np.arange(600, 99107))
@@ -496,6 +510,35 @@ def test_default_scenario_baseline_unchanged(scenario):
                                                       rel=1e-12, abs=0.0)
     np.testing.assert_allclose(btrace.abs_err[:, ::BASELINE_ERR_STRIDE],
                                BASELINE_ERR_SUBSAMPLE, rtol=1e-12, atol=0.0)
+
+
+# run in a child process whose OpenBLAS was loaded as the Nehalem core
+NEHALEM_CHILD = """
+from blas_core import openblas_core
+import test_acceptance as t
+core = openblas_core()
+print(core)
+if core == "Nehalem":
+    t.test_default_scenario_baseline_unchanged(t.run_default_baseline())
+"""
+
+
+def test_default_scenario_baseline_holds_on_nehalem_core():
+    # the same pins on OpenBLAS's SSE core without FMA: fails when the
+    # baseline's delays hang on the last bits of one core's dot products
+    paths = [os.path.dirname(os.path.dirname(harness.__file__)),
+             os.path.dirname(os.path.abspath(__file__))]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(paths))
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NEHALEM_CHILD],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    core = child.stdout.strip()
+    if core == "None":
+        pytest.skip("the OpenBLAS core cannot be read")
+    if core != "Nehalem":
+        pytest.skip("OPENBLAS_CORETYPE=Nehalem left the core at " + core)
 
 
 def test_criterion_10_demo_determinism(tmp_path):

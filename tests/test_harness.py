@@ -265,6 +265,30 @@ class TestCompare:
             np.testing.assert_array_equal(got_starts, starts * window)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("order", ["ascending", "gaps", "unsorted"])
+    def test_report_on_equal_samples_matches_intersection(self, tmp_path,
+                                                          order):
+        # one trace read back from its CSV, as `compare_dirs` reads it: its
+        # rows are strided views, and equal ascending samples skip the
+        # intersection; the report keeps every bit of the intersected one
+        rng = np.random.default_rng(4)
+        n = {"ascending": np.arange(20_001),
+             "gaps": np.flatnonzero(rng.random(30_000) < 0.7),
+             "unsorted": rng.permutation(20_001)}[order]
+        a = harness.ErrorTrace(n=n, abs_err=rng.exponential(1e-6,
+                                                            (3, n.size)))
+        path = str(tmp_path / "errors.csv")
+        harness.write_errors(path, a)
+        b = harness.read_errors(path)
+        np.testing.assert_array_equal(b.n, n)
+        assert not b.abs_err[0].flags.c_contiguous
+        common, ia, ib = np.intersect1d(a.n, b.n, return_indices=True)
+        cut = [harness.ErrorTrace(n=common, abs_err=t.abs_err[:, i])
+               for t, i in ((a, ia), (b, ib))]
+        got = harness.compare(a, b)
+        want = harness.compare(*cut)
+        assert json.dumps(got) == json.dumps(want)
+
 
 class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
