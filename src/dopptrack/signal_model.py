@@ -16,12 +16,22 @@ order (`_pairwise_sum`), which keeps every value bit-identical to numpy's
 `.sum(axis=1)` over the point-major (N, 2W+1) layout. Times must be finite:
 a NaN or infinite time gives NaN, with a RuntimeWarning from the index cast.
 
+A block's buffers are views of one work array, allocated per call, and
+both sums are taken in place in it, so a block makes one large allocation.
+glibc's malloc serves the first such array from mmap and, on freeing it,
+raises its heap-trim threshold to twice its size, so later work arrays are
+reused from the heap. Separate buffers (six of 90-203 KiB at 1 440 times)
+can instead lie freed at the top of the heap past that threshold, depending
+on what else the process has allocated; free() then trims the heap after
+every call, and the next call faults about 100 pages back in and costs
+about 1.4 times as much.
+
 A large batch of times is evaluated in blocks of at most _BLOCK_TERMS
-(offset, time) terms, about 1 820 times at W = 4, so each complex buffer
-stays within 256 KiB whatever N is: eval_passband_with_derivative on 10^5
-times at W = 4 traces 80 bytes per time, against 432 in one block.
-Blocking cannot change a bit, because every time's column is computed and
-summed on its own.
+(offset, time) terms, about 1 820 times at W = 4, so the work array stays
+within 768 KiB whatever N is: eval_passband_with_derivative on 10^5 times
+at W = 4 traces 80 bytes per time, against 480 in one block. Blocking
+cannot change a bit, because every time's column is computed and summed on
+its own.
 """
 
 from __future__ import annotations
@@ -49,8 +59,9 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     """Sum a complex (R, N) array over its rows in numpy's pairwise order.
 
     Bit-identical to `.sum(axis=1)` of the C-contiguous (N, R) transpose.
-    numpy's reduction starts from +0.0, hence the + 0.0, which turns an
-    all-zero -0.0 into +0.0.
+    The sum is taken in place: it overwrites rows of x and returns a view
+    of x[0]. numpy's reduction starts from +0.0, hence the + 0.0, which
+    turns an all-zero -0.0 into +0.0.
     """
     total = _pairwise(x)
     total += 0.0
@@ -58,13 +69,13 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(x: np.ndarray) -> np.ndarray:
-    """numpy's complex pairwise reduction: fewer than 4 rows add in order;
-    up to 64 rows add in 4 lanes, combined as ((0 + 1) + (2 + 3)), before
-    the leftover rows; more rows split at half, rounded down to a multiple
-    of 4."""
+    """numpy's complex pairwise reduction, in place: fewer than 4 rows add
+    in order; up to 64 rows add in 4 lanes, combined as ((0 + 1) + (2 + 3)),
+    before the leftover rows; more rows split at half, rounded down to a
+    multiple of 4."""
     n = x.shape[0]
     if n < 4:
-        total = x[0].copy()
+        total = x[0]
         for row in x[1:]:
             total += row
         return total
@@ -73,7 +84,7 @@ def _pairwise(x: np.ndarray) -> np.ndarray:
         total = _pairwise(x[:half])
         total += _pairwise(x[half:])
         return total
-    lanes = x[:4].copy()
+    lanes = x[:4]
     blocked = n - n % 4
     for i in range(4, blocked, 4):
         lanes += x[i:i + 4]
@@ -162,10 +173,10 @@ class TransmitSignal:
         Times that fit in one block of _BLOCK_TERMS terms go to
         _baseband_block whole. At W = 4 that covers the tracker's call for
         a bank of up to 151 candidates on 3 paths (12 times each; 120 make
-        1 440). Such calls stay whole because, where the heap takes no page
-        faults, two blocks of 720 times cost about 15% more than one of
-        1 440. More times are split into the fewest blocks that fit, all of
-        one size but a shorter last, each filling its slice of the result.
+        1 440). Such calls stay whole because two blocks of 720 times cost
+        about 18% more than one of 1 440. More times are split into the
+        fewest blocks that fit, all of one size but a shorter last, each
+        filling its slice of the result.
         """
         cap = max(1, _BLOCK_TERMS // self._offsets_f.size)
         if t.size <= cap:
@@ -184,28 +195,34 @@ class TransmitSignal:
 
         Row j of every (2W+1, N) buffer holds the pulse of the symbol j - W
         away from each time's nearest symbol instant; row 0 and row 2W are
-        the two the window test can zero (see the module docstring).
+        the two the window test can zero (see the module docstring). The
+        buffers, and the two results, are views of one work array.
         """
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std
         t = t - self.start_time
         k_center = np.rint(t / ts)
-        dt = self._offsets_f + k_center
+        rows = self._offsets_f.size
+        work = np.empty((3, rows, t.size), dtype=complex)
+        dt, env = work[0].view(float).reshape(2, rows, t.size)
+        terms, terms_dot = work[1], work[2]
+        np.add(self._offsets_f, k_center, out=dt)
         dt *= ts
         np.subtract(t, dt, out=dt)
-        env = dt / sig
+        # the symbol indices hold env's memory until env is computed
+        index = env.view(np.int64)
+        np.add(self._offsets_i, k_center.astype(np.int64), out=index)
+        self._padded.take(index, mode="clip", out=terms)
+        np.divide(dt, sig, out=env)
         np.square(env, out=env)
         env *= -0.5
         np.exp(env, out=env)
         outer = slice(None, None, 2 * self.pulse.truncation_halfwidth)
         env[outer][np.abs(dt[outer]) > self.pulse.window] = 0.0
-        terms = self._padded.take(self._offsets_i + k_center.astype(np.int64),
-                                  mode="clip")
         terms *= env
-        b = _pairwise_sum(terms)
         dt /= -(sig * sig)
-        terms *= dt
-        return b, _pairwise_sum(terms)
+        np.multiply(terms, dt, out=terms_dot)
+        return _pairwise_sum(terms), _pairwise_sum(terms_dot)
 
     def eval_passband(self, t: np.ndarray) -> np.ndarray:
         """Real passband values s(t) at a 1-D array of finite float times;

@@ -232,7 +232,7 @@ class TestBlocks:
         assert sizes == [1214, 1214, 1213]
 
     def test_large_batch_memory_per_point(self):
-        # one unblocked call traces 432 bytes per point at 10^5 points
+        # one unblocked call traces 480 bytes per point at 10^5 points
         sig = self.signal()
         t = np.linspace(0.0, 0.03, 100_000)
         sig.eval_passband_with_derivative(t[:10])
