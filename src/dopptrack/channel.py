@@ -4,8 +4,9 @@ Direct, surface-reflected (image across the instantaneously displaced flat
 surface) and bottom-reflected arrivals of a known waveform, with a horizontally
 oscillating receiver and a sinusoidally heaving surface. synthesize produces
 received samples plus the ground-truth emission-time warp and its derivative
-for every path, for evaluating trackers; it is the one place that computes
-them.
+for every path, for evaluating trackers. path_warp is the one place that
+computes a path's warp and Doppler; synthesize and the harness's noise-level
+probe both call it.
 
 Delays use the quasi-static convention: geometry is frozen at reception time,
 alpha(n T) = n T - L(n T) / c. At the sub-m/s speeds simulated here the
@@ -135,6 +136,14 @@ def path_length(scene: ChannelScene, path: str, t: np.ndarray) -> np.ndarray:
     return length
 
 
+def path_warp(scene: ChannelScene, path: str, t: np.ndarray):
+    """Emission-time warp alpha = t - L/c in seconds and Doppler factor
+    d = 1 - (dL/dt)/c of one path at a 1-D array of reception times."""
+    length, rate = _length_and_rate(scene, path, t)
+    c = scene.geometry.sound_speed
+    return t - length / c, 1.0 - rate / c
+
+
 def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
                noise_seed: int) -> tuple[np.ndarray, GroundTruth]:
     """Received samples r[n] = sum_l h_l s(alpha_l(n)) + noise, plus truth."""
@@ -146,9 +155,7 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
     doppler = np.empty((len(PATHS), n_samples))
     r = np.zeros(n_samples)
     for i, path in enumerate(PATHS):
-        length, rate = _length_and_rate(scene, path, t)
-        alpha[i] = t - length / scene.geometry.sound_speed
-        doppler[i] = 1.0 - rate / scene.geometry.sound_speed
+        alpha[i], doppler[i] = path_warp(scene, path, t)
         if scene.gains[i] != 0.0:
             r += scene.gains[i] * sig.eval_passband(alpha[i])
     rng = np.random.default_rng(noise_seed)

@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import math
 import os
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from dopptrack import cli, harness
+from dopptrack.channel import PATHS, ChannelScene, GroundTruth, synthesize
 from dopptrack.harness import ConfigError
+from dopptrack.tracker import DopplerSegment
 
 
 def short_config(duration=0.02, **channel_kw):
@@ -103,6 +108,38 @@ class TestConfig:
         snr = 10 * np.log10(np.mean(clean ** 2) / std ** 2)
         assert snr == pytest.approx(20.0, abs=0.01)
 
+    @staticmethod
+    def synthesized_noise_std(cfg, sig):
+        # the probe as a direct-path-only synthesize run, noise-free
+        probe = ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
+                             gains=(cfg.channel.gains[0], 0.0, 0.0),
+                             noise_std=0.0,
+                             sample_rate=cfg.channel.sample_rate)
+        clean, _ = synthesize(probe, sig, cfg.n_samples, noise_seed=0)
+        power = float(np.mean(clean * clean))
+        return math.sqrt(power / 10.0 ** (cfg.channel.snr_db / 10.0))
+
+    @pytest.mark.parametrize("duration, gain, snr_db", [
+        (0.5, 1.0, 20.0),       # the default run
+        (0.02, -0.7, 20.0),
+        (0.02, 1.0, 7.5),
+        (0.0123, 0.3, 31.0),
+    ])
+    def test_noise_probe_matches_synthesized_probe(self, duration, gain,
+                                                   snr_db):
+        cfg = harness.default_config()
+        gains = (gain,) + cfg.channel.gains[1:]
+        cfg = dataclasses.replace(cfg, duration=duration, channel=(
+            dataclasses.replace(cfg.channel, gains=gains, snr_db=snr_db)))
+        sig = harness.build_signal(cfg)
+        std = harness.resolve_noise_std(cfg, sig)
+        assert std.hex() == self.synthesized_noise_std(cfg, sig).hex()
+
+    def test_silent_direct_path_is_config_error(self):
+        cfg = short_config(gains=(0.0, -0.8, 0.5))
+        with pytest.raises(ConfigError, match="no signal power"):
+            harness.resolve_noise_std(cfg, harness.build_signal(cfg))
+
 
 class TestSimulationArtifacts:
     def test_row_counts_and_headers(self, tmp_path):
@@ -158,6 +195,164 @@ class TestSimulationArtifacts:
                         + "".join("%d,%s,0.0,1.0\n" % row for row in rows))
         with pytest.raises(harness.BadInputError, match=match):
             read(str(path))
+
+
+# The writer that formatted and wrote one line at a time, kept as the
+# reference for the block writer's bytes.
+def per_line_csv(path, header, lines):
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(lines)
+
+
+def per_line_path_major(fmt, n, *columns):
+    for name, *values in zip(PATHS, *columns):
+        yield from (fmt % row for row in
+                    zip(n, repeat(name), *(map(float, v) for v in values)))
+
+
+class TestCsvWriterBytes:
+    """Every writer against the one-formatted-line-at-a-time writer it
+    replaced, at lengths around the block size and on the floats where
+    repr changes notation."""
+
+    BLOCK = harness._BLOCK_ROWS
+    LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               2.5e-310, -1.1e-320, 1e16, 9999999999999998.0, 1e-5,
+               9.999999999999999e-06, 1e-4, 3.0, -7.0, 1e15, 1e22, 123456.0,
+               2.0 ** 53]
+
+    def floats(self, rng, shape):
+        values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(
+            -12, 18, shape)
+        flat = values.reshape(-1)
+        k = min(flat.size, len(self.SPECIAL))
+        flat[rng.choice(flat.size, k, replace=False)] = self.SPECIAL[:k]
+        return values
+
+    def samples(self, kind, size, rng):
+        if kind == "range":
+            return range(3, 3 + size)
+        return np.sort(rng.choice(10 * size + 1, size, replace=False))
+
+    def assert_same(self, tmp_path, write, header, lines):
+        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        write(got)
+        per_line_csv(want, header, lines)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("size", LENGTHS)
+    def test_received(self, tmp_path, size):
+        r = self.floats(np.random.default_rng(size), size)
+        self.assert_same(tmp_path, lambda p: harness.write_received(p, r),
+                         "n,r", ("%d,%r\n" % row
+                                 for row in enumerate(map(float, r))))
+
+    @pytest.mark.parametrize("size", LENGTHS)
+    def test_truth(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        truth = GroundTruth(alpha=self.floats(rng, (3, size)),
+                            doppler=self.floats(rng, (3, size)))
+        self.assert_same(tmp_path, lambda p: harness.write_truth(p, truth),
+                         "n,path,alpha_s,doppler",
+                         per_line_path_major("%d,%s,%r,%r\n", range(size),
+                                             truth.alpha, truth.doppler))
+
+    @pytest.mark.parametrize("kind", ["int64", "range"])
+    @pytest.mark.parametrize("size", LENGTHS)
+    def test_errors(self, tmp_path, size, kind):
+        rng = np.random.default_rng(size)
+        trace = harness.ErrorTrace(n=self.samples(kind, size, rng),
+                                   abs_err=self.floats(rng, (3, size)))
+        self.assert_same(tmp_path, lambda p: harness.write_errors(p, trace),
+                         "n,path,abs_err_s",
+                         per_line_path_major("%d,%s,%r\n", trace.n,
+                                             trace.abs_err))
+
+    @pytest.mark.parametrize("kind", ["int64", "range"])
+    @pytest.mark.parametrize("size", LENGTHS)
+    def test_delays(self, tmp_path, size, kind):
+        rng = np.random.default_rng(size)
+        n_grid = self.samples(kind, size, rng)
+        delays = self.floats(rng, (3, size))
+        flags = rng.random((3, size)) < 0.3
+        self.assert_same(tmp_path,
+                         lambda p: harness.write_delays(p, n_grid, delays,
+                                                        flags),
+                         "n,path,delay_seconds,flag",
+                         per_line_path_major("%d,%s,%r,%d\n", n_grid,
+                                             delays, flags))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_segments(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        lse = [0.25, math.inf, 1e16, 3.0, 1e-5][:count]
+        segments = [DopplerSegment(a=10 * k, b=10 * k + 9,
+                                   doppler=1.0 + rng.normal(0.0, 1e-4, 3),
+                                   tau=self.floats(rng, 3), lse=lse[k])
+                    for k in range(count)]
+        self.assert_same(tmp_path,
+                         lambda p: harness.write_segments(p, segments),
+                         "segment,path,a,b,d,tau_s,lse",
+                         ("%d,%s,%d,%d,%r,%r,%r\n"
+                          % (k, name, seg.a, seg.b, d, tau, float(seg.lse))
+                          for k, seg in enumerate(segments)
+                          for name, d, tau in zip(PATHS,
+                                                  map(float, seg.doppler),
+                                                  map(float, seg.tau))))
+
+    def test_dump_signal(self, tmp_path):
+        cfg = short_config(duration=0.0123)   # 2 460 samples
+        t = np.arange(cfg.n_samples) * (1.0 / cfg.channel.sample_rate)
+        values = harness.build_signal(cfg).eval_passband(t)
+        self.assert_same(tmp_path, lambda p: harness.dump_signal(cfg, p),
+                         "n,t_seconds,value",
+                         ("%d,%r,%r\n" % row for row in
+                          zip(range(t.size), map(float, t),
+                              map(float, values))))
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_compare_plot(self, tmp_path, window):
+        # finite errors: the report subtracts the two traces' maxima
+        rng = np.random.default_rng(window)
+        size = 2 * self.BLOCK + 1
+        for name in ("a", "b"):
+            abs_err = np.abs(self.floats(rng, (3, size)))
+            abs_err[~np.isfinite(abs_err)] = 1e-5
+            os.makedirs(tmp_path / name)
+            harness.write_errors(str(tmp_path / name / "errors.csv"),
+                                 harness.ErrorTrace(n=np.arange(size),
+                                                    abs_err=abs_err))
+        report = str(tmp_path / "report.json")
+        harness.compare_dirs(str(tmp_path / "a"), str(tmp_path / "b"),
+                             report, window=window)
+        err = [harness.read_errors(str(tmp_path / name / "errors.csv"))
+               for name in ("a", "b")]
+        want = str(tmp_path / "want.csv")
+        per_line_csv(want, "block_start_n,path,method,mean_abs_err_s",
+                     (line for label, sub in zip("ab", harness._paired(*err))
+                      for line in per_line_path_major(
+                          "%d,%s," + label + ",%r\n",
+                          *sub.block_mean(window))))
+        with open(report + ".plot.csv", "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_memory_stays_below_whole_column_lists(self, tmp_path):
+        # one column of 10^5 floats as a list traces ~3.2 MB
+        rng = np.random.default_rng(0)
+        truth = GroundTruth(alpha=rng.random((3, 100_000)),
+                            doppler=rng.random((3, 100_000)))
+        path = str(tmp_path / "truth.csv")
+        harness.write_truth(path, truth)
+        tracemalloc.start()
+        try:
+            harness.write_truth(path, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestTrackerPipeline:
