@@ -16,6 +16,7 @@ far below a sample interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,14 @@ class Geometry:
     sound_speed: float = 1500.0
 
     def __post_init__(self):
-        if not (0.0 < self.tx_depth < self.bottom_depth):
-            raise ValueError("need 0 < tx_depth < bottom_depth")
+        if not 0.0 < self.tx_depth < self.bottom_depth < math.inf:
+            raise ValueError("need 0 < tx_depth < bottom_depth < inf")
         if not (0.0 < self.rx_depth < self.bottom_depth):
             raise ValueError("need 0 < rx_depth < bottom_depth")
-        if self.horizontal_range <= 0.0:
-            raise ValueError("horizontal_range must be positive")
-        if self.sound_speed <= 0.0:
-            raise ValueError("sound_speed must be positive")
+        if not 0.0 < self.horizontal_range < math.inf:
+            raise ValueError("horizontal_range must be positive and finite")
+        if not 0.0 < self.sound_speed < math.inf:
+            raise ValueError("sound_speed must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class MotionSpec:
     surface_phase: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("motion settings must be finite")
         if self.rx_osc_amp < 0.0 or self.surface_amp < 0.0:
             raise ValueError("motion amplitudes must be >= 0")
 
@@ -78,10 +81,10 @@ class ChannelScene:
     def __post_init__(self):
         if len(self.gains) != len(PATHS):
             raise ValueError("need exactly %d path gains" % len(PATHS))
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         g = self.geometry
         if self.motion.surface_amp >= min(g.tx_depth, g.rx_depth):
             raise ValueError("surface heave may not cross the terminals")

@@ -15,13 +15,13 @@ before it writes, so a step that rejects its configuration or input leaves
 no output behind, and a demo run too short for the baseline leaves only its
 sim/ directory.
 
-Exit codes: 0 success, 1 configuration error (a value that does not parse
-or is not finite, any value the simulator or a tracker rejects, a run no
-longer than the tracker warm-up, a baseline run too short for the template
-and lag range, or a compare window below 1 or threshold that is negative or
-not finite), 2 I/O error (a file that cannot be opened, read or written), 3
-the tracker reported numerical divergence, 4 bad input
-(an input CSV whose content does not parse or is laid out wrongly, a
+Exit codes: 0 success, 1 configuration error (a config file that is not
+UTF-8, a value that does not parse or is not finite, any value the simulator
+or a tracker rejects, a run no longer than the tracker warm-up, a baseline
+run too short for the template and lag range, or a compare window below 1 or
+threshold that is negative or not finite), 2 I/O error (a file that cannot
+be opened, read or written), 3 the tracker reported numerical divergence, 4
+bad input (an input CSV whose content does not parse or is laid out wrongly, a
 received.csv or truth.csv that does not hold the configured run's number of
 samples, error traces that cannot be compared, or a received sample the
 tracker cannot consume), 5 internal fault: any other exception is a fault of

@@ -106,6 +106,11 @@ class RunConfig:
     def n_samples(self) -> int:
         return int(round(self.duration * self.channel.sample_rate))
 
+    @property
+    def warmup_samples(self) -> int:
+        """Leading samples the tracker's error summary skips."""
+        return 2 * self.tracker.detect_threshold
+
     def validate(self) -> None:
         """Check the rules that span fields or that the harness applies, then
         build each configured object once so that every value a library
@@ -113,11 +118,12 @@ class RunConfig:
         if not 0.0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite, got %r"
                               % self.duration)
-        warmup = 2 * self.tracker.detect_threshold
-        if self.n_samples <= warmup:
+        if not math.isfinite(self.channel.snr_db):
+            raise ConfigError("snr_db must be finite")
+        if self.n_samples <= self.warmup_samples:
             raise ConfigError("run of %d samples must be longer than the "
                               "tracker warm-up of %d"
-                              % (self.n_samples, warmup))
+                              % (self.n_samples, self.warmup_samples))
         nyq = 2.0 * (self.signal.carrier_freq + self.signal.symbol_rate)
         if self.channel.sample_rate <= nyq:
             raise ConfigError("sample_rate must exceed twice the carrier "
@@ -131,7 +137,7 @@ class RunConfig:
         try:
             sig = build_signal(self)
             _scene(self, self.channel.gains, self.channel.noise_std or 0.0)
-            DopplerTracker(sig, _tracker_config(self, zeros))
+            DopplerTracker(sig, tracker_config(self, zeros))
             PeakTracker(sig, zeros, self.channel.sample_rate,
                         template_len=b.template_len,
                         search_halfwidth=b.search_halfwidth, hop=b.hop)
@@ -209,13 +215,13 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse an INI config file on top of the defaults."""
+    """Parse a UTF-8 INI config file on top of the defaults."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
     base = default_config()
     changes = {}    # group -> {field: value}
@@ -290,7 +296,9 @@ def build_scene(cfg: RunConfig, sig: TransmitSignal) -> ChannelScene:
     return _scene(cfg, cfg.channel.gains, resolve_noise_std(cfg, sig))
 
 
-def _tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
+def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
+    """The run's tracker settings, with initial_tau the per-path emission
+    time of sample 0."""
     t = cfg.tracker
     return TrackerConfig(penalty=t.penalty,
                          detect_threshold=t.detect_threshold,
@@ -354,7 +362,7 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     Returns (segments, error trace, summary dict). Initial per-path delays
     and gains are taken as known: the warp of sample 0 comes from the truth.
     """
-    tcfg = _tracker_config(cfg, truth.alpha[:, 0])
+    tcfg = tracker_config(cfg, truth.alpha[:, 0])
     tracker = DopplerTracker(sig, tcfg)
     for value in r:
         tracker.process_sample(float(value))
@@ -364,7 +372,7 @@ def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
                                       n_samples, tcfg.sample_period)
     trace = ErrorTrace(n=np.arange(n_samples),
                        abs_err=np.abs(warp_hat - truth.alpha))
-    warmup = 2 * cfg.tracker.detect_threshold
+    warmup = cfg.warmup_samples
     final_lse = tracker.segments[-1].lse if tracker.segments else 0.0
     summary = {
         "tracker": "segmented_rls",
@@ -641,12 +649,14 @@ def compare_dirs(a_dir: str, b_dir: str, out_file: str,
                           % miss_threshold)
     err_a = read_errors(os.path.join(a_dir, "errors.csv"))
     err_b = read_errors(os.path.join(b_dir, "errors.csv"))
-    report = compare(err_a, err_b, miss_threshold)
+    # paired once: compare takes traces that share their samples as they are
+    paired = _paired(err_a, err_b)
+    report = compare(*paired, miss_threshold)
     write_summary(out_file, report)
     # block-averaged long-format trace for plotting
     _write_csv(out_file + ".plot.csv",
                "block_start_n,path,method,mean_abs_err_s",
-               [part for label, sub in zip("ab", _paired(err_a, err_b))
+               [part for label, sub in zip("ab", paired)
                 for part in _path_major(label + ",%r\n",
                                         *sub.block_mean(window))])
     return report

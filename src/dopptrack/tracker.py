@@ -134,25 +134,6 @@ def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,
     return rows, offsets, preds
 
 
-def predict_and_gradient(sig: TransmitSignal, d_ref, tau, a: int, n: int,
-                         T: float, gains) -> tuple[float, np.ndarray]:
-    """Predicted received value and its gradient in the Doppler vector."""
-    d_ref = np.asarray(d_ref, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    u = (n - a) * T
-    t = d_ref * u + tau
-    s, sd = sig.eval_passband_with_derivative(t)
-    return float(gains @ s), gains * u * sd
-
-
-def update_delays(d_prev, tau_prev, a_prev: int, b_prev: int, T: float) -> np.ndarray:
-    """Propagate per-path delays over one segment: tau + d (b - a) T."""
-    if b_prev <= a_prev:
-        raise ValueError("b_prev must exceed a_prev")
-    return tau_prev + d_prev * (b_prev - a_prev) * T
-
-
 def reconstruct_warp_array(segments: list[DopplerSegment], num_paths: int,
                            n_samples: int, T: float) -> np.ndarray:
     """Per-path reconstructed warp over 0..n_samples-1 (NaN where uncovered)."""
@@ -285,8 +266,9 @@ class DopplerTracker:
 
     def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
         seg = self._close(new_start - 1, n)
-        self._tau_cur = update_delays(seg.doppler, self._tau_cur, seg.a,
-                                      new_start, self.config.sample_period)
+        # chain the delays: the warp of sample new_start under the closed fit
+        self._tau_cur = self._tau_cur + seg.doppler * (new_start - seg.a) \
+            * self.config.sample_period
         self._seg.anchor = self._seg.best_row
         self._d_ref = seg.doppler.copy()
         return seg

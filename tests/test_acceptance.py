@@ -16,8 +16,7 @@ from dopptrack.channel import PATHS
 from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
                                     batch_sls, bellman_step, evict_if_full)
 from dopptrack.signal_model import make_qpsk_signal
-from dopptrack.tracker import DopplerTracker, TrackerConfig, \
-    predict_and_gradient, rows_batch
+from dopptrack.tracker import DopplerTracker, rows_batch
 
 SAMPLE_INTERVAL = 5e-6
 
@@ -57,7 +56,7 @@ def scenario(default_baseline):
 
 def test_criterion_1_tracker_within_one_sample_interval(scenario):
     cfg, segments, trace, summary, _, _ = scenario
-    warmup = 2 * cfg.tracker.detect_threshold
+    warmup = cfg.warmup_samples
     err = trace.abs_err[:, warmup:]
     exceed = int((err > SAMPLE_INTERVAL).sum())
     worst = float(err.max())
@@ -294,22 +293,28 @@ def test_criterion_6_jacobian_matches_finite_differences():
     rng = np.random.default_rng(31)
     scale_base = 2 * np.pi * sig.carrier_freq * sig.amplitude
     step = 1e-8
-    worst = 0.0
-    for _ in range(1000):
-        d = 1.0 + rng.uniform(-1e-3, 1e-3, size=3)
-        tau = rng.uniform(0.0, 0.02, size=3)
+    d, tau, lever = np.empty((1000, 3)), np.empty((1000, 3)), np.empty(1000)
+    for h in range(1000):
+        d[h] = 1.0 + rng.uniform(-1e-3, 1e-3, size=3)
+        tau[h] = rng.uniform(0.0, 0.02, size=3)
         a = int(rng.integers(0, 2000))
         n = a + int(rng.integers(1, 3000))
-        _, grad = predict_and_gradient(sig, d, tau, a, n, T, gains)
-        u = (n - a) * T
-        for l in range(3):
-            dp = d.copy(); dp[l] += step
-            dm = d.copy(); dm[l] -= step
-            fp, _ = predict_and_gradient(sig, dp, tau, a, n, T, gains)
-            fm, _ = predict_and_gradient(sig, dm, tau, a, n, T, gains)
-            fd = (fp - fm) / (2 * step)
-            tol = max(abs(grad[l]), scale_base * abs(gains[l]) * u)
-            worst = max(worst, abs(grad[l] - fd) / tol)
+        lever[h] = (n - a) * T
+
+    def unperturbed(d_ref):
+        # model m = 0 of the rows the tracker absorbs: (gradient, prediction)
+        rows, _, preds = rows_batch(sig, d_ref, tau, lever, 1e-6, gains)
+        return rows[:, 0], preds[:, 0]
+
+    grad, _ = unperturbed(d)
+    worst = 0.0
+    for l in range(3):
+        dp = d.copy(); dp[:, l] += step
+        dm = d.copy(); dm[:, l] -= step
+        fd = (unperturbed(dp)[1] - unperturbed(dm)[1]) / (2 * step)
+        tol = np.maximum(np.abs(grad[:, l]),
+                         scale_base * abs(gains[l]) * lever)
+        worst = max(worst, float(np.max(np.abs(grad[:, l] - fd) / tol)))
     report(6, worst < 1e-4,
            "1000 random configurations: worst mixed-relative gradient "
            "deviation %.2e (tolerance 1e-4)" % worst)
@@ -342,16 +347,8 @@ def test_criterion_8_identity_fixed_point():
         cfg, duration=0.05, motion=harness.MotionSpec(),
         channel=dataclasses.replace(cfg.channel, noise_std=0.0))
     sig, scene, r, truth = harness.simulate_stream(cfg)
-    t = cfg.tracker
-    tcfg = TrackerConfig(penalty=t.penalty,
-                         detect_threshold=t.detect_threshold,
-                         keep_best=t.keep_best, keep_recent=t.keep_recent,
-                         perturbation=t.perturbation,
-                         gains=tuple(cfg.channel.gains),
-                         initial_tau=tuple(truth.alpha[:, 0]),
-                         sample_period=1.0 / cfg.channel.sample_rate,
-                         ridge=t.ridge)
-    tracker = DopplerTracker(sig, tcfg)
+    tracker = DopplerTracker(sig, harness.tracker_config(cfg,
+                                                         truth.alpha[:, 0]))
     closures = 0
     worst_correction = 0.0
     for i, v in enumerate(r):

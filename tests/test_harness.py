@@ -140,6 +140,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no signal power"):
             harness.resolve_noise_std(cfg, harness.build_signal(cfg))
 
+    # a NaN noise level once simulated a noiseless stream, and NaN or inf
+    # geometry or motion poisoned the warp. The RunConfig checks its channel
+    # group; the geometry and motion groups check themselves on
+    # construction, and load_config turns their ValueError into ConfigError.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("group, field", [
+        ("channel", "noise_std"), ("channel", "snr_db"),
+        ("geometry", "bottom_depth"), ("geometry", "horizontal_range"),
+        ("geometry", "sound_speed"),
+        ("motion", "rx_osc_amp"), ("motion", "surface_amp"),
+        ("motion", "rx_osc_freq"), ("motion", "surface_phase"),
+    ])
+    def test_non_finite_scene_setting_rejected(self, group, field, value):
+        cfg = harness.default_config()
+        expected = ConfigError if group == "channel" else ValueError
+        with pytest.raises(expected):
+            dataclasses.replace(cfg, **{group: dataclasses.replace(
+                getattr(cfg, group), **{field: value})})
+
 
 class TestSimulationArtifacts:
     def test_row_counts_and_headers(self, tmp_path):
@@ -492,6 +511,16 @@ class TestCli:
         code = cli.main(["simulate", "--config", str(bad),
                          "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[tracker]\npenalty = 0.01\xff\n")
+        code = cli.main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_exit_code(self, tmp_path):
         code = cli.main(["track", "--in", str(tmp_path / "nope"),

@@ -12,8 +12,7 @@ from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
 from dopptrack.signal_model import TransmitSignal, make_qpsk_signal
 from dopptrack.tracker import (DopplerSegment, DopplerTracker,
                                InvalidSampleError, TrackerConfig,
-                               predict_and_gradient, reconstruct_warp_array,
-                               rows_batch, update_delays)
+                               reconstruct_warp_array, rows_batch)
 
 FS = 200e3
 T = 1.0 / FS
@@ -62,67 +61,6 @@ print(core)
 if core == "Nehalem":
     TestTrackerRuns().test_kept_anchor_row_follows_open_segment()
 """
-
-
-class TestUpdateDelays:
-    def test_unit_doppler(self):
-        out = update_delays(np.array([1.0]), np.array([1e-3]), 0, 1000, 5e-6)
-        assert out[0] == pytest.approx(6.0e-3, abs=1e-15)
-
-    def test_off_unit_doppler(self):
-        out = update_delays(np.array([1.0001]), np.array([1e-3]), 0, 1000, 5e-6)
-        assert out[0] == pytest.approx(6.0005e-3, abs=1e-12)
-
-    def test_zero_doppler_freezes_delay(self):
-        out = update_delays(np.array([0.0]), np.array([1e-3]), 5, 25, 5e-6)
-        assert out[0] == 1e-3
-
-    def test_needs_forward_span(self):
-        with pytest.raises(ValueError):
-            update_delays(np.array([1.0]), np.array([0.0]), 10, 10, 5e-6)
-
-
-class TestPredictAndGradient:
-    def test_zero_lever_arm(self):
-        sig = build_signal()
-        tau = np.array([1e-3, 2e-3])
-        gains = np.array([1.0, -0.5])
-        pred, grad = predict_and_gradient(sig, np.ones(2), tau, a=100, n=100,
-                                          T=T, gains=gains)
-        np.testing.assert_array_equal(grad, np.zeros(2))
-        want = gains @ sig.eval_passband(tau)
-        assert pred == pytest.approx(want, rel=1e-12)
-
-    def test_identity_warp_single_path(self):
-        sig = build_signal()
-        n = 777
-        pred, _ = predict_and_gradient(sig, np.array([1.0]), np.array([0.0]),
-                                       a=0, n=n, T=T, gains=np.array([1.0]))
-        want = sig.eval_passband(np.array([n * T]))[0]
-        assert pred == pytest.approx(want, rel=1e-12)
-
-    def test_gradient_matches_finite_difference(self):
-        sig = build_signal()
-        rng = np.random.default_rng(17)
-        gains = np.array([1.0, -0.8, 0.5])
-        scale_base = 2 * np.pi * sig.carrier_freq * sig.amplitude
-        for _ in range(100):
-            d = 1.0 + rng.uniform(-5e-4, 5e-4, size=3)
-            tau = rng.uniform(0.0, 5e-3, size=3)
-            a = int(rng.integers(0, 500))
-            n = a + int(rng.integers(1, 2000))
-            pred, grad = predict_and_gradient(sig, d, tau, a, n, T, gains)
-            u = (n - a) * T
-            step = 1e-8
-            for l in range(3):
-                dp = d.copy(); dp[l] += step
-                dm = d.copy(); dm[l] -= step
-                fp, _ = predict_and_gradient(sig, dp, tau, a, n, T, gains)
-                fm, _ = predict_and_gradient(sig, dm, tau, a, n, T, gains)
-                fd = (fp - fm) / (2 * step)
-                tol = 1e-4 * max(abs(grad[l]),
-                                 scale_base * abs(gains[l]) * u)
-                assert abs(grad[l] - fd) <= tol
 
 
 def perturbed_rows(sig, d_ref, tau, a, n, T, epsilon, gains):
@@ -230,6 +168,27 @@ class TestRowsBatch:
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w)
+
+    def test_zero_lever_arm(self):
+        # at the segment start the rows vanish and every model predicts the
+        # signal at the start times
+        sig = build_signal()
+        tau = np.array([[1e-3, 2e-3]])
+        gains = np.array([1.0, -0.5])
+        rows, offsets, preds = rows_batch(sig, np.ones((1, 2)), tau,
+                                          np.zeros(1), 1e-6, gains)
+        np.testing.assert_array_equal(rows, np.zeros((1, 3, 2)))
+        np.testing.assert_array_equal(offsets, np.zeros((1, 3)))
+        want = gains @ sig.eval_passband(tau[0])
+        np.testing.assert_allclose(preds, want, rtol=1e-12, atol=0.0)
+
+    def test_identity_warp_single_path(self):
+        sig = build_signal()
+        n = 777
+        _, _, preds = rows_batch(sig, np.ones((1, 1)), np.zeros((1, 1)),
+                                 np.array([n * T]), 1e-6, np.ones(1))
+        want = sig.eval_passband(np.array([n * T]))[0]
+        assert preds[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 class TestReconstruction:
