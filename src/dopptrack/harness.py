@@ -118,8 +118,14 @@ class RunConfig:
         if not 0.0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite, got %r"
                               % self.duration)
-        if not math.isfinite(self.channel.snr_db):
-            raise ConfigError("snr_db must be finite")
+        if not 0.0 < self.channel.sample_rate < math.inf:
+            raise ConfigError("sample_rate must be positive and finite, got %r"
+                              % self.channel.sample_rate)
+        # a power ratio of 1e+-30, far past any physical SNR, so that
+        # resolve_noise_std stays within float range
+        if not -300.0 <= self.channel.snr_db <= 300.0:
+            raise ConfigError("snr_db must lie within +-300 dB, got %r"
+                              % self.channel.snr_db)
         if self.n_samples <= self.warmup_samples:
             raise ConfigError("run of %d samples must be longer than the "
                               "tracker warm-up of %d"

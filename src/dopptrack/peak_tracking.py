@@ -115,8 +115,8 @@ class PeakTracker:
         self.sig = sig
         self.T = 1.0 / sample_rate
         self._initial_delays = np.asarray(initial_delays, dtype=float).copy()
-        if template_len <= 0.0:
-            raise ValueError("template_len must be positive")
+        if not 0.0 < template_len < math.inf:
+            raise ValueError("template_len must be positive and finite")
         if not np.all(np.isfinite(self._initial_delays)
                       & (self._initial_delays >= 0.0)):
             raise ValueError("delays must be finite and non-negative")

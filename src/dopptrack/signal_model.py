@@ -11,10 +11,11 @@ time, and is reused in place. The symbols are padded with one zero at each
 end and indexed with clipping, so an index outside the sequence reads a zero
 and needs no mask. Only the offsets +-W can leave the pulse window (every
 nearer pulse is at most W - 1/2 symbol periods away), so only those two rows
-are tested against it. Both sums over the offsets follow numpy's pairwise
-order (`_pairwise_sum`), which keeps every value bit-identical to numpy's
-`.sum(axis=1)` over the point-major (N, 2W+1) layout. Times must be finite:
-a NaN or infinite time gives NaN, with a RuntimeWarning from the index cast.
+are tested against it. Both sums over the offsets are taken in one owned
+order (`_sum_rows`): the rows of offsets -W..W are added in order, then
++0.0. Each time's column is summed on its own, so a time's value does not
+depend on the batch it is evaluated in. Times must be finite: a NaN or
+infinite time gives NaN, with a RuntimeWarning from the index cast.
 
 A block's buffers are views of one work array, allocated per call, and
 both sums are taken in place in it, so a block makes one large allocation.
@@ -36,6 +37,7 @@ its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,45 +57,14 @@ def generate_symbols(count: int, seed: int) -> np.ndarray:
     return QPSK_CONSTELLATION[idx]
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum a complex (R, N) array over its rows in numpy's pairwise order.
-
-    Bit-identical to `.sum(axis=1)` of the C-contiguous (N, R) transpose.
-    The sum is taken in place: it overwrites rows of x and returns a view
-    of x[0]. numpy's reduction starts from +0.0, hence the + 0.0, which
-    turns an all-zero -0.0 into +0.0.
-    """
-    total = _pairwise(x)
-    total += 0.0
-    return total
-
-
-def _pairwise(x: np.ndarray) -> np.ndarray:
-    """numpy's complex pairwise reduction, in place: fewer than 4 rows add
-    in order; up to 64 rows add in 4 lanes, combined as ((0 + 1) + (2 + 3)),
-    before the leftover rows; more rows split at half, rounded down to a
-    multiple of 4."""
-    n = x.shape[0]
-    if n < 4:
-        total = x[0]
-        for row in x[1:]:
-            total += row
-        return total
-    if n > 64:
-        half = n // 2 - (n // 2) % 4
-        total = _pairwise(x[:half])
-        total += _pairwise(x[half:])
-        return total
-    lanes = x[:4]
-    blocked = n - n % 4
-    for i in range(4, blocked, 4):
-        lanes += x[i:i + 4]
-    total, rest = lanes[0], lanes[2]
-    total += lanes[1]
-    rest += lanes[3]
-    total += rest
-    for row in x[blocked:]:
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum a complex (R, N) array over its rows, in order and in place: it
+    overwrites x[0] and returns it. The + 0.0 turns an all -0.0 sum into
+    +0.0."""
+    total = x[0]
+    for row in x[1:]:
         total += row
+    total += 0.0
     return total
 
 
@@ -112,10 +83,10 @@ class PulseShape:
     truncation_halfwidth: int = 4
 
     def __post_init__(self):
-        if self.symbol_period <= 0.0:
-            raise ValueError("symbol_period must be positive")
-        if self.gaussian_std <= 0.0:
-            raise ValueError("gaussian_std must be positive")
+        if not 0.0 < self.symbol_period < math.inf:
+            raise ValueError("symbol_period must be positive and finite")
+        if not 0.0 < self.gaussian_std < math.inf:
+            raise ValueError("gaussian_std must be positive and finite")
         if self.truncation_halfwidth < 1:
             raise ValueError("truncation_halfwidth must be >= 1")
         edge = self.truncation_halfwidth * self.symbol_period / self.gaussian_std
@@ -151,10 +122,10 @@ class TransmitSignal:
             raise ValueError("symbols must be a non-empty 1-D sequence")
         if np.max(np.abs(np.abs(symbols) - 1.0)) > 1e-9:
             raise ValueError("symbols must have unit magnitude")
-        if carrier_freq < 0.0:
-            raise ValueError("carrier_freq must be >= 0")
-        if amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+        if not 0.0 <= carrier_freq < math.inf:
+            raise ValueError("carrier_freq must be >= 0 and finite")
+        if not 0.0 < amplitude < math.inf:
+            raise ValueError("amplitude must be positive and finite")
         # symbol k sits at _padded[k + 1], between two zeros
         self._padded = np.concatenate(([0j], symbols, [0j]))
         self.symbols = self._padded[1:-1]
@@ -222,7 +193,7 @@ class TransmitSignal:
         terms *= env
         dt /= -(sig * sig)
         np.multiply(terms, dt, out=terms_dot)
-        return _pairwise_sum(terms), _pairwise_sum(terms_dot)
+        return _sum_rows(terms), _sum_rows(terms_dot)
 
     def eval_passband(self, t: np.ndarray) -> np.ndarray:
         """Real passband values s(t) at a 1-D array of finite float times;

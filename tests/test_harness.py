@@ -141,12 +141,17 @@ class TestConfig:
             harness.resolve_noise_std(cfg, harness.build_signal(cfg))
 
     # a NaN noise level once simulated a noiseless stream, and NaN or inf
-    # geometry or motion poisoned the warp. The RunConfig checks its channel
-    # group; the geometry and motion groups check themselves on
-    # construction, and load_config turns their ValueError into ConfigError.
+    # geometry or motion poisoned the warp. The RunConfig checks the other
+    # groups, itself or by building the signal, scene and trackers once, and
+    # a sample rate before it rounds a sample count; the geometry and motion
+    # groups check themselves on construction, and load_config turns their
+    # ValueError into ConfigError.
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("group, field", [
         ("channel", "noise_std"), ("channel", "snr_db"),
+        ("channel", "sample_rate"),
+        ("signal", "amplitude"), ("signal", "pulse_std_fraction"),
+        ("signal", "carrier_freq"), ("baseline", "template_len"),
         ("geometry", "bottom_depth"), ("geometry", "horizontal_range"),
         ("geometry", "sound_speed"),
         ("motion", "rx_osc_amp"), ("motion", "surface_amp"),
@@ -154,7 +159,8 @@ class TestConfig:
     ])
     def test_non_finite_scene_setting_rejected(self, group, field, value):
         cfg = harness.default_config()
-        expected = ConfigError if group == "channel" else ValueError
+        expected = ValueError if group in ("geometry", "motion") \
+            else ConfigError
         with pytest.raises(expected):
             dataclasses.replace(cfg, **{group: dataclasses.replace(
                 getattr(cfg, group), **{field: value})})
@@ -659,6 +665,11 @@ class TestCli:
         ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
         ("", "inf"),
+        # 10 ** (snr_db / 10) overflows, or underflows to a zero divisor
+        ("[channel]\nsnr_db = 4000\n", "0.005"),
+        ("[channel]\nsnr_db = 1e300\n", "0.005"),
+        ("[channel]\nsnr_db = -4000\n", "0.005"),
+        ("[channel]\nsnr_db = -1e300\n", "0.005"),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
                                             duration):
