@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dopptrack.signal_model import (_BLOCK_TERMS, PulseShape, TransmitSignal,
-                                    generate_symbols, make_qpsk_signal)
+                                    _sum_rows, generate_symbols,
+                                    make_qpsk_signal)
 
 QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
@@ -155,6 +156,19 @@ class PointMajorSignal(TransmitSignal):
         return b, b_dot
 
 
+def signed_zeros_and_magnitudes(rng, shape):
+    """Complex values spanning 60 decades, a third of the parts zeros of
+    either sign, and some columns entirely -0.0."""
+    def part():
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        zero = rng.random(shape) < 0.35
+        x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        return x
+    x = part() + 1j * part()
+    x[:, ::5] = complex(-0.0, -0.0)
+    return x
+
+
 # times per block = _BLOCK_TERMS // (2W + 1); the label gives (blocks, extra)
 AROUND_BLOCK = {"block-1": (1, -1), "block": (1, 0), "block+1": (1, 1),
                 "2block+1": (2, 1)}
@@ -187,6 +201,17 @@ def assert_matches_point_major(halfwidth, n):
 
 class TestKernelBitExact:
     # the offset-major kernel must give the point-major kernel's bits
+
+    # The name predates the in-order sum, when the kernel copied numpy's
+    # pairwise reduction. np.cumsum is sequential by definition, so its
+    # last row plus 0.0 is the owned order: rows in order, then +0.0.
+    @pytest.mark.parametrize("rows", range(1, 131))
+    def test_pairwise_sum_matches_numpy_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        x = signed_zeros_and_magnitudes(rng, (rows, 23))
+        want = np.cumsum(x, axis=0)[-1] + 0.0
+        assert _sum_rows(x.copy()).tobytes() == want.tobytes()
+        assert want.tobytes() == sum_columns_in_order(x.T).tobytes()
 
     @pytest.mark.parametrize("halfwidth", [1, 2, 4, 8, 40])
     @pytest.mark.parametrize("n", [0, 1, 3, 360, 5000, *AROUND_BLOCK])
