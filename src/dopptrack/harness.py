@@ -126,6 +126,11 @@ class RunConfig:
         if not -300.0 <= self.channel.snr_db <= 300.0:
             raise ConfigError("snr_db must lie within +-300 dB, got %r"
                               % self.channel.snr_db)
+        # np.arange and the sample arrays index samples with np.intp
+        if not self.duration * self.channel.sample_rate \
+                < np.iinfo(np.intp).max:
+            raise ConfigError("run of %r s at %r Hz has too many samples"
+                              % (self.duration, self.channel.sample_rate))
         if self.n_samples <= self.warmup_samples:
             raise ConfigError("run of %d samples must be longer than the "
                               "tracker warm-up of %d"
@@ -142,7 +147,8 @@ class RunConfig:
         b = self.baseline
         try:
             sig = build_signal(self)
-            _scene(self, self.channel.gains, self.channel.noise_std or 0.0)
+            _scene(self, self.channel.noise_std or 0.0)
+            np.random.default_rng(self.channel.noise_seed)
             DopplerTracker(sig, tracker_config(self, zeros))
             PeakTracker(sig, zeros, self.channel.sample_rate,
                         template_len=b.template_len,
@@ -256,14 +262,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _scene(cfg: RunConfig, gains, noise_std: float) -> ChannelScene:
+def _scene(cfg: RunConfig, noise_std: float) -> ChannelScene:
     return ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
-                        gains=gains, noise_std=noise_std,
+                        gains=cfg.channel.gains, noise_std=noise_std,
                         sample_rate=cfg.channel.sample_rate)
 
 
 def _max_path_delay(cfg: RunConfig) -> float:
-    probe = _scene(cfg, cfg.channel.gains, 0.0)
+    probe = _scene(cfg, 0.0)
     t = np.linspace(0.0, cfg.duration, 512)
     longest = max(float(np.max(path_length(probe, p, t))) for p in PATHS)
     return longest / cfg.geometry.sound_speed
@@ -288,7 +294,7 @@ def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
     clean direct-path signal power."""
     if cfg.channel.noise_std is not None:
         return cfg.channel.noise_std
-    probe = _scene(cfg, cfg.channel.gains, 0.0)
+    probe = _scene(cfg, 0.0)
     t = np.arange(cfg.n_samples) * probe.sample_period
     alpha, _ = path_warp(probe, PATHS[0], t)
     clean = cfg.channel.gains[0] * sig.eval_passband(alpha)
@@ -299,7 +305,7 @@ def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
 
 
 def build_scene(cfg: RunConfig, sig: TransmitSignal) -> ChannelScene:
-    return _scene(cfg, cfg.channel.gains, resolve_noise_std(cfg, sig))
+    return _scene(cfg, resolve_noise_std(cfg, sig))
 
 
 def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:

@@ -1,8 +1,8 @@
-"""Online segmentation machinery and its exact batch counterpart.
+"""Online segmentation machinery.
 
-The online side keeps a bounded bank of candidate segment starts, each
-carrying a live RLS fit (its bare factor) of "what if the current segment
-had started there". The bank is a set of fixed-capacity column arrays whose
+The tracker keeps a bounded bank of candidate segment starts, each carrying
+a live RLS fit (its bare factor) of "what if the current segment had
+started there". The bank is a set of fixed-capacity column arrays whose
 rows [:filled] are the live candidates, compact and in admission order;
 callers update slices of it in place. Every step the prefix cost
 E(n) = min over candidates of (candidate lse + penalty + E(candidate start))
@@ -17,7 +17,8 @@ open-segment row, which the bank moves when eviction shifts rows.
 Cost accounting: a candidate admitted while processing sample n gets start
 n-1 and absorbs sample n onward, so candidate (a, n) charges samples a+1..n
 exactly once. With unlimited memory the recursion therefore reproduces the
-exact batch dynamic program implemented by batch_sls.
+exact batch dynamic program over all segmentations, which the tests keep as
+their oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -144,36 +145,3 @@ def bellman_step(state: SegmentationState, penalty: float) -> tuple[float, int]:
     state.last_E = float(costs[row])
     return state.last_E, state.best_start
 
-
-def batch_sls(observations, penalty: float, segment_fitter) -> tuple[list[tuple[int, int]], float]:
-    """Exact O(N^2)-pair dynamic program over all segmentations (test oracle).
-
-    segment_fitter(a, b) must return the least-squares error of one segment
-    covering observations a..b inclusive. Returns the optimal list of (a, b)
-    segments (disjoint, consecutive, covering 0..N-1) and the total cost
-    len(segments) * penalty + sum of fitted errors.
-    """
-    N = len(observations)
-    if N < 2:
-        raise ValueError("need at least 2 observations")
-    prefix = np.full(N + 1, np.inf)
-    prefix[0] = 0.0
-    back = np.zeros(N + 1, dtype=int)
-    for j in range(1, N + 1):
-        best = np.inf
-        best_i = 0
-        for i in range(j):
-            c = prefix[i] + penalty + segment_fitter(i, j - 1)
-            if c < best:
-                best = c
-                best_i = i
-        prefix[j] = best
-        back[j] = best_i
-    segments = []
-    j = N
-    while j > 0:
-        i = back[j]
-        segments.append((int(i), int(j - 1)))
-        j = i
-    segments.reverse()
-    return segments, float(prefix[N])

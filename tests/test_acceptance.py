@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from dopptrack import cli, harness, rls
 from dopptrack.channel import PATHS
 from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
-                                    batch_sls, bellman_step, evict_if_full)
+                                    bellman_step, evict_if_full)
 from dopptrack.signal_model import make_qpsk_signal
 from dopptrack.tracker import (DopplerTracker, reconstruct_warp_array,
                                rows_batch)
+from oracles import batch_sls, enumerate_best, line_fitter
 
 SAMPLE_INTERVAL = 5e-6
 
@@ -101,31 +102,6 @@ def test_criterion_3_rls_matches_direct_solve():
            "estimate %.2e, lse %.2e (tolerance 1e-8)" % (worst_x, worst_l))
 
 
-def _affine_fitter(y):
-    def fitter(a, b):
-        seg = np.asarray(y[a:b + 1], dtype=float)
-        if seg.size <= 2:
-            return 0.0
-        k = np.arange(seg.size, dtype=float)
-        A = np.column_stack([np.ones_like(k), k])
-        x, *_ = np.linalg.lstsq(A, seg, rcond=None)
-        r = seg - A @ x
-        return float(r @ r)
-    return fitter
-
-
-def _enumerate_best(y, penalty, fitter):
-    import itertools
-    N = len(y)
-    best = np.inf
-    for mask in itertools.product([0, 1], repeat=N - 1):
-        bounds = [0] + [i + 1 for i, m in enumerate(mask) if m] + [N]
-        cost = sum(penalty + fitter(a, b - 1)
-                   for a, b in zip(bounds[:-1], bounds[1:]))
-        best = min(best, cost)
-    return best
-
-
 def test_criterion_4_batch_dp_optimal():
     rng = np.random.default_rng(11)
     worst_gap = 0.0
@@ -135,24 +111,17 @@ def test_criterion_4_batch_dp_optimal():
         if trial % 3 == 0:
             y[N // 2:] += 4.0
         penalty = float(rng.choice([0.05, 0.5, 2.0]))
-        fitter = _affine_fitter(y)
-        _, cost = batch_sls(y, penalty, fitter)
-        brute = _enumerate_best(y, penalty, fitter)
-        worst_gap = max(worst_gap, abs(cost - brute))
+        fitter = line_fitter(y)
+        _, prefix = batch_sls(y, penalty, fitter)
+        brute = enumerate_best(y, penalty, fitter)
+        worst_gap = max(worst_gap, abs(prefix[-1] - brute))
     k = np.arange(100, dtype=float)
     y2 = np.where(k < 50, 1.0 + 0.5 * k, 26.0 - 2.0 * (k - 50))
-    segments, _ = batch_sls(y2, 1e-6, _affine_fitter(y2))
+    segments, _ = batch_sls(y2, 1e-6, line_fitter(y2))
     starts = [a for a, _ in segments]
     report(4, worst_gap < 1e-9 and starts == [0, 50],
            "30 instances (N<=12) match exhaustive enumeration within %.1e; "
            "two-piece linear data breakpoints %s" % (worst_gap, starts))
-
-
-def _ridged_line_fit(y, a, n, ridge):
-    k = np.arange(a + 1, n + 1)
-    rows = np.column_stack([np.ones(k.size), k - a]).astype(float)
-    _, lse = rls.solve_direct(rows, y[a + 1:n + 1], ridge)
-    return lse
 
 
 def _absorb_line_rows(state, n, y_n):
@@ -162,6 +131,27 @@ def _absorb_line_rows(state, n, y_n):
     rows[:, 0, 1] = n - state.start[:k]
     state.lse[:k] = rls.update_batch(state.factor[:k], rows,
                                      np.full((k, 1), y_n))
+
+
+def _online_and_batch_costs(y, ridge, penalty, keep_best, keep_recent):
+    """Online prefix costs E(n) of line fits with the given memory, the
+    winning start at each n, and the exact batch prefix costs over the same
+    half-open accounting: E(n) is prefix[n] of the batch DP over y[1:],
+    whose observations i..j are samples i+1..j+1."""
+    N = y.size
+    state = SegmentationState(keep_best, keep_recent, 2, ridge)
+    admit_hypothesis(state, 1)
+    E_online, starts = [0.0], [0]
+    for n in range(1, N):
+        evict_if_full(state)
+        if n > 1:
+            admit_hypothesis(state, n)
+        _absorb_line_rows(state, n, y[n])
+        En, best = bellman_step(state, penalty)
+        E_online.append(En)
+        starts.append(best)
+    _, prefix = batch_sls(y[1:], penalty, line_fitter(y[1:], ridge))
+    return np.array(E_online), starts, prefix
 
 
 def test_criterion_5_online_equals_batch_with_full_memory():
@@ -174,24 +164,11 @@ def test_criterion_5_online_equals_batch_with_full_memory():
     y = np.where(k < 70, 0.5 * k,
                  np.where(k < 140, 35.0 - 1.2 * (k - 70),
                           -49.0 + 2.0 * (k - 140)))
-    state = SegmentationState(N, N, 2, ridge)
-    admit_hypothesis(state, 1)
-    E_online = [0.0]
-    detected = []
-    for n in range(1, N):
-        if n > 1:
-            admit_hypothesis(state, n)
-        _absorb_line_rows(state, n, y[n])
-        En, best = bellman_step(state, penalty)
-        E_online.append(En)
-        if best - state.prev_best_start >= M:
-            detected.append(best)
-    # exact prefix dynamic program over the same half-open accounting
-    B = np.zeros(N)
-    for n in range(1, N):
-        B[n] = min(_ridged_line_fit(y, a, n, ridge) + penalty + B[a]
-                   for a in range(n))
-    gaps = np.abs(np.array(E_online) - B) / np.maximum(1.0, B)
+    E_online, starts, prefix = _online_and_batch_costs(y, ridge, penalty,
+                                                       N, N)
+    detected = [best for prev, best in zip(starts, starts[1:])
+                if best - prev >= M]
+    gaps = np.abs(E_online - prefix) / np.maximum(1.0, prefix)
     true_breaks = [70, 140]
     matched = all(any(abs(d - b) <= M for d in detected) for b in true_breaks)
     localized = all(any(abs(d - b) <= M for b in true_breaks) for d in detected)
@@ -208,44 +185,11 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     N = 120
     y = np.cumsum(rng.normal(size=N) * 0.1)
     y[60:] += 3.0
-    state = SegmentationState(4, 4, 2, ridge)
-    admit_hypothesis(state, 1)
-    E_online = [0.0]
-    for n in range(1, N):
-        evict_if_full(state)
-        if n > 1:
-            admit_hypothesis(state, n)
-        _absorb_line_rows(state, n, y[n])
-        En, _ = bellman_step(state, penalty)
-        E_online.append(En)
-    B = np.zeros(N)
-    for n in range(1, N):
-        B[n] = min(_ridged_line_fit(y, a, n, ridge) + penalty + B[a]
-                   for a in range(n))
-    slack = float(np.min(np.array(E_online) - B))
+    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty, 4, 4)
+    slack = float(np.min(E_online - prefix))
     report(5, slack > -1e-9,
            "memory-restricted online prefix costs stay >= batch costs "
            "(worst slack %.2e)" % slack)
-
-
-def _online_and_batch_costs(y, ridge, penalty, keep_best, keep_recent):
-    """Online prefix costs E(n) of line fits with the given memory, and the
-    exact batch prefix DP B(n) over the same half-open accounting."""
-    N = y.size
-    state = SegmentationState(keep_best, keep_recent, 2, ridge)
-    admit_hypothesis(state, 1)
-    E_online = [0.0]
-    for n in range(1, N):
-        evict_if_full(state)
-        if n > 1:
-            admit_hypothesis(state, n)
-        _absorb_line_rows(state, n, y[n])
-        E_online.append(bellman_step(state, penalty)[0])
-    B = np.zeros(N)
-    for n in range(1, N):
-        B[n] = min(_ridged_line_fit(y, a, n, ridge) + penalty + B[a]
-                   for a in range(n))
-    return np.array(E_online), B
 
 
 @st.composite
@@ -261,8 +205,7 @@ def line_streams(draw):
     return y, ridge, penalty
 
 
-ONLINE_VS_BATCH = settings(max_examples=50, deadline=None, derandomize=True,
-                           database=None)
+ONLINE_VS_BATCH = settings(max_examples=50)
 
 
 @ONLINE_VS_BATCH
@@ -270,8 +213,9 @@ ONLINE_VS_BATCH = settings(max_examples=50, deadline=None, derandomize=True,
 def test_online_equals_batch_with_full_memory_on_random_streams(stream):
     # generalizes criterion 5 over seeds, ridges and penalties
     y, ridge, penalty = stream
-    E_online, B = _online_and_batch_costs(y, ridge, penalty, y.size, y.size)
-    gaps = np.abs(E_online - B) / np.maximum(1.0, B)
+    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty, y.size,
+                                                  y.size)
+    gaps = np.abs(E_online - prefix) / np.maximum(1.0, prefix)
     assert float(gaps.max()) < 1e-8
 
 
@@ -281,9 +225,9 @@ def test_restricted_memory_never_beats_batch_on_random_streams(
         stream, keep_best, keep_recent):
     # generalizes criterion 5b over seeds, ridges, penalties and memory sizes
     y, ridge, penalty = stream
-    E_online, B = _online_and_batch_costs(y, ridge, penalty, keep_best,
-                                          keep_recent)
-    assert float(np.min(E_online - B)) > -1e-9
+    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty,
+                                                  keep_best, keep_recent)
+    assert float(np.min(E_online - prefix)) > -1e-9
 
 
 def test_criterion_6_jacobian_matches_finite_differences():

@@ -670,14 +670,22 @@ class TestCli:
         ("[channel]\nsnr_db = 1e300\n", "0.005"),
         ("[channel]\nsnr_db = -4000\n", "0.005"),
         ("[channel]\nsnr_db = -1e300\n", "0.005"),
+        # more samples than np.intp counts: finite, and inf as a product
+        ("[channel]\nsample_rate_hz = 1e300\n", None),
+        ("[channel]\nsample_rate_hz = 1e300\n[run]\nduration_s = 1e10\n",
+         None),
+        # the noise generator takes no negative seed
+        ("[channel]\nnoise_seed = -1\n", "0.005"),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
                                             duration):
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
-        code = cli.main(["simulate", "--config", str(cfg),
-                         "--duration", duration,
-                         "--out", str(tmp_path / "sim")])
+        args = ["simulate", "--config", str(cfg),
+                "--out", str(tmp_path / "sim")]
+        if duration is not None:
+            args += ["--duration", duration]
+        code = cli.main(args)
         err = capsys.readouterr().err
         assert code == 1
         assert "config error" in err

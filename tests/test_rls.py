@@ -113,8 +113,7 @@ def instances(draw):
             ridge)
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 
 class TestProperties:
