@@ -109,14 +109,13 @@ def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray):
     return amp * np.sin(arg), amp * w * np.cos(arg)
 
 
-def _length_and_rate(scene: ChannelScene, path: str, t: np.ndarray):
+def _length_and_rate(g: Geometry, m: MotionSpec, path: str, t: np.ndarray):
     """Path length L(t) in meters and dL/dt in m/s, both analytic.
 
     L = hypot(x, v) for the swaying horizontal range x and the path's
     vertical extent v: the depth difference, the image across the heaving
     surface, or the image across the bottom.
     """
-    g, m = scene.geometry, scene.motion
     sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t)
     x = g.horizontal_range + sway
     if path == "direct":
@@ -133,17 +132,19 @@ def _length_and_rate(scene: ChannelScene, path: str, t: np.ndarray):
     return length, (x * x_dot + v * v_dot) / length
 
 
-def path_length(scene: ChannelScene, path: str, t: np.ndarray) -> np.ndarray:
+def path_length(geometry: Geometry, motion: MotionSpec, path: str,
+                t: np.ndarray) -> np.ndarray:
     """Propagation path lengths in meters at a 1-D array of times."""
-    length, _ = _length_and_rate(scene, path, t)
+    length, _ = _length_and_rate(geometry, motion, path, t)
     return length
 
 
-def path_warp(scene: ChannelScene, path: str, t: np.ndarray):
+def path_warp(geometry: Geometry, motion: MotionSpec, path: str,
+              t: np.ndarray):
     """Emission-time warp alpha = t - L/c in seconds and Doppler factor
     d = 1 - (dL/dt)/c of one path at a 1-D array of reception times."""
-    length, rate = _length_and_rate(scene, path, t)
-    c = scene.geometry.sound_speed
+    length, rate = _length_and_rate(geometry, motion, path, t)
+    c = geometry.sound_speed
     return t - length / c, 1.0 - rate / c
 
 
@@ -158,7 +159,8 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
     doppler = np.empty((len(PATHS), n_samples))
     r = np.zeros(n_samples)
     for i, path in enumerate(PATHS):
-        alpha[i], doppler[i] = path_warp(scene, path, t)
+        alpha[i], doppler[i] = path_warp(scene.geometry, scene.motion,
+                                         path, t)
         if scene.gains[i] != 0.0:
             r += scene.gains[i] * sig.eval_passband(alpha[i])
     rng = np.random.default_rng(noise_seed)

@@ -17,15 +17,17 @@ sim/ directory.
 
 Exit codes: 0 success, 1 configuration error (a config file that is not
 UTF-8, a value that does not parse or is not finite, any value the simulator
-or a tracker rejects, a run no longer than the tracker warm-up, a baseline
-run too short for the template and lag range, or a compare window below 1 or
-threshold that is negative or not finite), 2 I/O error (a file that cannot
-be opened, read or written), 3 the tracker reported numerical divergence, 4
-bad input (an input CSV whose content does not parse or is laid out wrongly, a
-received.csv or truth.csv that does not hold the configured run's number of
-samples, error traces that cannot be compared, or a received sample the
-tracker cannot consume), 5 internal fault: any other exception is a fault of
-the program, not of its input, and its traceback goes to stderr.
+or a tracker rejects, a run no longer than the tracker warm-up, a run too
+large to allocate, a baseline run too short for the template and lag range,
+or a compare window below 1 or threshold that is negative or not finite), 2
+I/O error (a file that cannot be opened, read or written), 3 the tracker
+reported numerical divergence, 4 bad input (an input CSV whose content does
+not parse, holds a value that is not finite or is laid out wrongly, a truth
+warp later than its reception time, a received.csv or truth.csv that does
+not hold the configured run's number of samples, error traces that cannot be
+compared, or a received sample the tracker cannot consume), 5 internal
+fault: any other exception is a fault of the program, not of its input, and
+its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -100,8 +102,7 @@ def _demo(args) -> int:
     _simulate(cfg, sim_dir)
     _baseline(cfg, sim_dir, bas_dir)
     code = _track(cfg, sim_dir, trk_dir)
-    _compare(trk_dir, bas_dir, os.path.join(args.out, "compare.json"),
-             window=cfg.error_window)
+    _compare(trk_dir, bas_dir, os.path.join(args.out, "compare.json"))
     print("artifacts under %s" % args.out)
     return code
 
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:   # a run too large to allocate
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except (BadInputError, InvalidSampleError) as exc:

@@ -97,7 +97,6 @@ class RunConfig:
     tracker: TrackerParams
     baseline: BaselineParams
     duration: float = 0.5
-    error_window: int = 1000
 
     def __post_init__(self):
         self.validate()
@@ -139,20 +138,15 @@ class RunConfig:
         if self.channel.sample_rate <= nyq:
             raise ConfigError("sample_rate must exceed twice the carrier "
                               "plus signal bandwidth")
-        if self.error_window < 1:
-            raise ConfigError("error_window must be >= 1")
         if self.signal.symbol_rate <= 0.0:
             raise ConfigError("symbol_rate must be positive")
         zeros = np.zeros(len(PATHS))
-        b = self.baseline
         try:
             sig = build_signal(self)
             _scene(self, self.channel.noise_std or 0.0)
             np.random.default_rng(self.channel.noise_seed)
             DopplerTracker(sig, tracker_config(self, zeros))
-            PeakTracker(sig, zeros, self.channel.sample_rate,
-                        template_len=b.template_len,
-                        search_halfwidth=b.search_halfwidth, hop=b.hop)
+            peak_tracker(self, sig, zeros)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -162,15 +156,12 @@ def default_config() -> RunConfig:
     return RunConfig(
         signal=SignalParams(),
         geometry=Geometry(bottom_depth=1.8, tx_depth=0.46, rx_depth=0.46,
-                          horizontal_range=1.45, sound_speed=1500.0),
+                          horizontal_range=1.45),
         motion=MotionSpec(rx_osc_freq=0.6, rx_osc_amp=0.125,
-                          rx_osc_phase=0.0, surface_freq=0.6,
-                          surface_amp=0.165, surface_phase=0.0),
+                          surface_freq=0.6, surface_amp=0.165),
         channel=ChannelParams(),
         tracker=TrackerParams(),
         baseline=BaselineParams(),
-        duration=0.5,
-        error_window=1000,
     )
 
 
@@ -222,7 +213,6 @@ _CONFIG_KEYS = {
     ("baseline", "search_halfwidth"): ("baseline", "search_halfwidth", int),
     ("baseline", "hop"): ("baseline", "hop", int),
     ("run", "duration_s"): ("run", "duration", _float),
-    ("run", "error_window"): ("run", "error_window", int),
 }
 
 
@@ -230,7 +220,7 @@ def load_config(path: str) -> RunConfig:
     """Parse a UTF-8 INI config file on top of the defaults."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -269,9 +259,9 @@ def _scene(cfg: RunConfig, noise_std: float) -> ChannelScene:
 
 
 def _max_path_delay(cfg: RunConfig) -> float:
-    probe = _scene(cfg, 0.0)
     t = np.linspace(0.0, cfg.duration, 512)
-    longest = max(float(np.max(path_length(probe, p, t))) for p in PATHS)
+    longest = max(float(np.max(path_length(cfg.geometry, cfg.motion, p, t)))
+                  for p in PATHS)
     return longest / cfg.geometry.sound_speed
 
 
@@ -294,9 +284,8 @@ def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
     clean direct-path signal power."""
     if cfg.channel.noise_std is not None:
         return cfg.channel.noise_std
-    probe = _scene(cfg, 0.0)
-    t = np.arange(cfg.n_samples) * probe.sample_period
-    alpha, _ = path_warp(probe, PATHS[0], t)
+    t = np.arange(cfg.n_samples) * (1.0 / cfg.channel.sample_rate)
+    alpha, _ = path_warp(cfg.geometry, cfg.motion, PATHS[0], t)
     clean = cfg.channel.gains[0] * sig.eval_passband(alpha)
     power = float(np.mean(clean * clean))
     if power == 0.0:
@@ -320,6 +309,16 @@ def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
                          initial_tau=tuple(initial_tau),
                          sample_period=1.0 / cfg.channel.sample_rate,
                          ridge=t.ridge)
+
+
+def peak_tracker(cfg: RunConfig, sig: TransmitSignal,
+                 initial_delays) -> PeakTracker:
+    """The run's baseline, with initial_delays the per-path delays of its
+    first template."""
+    b = cfg.baseline
+    return PeakTracker(sig, initial_delays, cfg.channel.sample_rate,
+                       template_len=b.template_len,
+                       search_halfwidth=b.search_halfwidth, hop=b.hop)
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -413,10 +412,7 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     first = int(round(b.template_len * cfg.channel.sample_rate))
     if first >= r.size:   # the truth at sample first gives the start delays
         raise ConfigError("run too short for the baseline template")
-    init_delays = first * T - truth.alpha[:, first]
-    pk = PeakTracker(sig, init_delays, cfg.channel.sample_rate,
-                     template_len=b.template_len,
-                     search_halfwidth=b.search_halfwidth, hop=b.hop)
+    pk = peak_tracker(cfg, sig, first * T - truth.alpha[:, first])
     if r.size - 1 - pk.max_lag < pk.template_samples:
         raise ConfigError("run of %d samples too short for the baseline "
                           "template of %d and lag range of %d samples"
@@ -510,16 +506,22 @@ def _path_major(fmt: str, n, *columns):
 
 def _read_csv(path: str, usecols=None) -> np.ndarray:
     """Numeric rows of a CSV below its header line; content that does not
-    parse raises BadInputError, a file that cannot be opened OSError."""
+    parse or a used value that is not finite raises BadInputError, a file
+    that cannot be opened OSError."""
     try:
         with warnings.catch_warnings():
             # a header-only file is an empty array here; callers judge it
             warnings.filterwarnings("ignore", "loadtxt: input contained no "
                                     "data", UserWarning)
-            return np.loadtxt(path, delimiter=",", skiprows=1,
+            data = np.loadtxt(path, delimiter=",", skiprows=1,
                               usecols=usecols, ndmin=2)
     except ValueError as exc:
         raise BadInputError("%s: %s" % (path, exc)) from exc
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():   # line 1 is the header
+        raise BadInputError("%s: line %d holds a value that is not finite"
+                            % (path, np.argmin(finite) + 2))
+    return data
 
 
 def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
@@ -598,10 +600,10 @@ def dump_signal(cfg: RunConfig, path: str) -> None:
 
 def write_summary(path: str, summary: dict) -> None:
     """Write strict JSON: a non-finite float raises instead of being written
-    as the non-JSON tokens NaN or Infinity."""
+    as the non-JSON tokens NaN or Infinity, before the file is opened."""
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +622,18 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
 def _read_inputs(cfg: RunConfig,
                  in_dir: str) -> tuple[np.ndarray, GroundTruth]:
     """received.csv and truth.csv of one simulation; BadInputError unless
-    both hold the configured run's n_samples samples."""
+    both hold the configured run's n_samples samples and no truth warp is
+    later than its sample's reception time (a negative path delay)."""
     r = read_received(os.path.join(in_dir, "received.csv"))
     truth = read_truth(os.path.join(in_dir, "truth.csv"))
     if not r.size == truth.alpha.shape[1] == cfg.n_samples:
         raise BadInputError("received.csv holds %d samples, truth.csv %d; "
                             "the configured run needs %d"
                             % (r.size, truth.alpha.shape[1], cfg.n_samples))
+    late = (truth.alpha > np.arange(r.size) / cfg.channel.sample_rate).any(0)
+    if late.any():
+        raise BadInputError("truth.csv: the warp of sample %d is later than "
+                            "its reception time" % np.argmax(late))
     return r, truth
 
 

@@ -37,7 +37,7 @@ def truth_of(scene, n_samples):
 
 
 def length_at(scene, path, t):
-    return path_length(scene, path, np.array([t]))[0]
+    return path_length(scene.geometry, scene.motion, path, np.array([t]))[0]
 
 
 class TestPathLength:

@@ -13,6 +13,8 @@ from dopptrack.channel import PATHS, ChannelScene, GroundTruth, synthesize
 from dopptrack.harness import ConfigError
 from dopptrack.tracker import DopplerSegment
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def short_config(duration=0.02, **channel_kw):
     cfg = harness.default_config()
@@ -61,6 +63,13 @@ class TestConfig:
         assert cfg.channel.noise_seed == 55
         assert cfg.tracker.penalty == 0.02
         assert cfg.baseline.template_len == pytest.approx(2e-3)
+
+    def test_readme_config_block_is_the_default(self, tmp_path):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+            readme = f.read()
+        path = tmp_path / "run.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert harness.load_config(str(path)) == harness.default_config()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -634,6 +643,73 @@ class TestCli:
         assert "config error" in err and "lag range" in err
         assert not (tmp_path / "out").exists()
 
+    # 400 samples: longer than the 100-sample tracker warm-up, shorter than
+    # the 600-sample template
+    def test_baseline_too_short_for_template_is_config_error(
+            self, tmp_path, capsys):
+        sim = self.simulate(tmp_path, "0.002")
+        capsys.readouterr()
+        code = cli.main(["baseline", "--duration", "0.002", "--in", str(sim),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "baseline template" in err
+        assert not (tmp_path / "out").exists()
+
+    # a value that is not finite in each input CSV, or a truth warp later
+    # than its reception time; sample 600 is the baseline's first iteration
+    @pytest.mark.parametrize("command, name, n, value", [
+        ("track", "truth.csv", 0, "nan"),
+        ("track", "truth.csv", 500, "nan"),
+        ("baseline", "truth.csv", 600, "nan"),
+        ("baseline", "truth.csv", 600, "1.0"),
+        ("baseline", "received.csv", 500, "nan"),
+        ("baseline", "received.csv", 500, "inf"),
+        ("compare", "errors.csv", 3, "nan"),
+    ])
+    def test_bad_input_value_is_bad_input(self, tmp_path, capsys, command,
+                                          name, n, value):
+        out = tmp_path / "out"
+        if command == "compare":
+            trace = harness.ErrorTrace(n=np.arange(5),
+                                       abs_err=np.zeros((3, 5)))
+            for d in ("a", "b"):
+                (tmp_path / d).mkdir()
+                harness.write_errors(str(tmp_path / d / "errors.csv"), trace)
+            edited = tmp_path / "a" / name
+            args = ["compare", "--a", str(tmp_path / "a"),
+                    "--b", str(tmp_path / "b"), "--out", str(out)]
+        else:
+            sim = self.simulate(tmp_path, "0.02")
+            edited = sim / name
+            args = [command, "--duration", "0.02", "--in", str(sim),
+                    "--out", str(out)]
+        # the first rows are sample n's of the direct path
+        lines = edited.read_text().splitlines()
+        fields = lines[n + 1].split(",")
+        assert fields[0] == str(n)
+        fields[1 if name == "received.csv" else 2] = value
+        lines[n + 1] = ",".join(fields)
+        edited.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bad input" in err and name in err
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["a", "b"] if command == "compare" else ["sim"])
+
+    # 8e18 samples fit np.intp, but the 8e17-symbol waveform (5.55 EiB)
+    # fits no address space, so its allocation fails at once
+    def test_run_too_large_to_allocate_is_config_error(self, tmp_path,
+                                                       capsys):
+        code = cli.main(["simulate", "--duration", "4e13",
+                         "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--window", "0"),
         ("--window", "-5"),
@@ -676,6 +752,9 @@ class TestCli:
          None),
         # the noise generator takes no negative seed
         ("[channel]\nnoise_seed = -1\n", "0.005"),
+        ("[signal]\nsymbol_rate_hz = 0\n", "0.005"),
+        # the geometry checks itself: the transmitter below the 1.8 m bottom
+        ("[geometry]\ntx_depth_m = 2.0\n", "0.005"),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
                                             duration):
