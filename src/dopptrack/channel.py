@@ -6,7 +6,9 @@ oscillating receiver and a sinusoidally heaving surface. synthesize produces
 received samples plus the ground-truth emission-time warp and its derivative
 for every path, for evaluating trackers. path_warp is the one place that
 computes a path's warp and Doppler; synthesize and the harness's noise-level
-probe both call it.
+probe both call it. path_lengths gives every path's length at once, for the
+harness's bound on the longest delay. Both take each path's vertical extent
+from _vertical_extent, the one copy of the image-method geometry.
 
 Delays use the quasi-static convention: geometry is frozen at reception time,
 alpha(n T) = n T - L(n T) / c. At the sub-m/s speeds simulated here the
@@ -102,50 +104,65 @@ class GroundTruth:
     doppler: np.ndarray  # shape (num_paths, n_samples)
 
 
-def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray):
-    """amp sin(2 pi freq t + phase) and its rate of change."""
+def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray,
+              rate: bool = True):
+    """amp sin(2 pi freq t + phase) and its rate of change (None unless
+    rate)."""
     w = 2.0 * np.pi * freq
     arg = w * t + phase
-    return amp * np.sin(arg), amp * w * np.cos(arg)
+    return amp * np.sin(arg), amp * w * np.cos(arg) if rate else None
 
 
-def _length_and_rate(g: Geometry, m: MotionSpec, path: str, t: np.ndarray):
-    """Path length L(t) in meters and dL/dt in m/s, both analytic.
-
-    L = hypot(x, v) for the swaying horizontal range x and the path's
-    vertical extent v: the depth difference, the image across the heaving
-    surface, or the image across the bottom.
-    """
-    sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t)
-    x = g.horizontal_range + sway
+def _vertical_extent(g: Geometry, path: str):
+    """(depth, heave): the path's vertical extent is v = depth + heave * eta
+    for the surface displacement eta. It is the depth difference, the image
+    across the heaving surface, or the image across the bottom."""
     if path == "direct":
-        v, v_dot = g.tx_depth - g.rx_depth, 0.0
-    elif path == "surface":
-        eta, eta_dot = _sinusoid(m.surface_freq, m.surface_amp,
-                                 m.surface_phase, t)
-        v, v_dot = g.tx_depth + g.rx_depth + 2.0 * eta, 2.0 * eta_dot
-    elif path == "bottom":
-        v, v_dot = 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth, 0.0
-    else:
-        raise ValueError("unknown path %r" % path)
-    length = np.hypot(x, v)
-    return length, (x * x_dot + v * v_dot) / length
+        return g.tx_depth - g.rx_depth, 0.0
+    if path == "surface":
+        return g.tx_depth + g.rx_depth, 2.0
+    if path == "bottom":
+        return 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth, 0.0
+    raise ValueError("unknown path %r" % path)
 
 
-def path_length(geometry: Geometry, motion: MotionSpec, path: str,
-                t: np.ndarray) -> np.ndarray:
-    """Propagation path lengths in meters at a 1-D array of times."""
-    length, _ = _length_and_rate(geometry, motion, path, t)
-    return length
+def path_lengths(geometry: Geometry, motion: MotionSpec,
+                 t: np.ndarray) -> np.ndarray:
+    """Propagation path lengths in meters, shape (len(PATHS), t.size), at a
+    1-D array of times; row i equals the length path_warp uses for PATHS[i]."""
+    m = motion
+    sway, _ = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t,
+                        rate=False)
+    eta, _ = _sinusoid(m.surface_freq, m.surface_amp, m.surface_phase, t,
+                       rate=False)
+    v = np.empty((len(PATHS), t.size))
+    for row, path in zip(v, PATHS):
+        depth, heave = _vertical_extent(geometry, path)
+        row[:] = depth + heave * eta if heave else depth
+    return np.hypot(geometry.horizontal_range + sway, v)
 
 
 def path_warp(geometry: Geometry, motion: MotionSpec, path: str,
               t: np.ndarray):
     """Emission-time warp alpha = t - L/c in seconds and Doppler factor
-    d = 1 - (dL/dt)/c of one path at a 1-D array of reception times."""
-    length, rate = _length_and_rate(geometry, motion, path, t)
-    c = geometry.sound_speed
-    return t - length / c, 1.0 - rate / c
+    d = 1 - (dL/dt)/c of one path at a 1-D array of reception times.
+
+    L = hypot(x, v) for the swaying horizontal range x and the path's
+    vertical extent v; dL/dt is analytic.
+    """
+    g, m = geometry, motion
+    depth, heave = _vertical_extent(g, path)
+    sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t)
+    x = g.horizontal_range + sway
+    if heave:
+        eta, eta_dot = _sinusoid(m.surface_freq, m.surface_amp,
+                                 m.surface_phase, t)
+        v, v_dot = depth + heave * eta, heave * eta_dot
+    else:
+        v, v_dot = depth, 0.0
+    length = np.hypot(x, v)
+    c = g.sound_speed
+    return t - length / c, 1.0 - (x * x_dot + v * v_dot) / length / c
 
 
 def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,

@@ -30,8 +30,8 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
-                      path_length, path_warp, synthesize)
-from .peak_tracking import PeakTracker
+                      path_lengths, path_warp, synthesize)
+from .peak_tracking import PeakTracker, template_samples
 from .signal_model import TransmitSignal, make_qpsk_signal
 from .tracker import (DopplerTracker, TrackerConfig, reconstruct_warp_array)
 
@@ -259,10 +259,14 @@ def _scene(cfg: RunConfig, noise_std: float) -> ChannelScene:
 
 
 def _max_path_delay(cfg: RunConfig) -> float:
+    """The longest path delay over the run in seconds, taken at 512 evenly
+    spaced times. Of build_signal's pulse_halfwidth + 1 extra lead-in
+    symbols, the last covers the delay's rise between two of those times
+    (~1 us of a 50 us symbol on the default run). The bound sets the
+    lead-in, so changing how it is taken moves every answer."""
     t = np.linspace(0.0, cfg.duration, 512)
-    longest = max(float(np.max(path_length(cfg.geometry, cfg.motion, p, t)))
-                  for p in PATHS)
-    return longest / cfg.geometry.sound_speed
+    lengths = path_lengths(cfg.geometry, cfg.motion, t)
+    return float(np.max(lengths)) / cfg.geometry.sound_speed
 
 
 def build_signal(cfg: RunConfig) -> TransmitSignal:
@@ -409,7 +413,7 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     """
     b = cfg.baseline
     T = 1.0 / cfg.channel.sample_rate
-    first = int(round(b.template_len * cfg.channel.sample_rate))
+    first = template_samples(b.template_len, cfg.channel.sample_rate)
     if first >= r.size:   # the truth at sample first gives the start delays
         raise ConfigError("run too short for the baseline template")
     pk = peak_tracker(cfg, sig, first * T - truth.alpha[:, first])
@@ -518,9 +522,14 @@ def _read_csv(path: str, usecols=None) -> np.ndarray:
     except ValueError as exc:
         raise BadInputError("%s: %s" % (path, exc)) from exc
     finite = np.isfinite(data).all(axis=1)
-    if not finite.all():   # line 1 is the header
+    if not finite.all():
+        # the data rows' line numbers: np.loadtxt skipped the header line
+        # and every line that is empty once a '#' comment is cut off
+        with open(path) as f:
+            lines = [k for k, line in enumerate(f, start=1)
+                     if k > 1 and line.rstrip("\n").partition("#")[0]]
         raise BadInputError("%s: line %d holds a value that is not finite"
-                            % (path, np.argmin(finite) + 2))
+                            % (path, lines[np.argmin(finite)]))
     return data
 
 

@@ -98,6 +98,11 @@ def track_step(prev_delays: np.ndarray, window: np.ndarray,
     return out, flags
 
 
+def template_samples(template_len: float, sample_rate: float) -> int:
+    """Length in samples of a template_len-second template."""
+    return int(round(template_len * sample_rate))
+
+
 class PeakTracker:
     """Runs the baseline over a full received stream.
 
@@ -126,7 +131,7 @@ class PeakTracker:
         self.hop = int(hop)
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        self.template_samples = int(round(template_len * sample_rate))
+        self.template_samples = template_samples(template_len, sample_rate)
         max_delay = 2.0 * float(np.max(self._initial_delays))
         self.max_lag = int(np.ceil(max_delay * sample_rate)) \
             + 4 * search_halfwidth

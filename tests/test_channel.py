@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dopptrack.channel import (ChannelScene, Geometry, MotionSpec, PATHS,
-                               path_length, synthesize)
+                               path_lengths, path_warp, synthesize)
 from dopptrack.signal_model import make_qpsk_signal
 
 C_SOUND = 1500.0
@@ -37,7 +37,15 @@ def truth_of(scene, n_samples):
 
 
 def length_at(scene, path, t):
-    return path_length(scene.geometry, scene.motion, path, np.array([t]))[0]
+    lengths = path_lengths(scene.geometry, scene.motion, np.array([t]))
+    return lengths[PATHS.index(path), 0]
+
+
+def swaying_scene():
+    """Receiver sway on a flat surface; tx and rx share a depth, so the
+    direct path's vertical extent is 0."""
+    return dataclasses.replace(moving_scene(), motion=MotionSpec(
+        rx_osc_freq=0.6, rx_osc_amp=0.125))
 
 
 class TestPathLength:
@@ -54,16 +62,25 @@ class TestPathLength:
     def test_bottom(self):
         assert length_at(static_scene(), "bottom", 0.0) == pytest.approx(3.04712, abs=1e-5)
 
-    def test_unknown_path(self):
-        with pytest.raises(ValueError):
-            length_at(static_scene(), "sideways", 0.0)
-
     def test_surface_heave_lengthens_image(self):
         scene = moving_scene()
         quarter = 0.25 / 0.6  # surface sinusoid peak
         up = length_at(scene, "surface", quarter)
         flat = length_at(static_scene(), "surface", 0.0)
         assert up > flat
+
+    # the same IEEE operations as path_warp's lengths, so the warp built from
+    # each row is the same to the bit; 2 s span more than one sway period
+    @pytest.mark.parametrize("scene", [moving_scene, swaying_scene])
+    @pytest.mark.parametrize("i", range(len(PATHS)))
+    def test_row_is_path_warp_length(self, scene, i):
+        scene = scene()
+        g, m = scene.geometry, scene.motion
+        t = np.arange(400000) * scene.sample_period
+        alpha, _ = path_warp(g, m, PATHS[i], t)
+        lengths = path_lengths(g, m, t)
+        assert lengths.shape == (len(PATHS), t.size)
+        np.testing.assert_array_equal(alpha, t - lengths[i] / g.sound_speed)
 
 
 class TestWarp:
@@ -77,6 +94,11 @@ class TestWarp:
         # 1.45 m at 1500 m/s -> 0.96667 ms
         delay = 0.0 - truth_of(static_scene(), 1).alpha[0, 0]
         assert delay == pytest.approx(9.6667e-4, abs=1e-8)
+
+    def test_unknown_path(self):
+        scene = static_scene()
+        with pytest.raises(ValueError):
+            path_warp(scene.geometry, scene.motion, "sideways", np.zeros(1))
 
     def test_monotone_in_paper_scenario(self):
         alpha = truth_of(moving_scene(), 10000).alpha

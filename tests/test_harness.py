@@ -101,6 +101,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config(str(path))
 
+    # the lead-in is ceil(longest delay * symbol rate) + pulse_halfwidth + 1
+    # = 42 + 4 + 1 symbols; integers, not the bound's bits, which numpy's
+    # per-CPU sin and hypot kernels may move in the last place
+    def test_default_lead_in(self):
+        cfg = harness.default_config()
+        sig = harness.build_signal(cfg)
+        assert sig.symbols.size == 10049
+        assert sig.start_time == -47 / cfg.signal.symbol_rate
+
     def test_noise_std_override(self):
         cfg = short_config(noise_std=0.0)
         sig = harness.build_signal(cfg)
@@ -698,6 +707,22 @@ class TestCli:
         assert "bad input" in err and name in err
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["a", "b"] if command == "compare" else ["sim"])
+
+    # np.loadtxt skips '#' comment lines and blank lines; the message still
+    # names the line as the file numbers it
+    def test_bad_input_names_line_past_skipped_lines(self, tmp_path, capsys):
+        sim = self.simulate(tmp_path, "0.02")
+        received = sim / "received.csv"
+        lines = received.read_text().splitlines()
+        lines[2] = "1,nan"
+        lines[1:1] = ["# note", ""]
+        received.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["baseline", "--duration", "0.02", "--in", str(sim),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "received.csv: line 5 holds a value that is not finite" in err
 
     # 8e18 samples fit np.intp, but the 8e17-symbol waveform (5.55 EiB)
     # fits no address space, so its allocation fails at once
