@@ -15,4 +15,5 @@ def test_tree_against_itself_reports_zero_drift(tmp_path):
     first, *deltas = done.stdout.splitlines()
     assert first.startswith("boundaries: equal (")
     assert deltas == ["max |delta| %s: 0" % name
-                      for name in ("error_s", "doppler", "tau", "lse")]
+                      for name in ("error_s", "doppler", "tau", "lse",
+                                   "received", "baseline_delay_s")]

@@ -119,11 +119,13 @@ class TestDerivative:
 
     def test_with_derivative_consistent(self):
         sig = make_qpsk_signal(30, seed=2, symbol_rate=20e3, carrier_freq=30e3)
-        t = np.linspace(0, 1e-3, 57)
-        s, sd = sig.eval_passband_with_derivative(t)
-        np.testing.assert_array_equal(s, sig.eval_passband(t))
-        np.testing.assert_array_equal(sd,
-                                      sig.eval_passband_with_derivative(t)[1])
+        # 2 * 1820 + 1 times make three blocks at W = 4
+        for n in (57, 2 * 1820 + 1):
+            t = np.linspace(0, 1e-3, n)
+            s, sd = sig.eval_passband_with_derivative(t)
+            np.testing.assert_array_equal(s, sig.eval_passband(t))
+            np.testing.assert_array_equal(
+                sd, sig.eval_passband_with_derivative(t)[1])
 
 
 def sum_columns_in_order(x):
@@ -136,24 +138,32 @@ def sum_columns_in_order(x):
 
 class PointMajorSignal(TransmitSignal):
     """Reference kernel: one row per time, one column per pulse offset, an
-    explicit range-and-window mask, and a sum over the offsets in order."""
+    explicit range-and-window mask, and a sum over the offsets in order.
+    blocks counts the blocks it has evaluated."""
 
-    def _baseband_terms(self, t):
+    blocks = 0
+
+    def _passband_block(self, t, s, sd):
+        self.blocks += 1
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std
         offsets = np.arange(-self.pulse.truncation_halfwidth,
                             self.pulse.truncation_halfwidth + 1)
-        t = t - self.start_time
-        k_center = np.rint(t / ts).astype(np.int64)
+        u = t - self.start_time
+        k_center = np.rint(u / ts).astype(np.int64)
         k = k_center[:, None] + offsets[None, :]
-        dt = t[:, None] - k * ts
+        dt = u[:, None] - k * ts
         inside = (k >= 0) & (k < self.symbols.size) & \
             (np.abs(dt) <= self.pulse.window)
         env = np.where(inside, np.exp(-0.5 * (dt / sig) ** 2), 0.0)
         terms = self.symbols.take(k, mode="clip") * env
         b = sum_columns_in_order(terms)
         b_dot = sum_columns_in_order(terms * (-dt / (sig * sig)))
-        return b, b_dot
+        omega = 2.0 * np.pi * self.carrier_freq
+        carrier = np.exp(1j * omega * t)
+        s[:] = self.amplitude * np.real(b * carrier)
+        if sd is not None:
+            sd[:] = self.amplitude * np.real((b_dot + 1j * omega * b) * carrier)
 
 
 def signed_zeros_and_magnitudes(rng, shape):
@@ -191,12 +201,16 @@ def assert_matches_point_major(halfwidth, n):
               np.where(rng.random(n) < 0.5,
                        rng.uniform(start - 1.0, start - reach, n),
                        rng.uniform(end + reach, end + 1.0, n))):
+        ref.blocks = 0
         got = new.eval_passband_with_derivative(t)
         want = ref.eval_passband_with_derivative(t)
+        assert ref.blocks > 0
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+        ref.blocks = 0
         assert new.eval_passband(t).tobytes() == \
             ref.eval_passband(t).tobytes()
+        assert ref.blocks > 0
 
 
 class TestKernelBitExact:
@@ -234,9 +248,10 @@ class TestBlocks:
     def test_tracker_sized_call_runs_one_block(self, monkeypatch):
         sig = self.signal()
         sizes = []
-        block = sig._baseband_block
-        monkeypatch.setattr(sig, "_baseband_block",
-                            lambda t: sizes.append(t.size) or block(t))
+        block = sig._passband_block
+        monkeypatch.setattr(sig, "_passband_block",
+                            lambda t, s, sd: sizes.append(t.size)
+                            or block(t, s, sd))
         sig.eval_passband_with_derivative(np.linspace(0.0, 0.03, 1440))
         assert sizes == [1440]
         sizes.clear()
@@ -244,17 +259,21 @@ class TestBlocks:
         assert sizes == [1214, 1214, 1213]
 
     def test_large_batch_memory_per_point(self):
-        # one unblocked call traces 480 bytes per point at 10^5 points
+        # the float results take 8 or 16 bytes per point and one block's
+        # work array ~5 or ~8 at 10^5 points; carriers and b(t) spanning
+        # the whole batch took 64 and 80, and one unblocked call 480
         sig = self.signal()
         t = np.linspace(0.0, 0.03, 100_000)
-        sig.eval_passband_with_derivative(t[:10])
-        tracemalloc.start()
-        try:
-            sig.eval_passband_with_derivative(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 128 * t.size
+        for evaluate, bound in ((sig.eval_passband, 24),
+                                (sig.eval_passband_with_derivative, 40)):
+            evaluate(t[:10])
+            tracemalloc.start()
+            try:
+                evaluate(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * t.size, evaluate.__name__
 
 
 class TestLeadIn:
@@ -303,3 +322,15 @@ class TestValidation:
         pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError):
             TransmitSignal(np.array([1 + 0j]), pulse, 30e3, amplitude=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan), np.inf])
+    def test_non_finite_symbol(self, bad):
+        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
+        with pytest.raises(ValueError, match="unit magnitude"):
+            TransmitSignal(np.array([1, bad, 1j]), pulse, 30e3)
+
+    @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_time(self, start):
+        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
+        with pytest.raises(ValueError, match="start_time"):
+            TransmitSignal(np.array([1 + 0j]), pulse, 30e3, start_time=start)

@@ -4,11 +4,13 @@
 
 Each tree's `src/` is imported in a child process of its own, which
 simulates the scenario (the defaults, or FILE read by the tree's
-`harness.load_config`), runs the tracker over it and saves its segments and
-per-path error trace. The report says whether the segment boundaries are
-equal and gives the largest |delta| of the per-path error, and, when the
-boundaries are equal, of each segment's per-path Doppler and tau and its
-lse. A tree compared with itself reports zero drift.
+`harness.load_config`), runs the tracker and the baseline over it and saves
+the received stream, the tracker's segments and per-path error trace, and
+the baseline's per-path delays. The report says whether the segment
+boundaries are equal and gives the largest |delta| of the per-path error,
+when the boundaries are equal of each segment's per-path Doppler and tau and
+its lse, and then of the received stream and the baseline's delays. A tree
+compared with itself reports zero drift.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ out, config = sys.argv[1], sys.argv[2:]
 cfg = harness.load_config(config[0]) if config else harness.default_config()
 sig, _, r, truth = harness.simulate_stream(cfg)
 segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
+_, baseline_delay, _, _, _ = harness.baseline_stream(cfg, sig, r, truth)
 np.savez(out, module=dopptrack.__file__,
          bounds=np.array([(s.a, s.b) for s in segments]),
          doppler=np.array([s.doppler for s in segments]),
          tau=np.array([s.tau for s in segments]),
          lse=np.array([s.lse for s in segments]),
-         error=trace.abs_err)
+         error=trace.abs_err, received=r, baseline_delay=baseline_delay)
 """
 
 
@@ -76,6 +79,10 @@ def report(old, new) -> list[str]:
         lines.append("max |delta| %s: %s" % (
             name, max_delta(old[name], new[name]) if same
             else "n/a, boundaries differ"))
+    lines.append("max |delta| received: "
+                 + max_delta(old["received"], new["received"]))
+    lines.append("max |delta| baseline_delay_s: "
+                 + max_delta(old["baseline_delay"], new["baseline_delay"]))
     return lines
 
 
