@@ -22,12 +22,13 @@ large to allocate, a baseline run too short for the template and lag range,
 or a compare window below 1 or threshold that is negative or not finite), 2
 I/O error (a file that cannot be opened, read or written), 3 the tracker
 reported numerical divergence, 4 bad input (an input CSV whose content does
-not parse, holds a value that is not finite or is laid out wrongly, a truth
-warp later than its reception time, a received.csv or truth.csv that does
-not hold the configured run's number of samples, error traces that cannot be
-compared, or a received sample the tracker cannot consume), 5 internal
-fault: any other exception is a fault of the program, not of its input, and
-its traceback goes to stderr.
+not parse, holds a value that is not finite or is laid out wrongly, a sample
+index that is not an integer, a truth warp later than its reception time, a
+received.csv or truth.csv whose samples are not numbered 0..N-1 in order or
+that does not hold the configured run's number of samples, error traces that
+cannot be compared, or a received sample the tracker cannot consume), 5
+internal fault: any other exception is a fault of the program, not of its
+input, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -141,13 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True, help="first output directory")
     sp.add_argument("--b", required=True, help="second output directory")
     sp.add_argument("--out", required=True, help="report file (JSON)")
-    sp.add_argument("--threshold", type=float, default=5e-6,
+    # an option left out takes compare_dirs' default
+    sp.add_argument("--threshold", type=float, dest="miss_threshold",
+                    default=argparse.SUPPRESS,
                     help="sample-miss threshold in seconds")
-    sp.add_argument("--window", type=int, default=1000,
+    sp.add_argument("--window", type=int, default=argparse.SUPPRESS,
                     help="block-average window for the plot CSV")
-    sp.set_defaults(func=lambda a: _compare(a.a, a.b, a.out,
-                                            miss_threshold=a.threshold,
-                                            window=a.window))
+    sp.set_defaults(func=lambda a: _compare(a.a, a.b, a.out, **{
+        k: v for k, v in vars(a).items()
+        if k in ("miss_threshold", "window")}))
 
     add_step("demo", "full pipeline at reduced duration", _demo)
     add_step("dump-signal", "dump sampled waveform to CSV",

@@ -456,8 +456,12 @@ def _paired(err_a: ErrorTrace, err_b: ErrorTrace):
             ErrorTrace(n=common, abs_err=err_b.abs_err[:, ib]))
 
 
+# compare's default: an error above this many seconds is a sample miss
+_MISS_THRESHOLD_S = 5e-6
+
+
 def compare(err_a: ErrorTrace, err_b: ErrorTrace,
-            miss_threshold: float = 5e-6) -> dict:
+            miss_threshold: float = _MISS_THRESHOLD_S) -> dict:
     """Per-path max/mean table plus sample-miss counts for two traces."""
     sub_a, sub_b = _paired(err_a, err_b)
     report = {"miss_threshold_s": miss_threshold,
@@ -508,7 +512,7 @@ def _path_major(fmt: str, n, *columns):
             for name, *values in zip(PATHS, *columns)]
 
 
-def _read_csv(path: str, usecols=None) -> np.ndarray:
+def _read_csv(path: str, usecols) -> np.ndarray:
     """Numeric rows of a CSV below its header line; content that does not
     parse or a used value that is not finite raises BadInputError, a file
     that cannot be opened OSError."""
@@ -535,14 +539,18 @@ def _read_csv(path: str, usecols=None) -> np.ndarray:
 
 def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
     """A path-major CSV whose first used column is the sample index:
-    (n, values), n the samples that every path's block lists and values the
-    other used columns, shape (len(usecols) - 1, num_paths, len(n))."""
+    (n, values), n the integer samples that every path's block lists and
+    values the other used columns, shape (len(usecols) - 1, num_paths,
+    len(n)); BadInputError when an index is not an integer or the blocks
+    differ."""
     data = _read_csv(path, usecols)
     if data.shape[0] % len(PATHS) != 0:
         raise BadInputError("%s: rows not divisible by path count" % path)
     blocks = data.reshape(len(PATHS), data.shape[0] // len(PATHS),
                           data.shape[1])
     idx = blocks[:, :, 0].astype(int)
+    if not (idx == blocks[:, :, 0]).all():
+        raise BadInputError("%s: a sample index is not an integer" % path)
     if not (idx == idx[0]).all():
         raise BadInputError("%s: path blocks list different samples" % path)
     return idx[0], np.moveaxis(blocks[:, :, 1:], 2, 0)
@@ -552,8 +560,17 @@ def write_received(path: str, r: np.ndarray) -> None:
     _write_csv(path, "n,r", [("%d,%r\n", (range(len(r)), r))])
 
 
+def _check_numbered(path: str, n: np.ndarray) -> None:
+    """BadInputError unless the samples n are numbered 0..len(n)-1 in
+    order."""
+    if not np.array_equal(n, np.arange(n.size)):
+        raise BadInputError("%s: samples not numbered from 0 in order" % path)
+
+
 def read_received(path: str) -> np.ndarray:
-    return _read_csv(path, usecols=(0, 1))[:, 1]
+    data = _read_csv(path, usecols=(0, 1))
+    _check_numbered(path, data[:, 0])
+    return data[:, 1]
 
 
 def write_truth(path: str, truth: GroundTruth) -> None:
@@ -564,23 +581,19 @@ def write_truth(path: str, truth: GroundTruth) -> None:
 
 def read_truth(path: str) -> GroundTruth:
     n, (alpha, doppler) = _read_blocks(path, usecols=(0, 2, 3))
-    if not np.array_equal(n, np.arange(n.size)):
-        raise BadInputError("%s: samples not numbered from 0" % path)
+    _check_numbered(path, n)
     return GroundTruth(alpha=alpha, doppler=doppler)
 
 
 def write_segments(path: str, segments) -> None:
     """One line per segment and path, segment-major: each segment's own
     columns are repeated over its paths."""
-    k = np.repeat(np.arange(len(segments)), len(PATHS))
-    a = np.array([seg.a for seg in segments], dtype=int)
-    b = np.array([seg.b for seg in segments], dtype=int)
-    lse = np.array([seg.lse for seg in segments], dtype=float)
+    m = len(PATHS)
     _write_csv(path, "segment,path,a,b,d,tau_s,lse",
                [("%d,%s,%d,%d,%r,%r,%r\n",
-                 (k, PATHS * len(segments), a[k], b[k],
-                  np.ravel([seg.doppler for seg in segments]),
-                  np.ravel([seg.tau for seg in segments]), lse[k]))])
+                 ([k] * m, PATHS, [seg.a] * m, [seg.b] * m, seg.doppler,
+                  seg.tau, [seg.lse] * m))
+                for k, seg in enumerate(segments)])
 
 
 def write_errors(path: str, trace: ErrorTrace) -> None:
@@ -624,14 +637,14 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     write_received(os.path.join(out_dir, "received.csv"), r)
     write_truth(os.path.join(out_dir, "truth.csv"), truth)
-    return {"n_samples": int(r.size), "noise_std": scene.noise_std,
-            "sample_rate_hz": cfg.channel.sample_rate}
+    return {"n_samples": int(r.size), "noise_std": scene.noise_std}
 
 
-def _read_inputs(cfg: RunConfig,
-                 in_dir: str) -> tuple[np.ndarray, GroundTruth]:
-    """received.csv and truth.csv of one simulation; BadInputError unless
-    both hold the configured run's n_samples samples and no truth warp is
+def _read_inputs(cfg: RunConfig, in_dir: str
+                 ) -> tuple[TransmitSignal, np.ndarray, GroundTruth]:
+    """(signal, received stream, truth): the configured run's waveform, and
+    received.csv and truth.csv of one simulation; BadInputError unless both
+    CSVs hold the configured run's n_samples samples and no truth warp is
     later than its sample's reception time (a negative path delay)."""
     r = read_received(os.path.join(in_dir, "received.csv"))
     truth = read_truth(os.path.join(in_dir, "truth.csv"))
@@ -643,12 +656,11 @@ def _read_inputs(cfg: RunConfig,
     if late.any():
         raise BadInputError("truth.csv: the warp of sample %d is later than "
                             "its reception time" % np.argmax(late))
-    return r, truth
+    return build_signal(cfg), r, truth
 
 
 def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
-    r, truth = _read_inputs(cfg, in_dir)
-    sig = build_signal(cfg)
+    sig, r, truth = _read_inputs(cfg, in_dir)
     segments, trace, summary = track_stream(cfg, sig, r, truth)
     os.makedirs(out_dir, exist_ok=True)
     write_segments(os.path.join(out_dir, "segments.csv"), segments)
@@ -658,8 +670,7 @@ def run_tracker(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 
 def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
-    r, truth = _read_inputs(cfg, in_dir)
-    sig = build_signal(cfg)
+    sig, r, truth = _read_inputs(cfg, in_dir)
     n_grid, delays, flags, trace, summary = baseline_stream(cfg, sig, r, truth)
     os.makedirs(out_dir, exist_ok=True)
     write_delays(os.path.join(out_dir, "delays.csv"), n_grid, delays, flags)
@@ -669,7 +680,8 @@ def run_baseline(cfg: RunConfig, in_dir: str, out_dir: str) -> dict:
 
 
 def compare_dirs(a_dir: str, b_dir: str, out_file: str,
-                 miss_threshold: float = 5e-6, window: int = 1000) -> dict:
+                 miss_threshold: float = _MISS_THRESHOLD_S,
+                 window: int = 1000) -> dict:
     if window < 1:
         raise ConfigError("window must be >= 1, got %r" % window)
     if not 0.0 <= miss_threshold < math.inf:

@@ -27,11 +27,12 @@ on what else the process has allocated; free() then trims the heap after
 every call, and the next call faults about 100 pages back in and costs
 about 1.4 times as much.
 
-A large batch of times is evaluated in blocks of at most _BLOCK_TERMS
-(offset, time) terms, about 1 820 times at W = 4, so the work array stays
-within 768 KiB whatever N is. Each block also forms the carrier and the real
-part for its own times and writes its slice of the float results, and
-eval_passband sums no db/dt and gives its work array two planes, not three.
+Times are evaluated in fixed-size blocks of _BLOCK_TERMS // (2W+1) times
+(1 820 at W = 4) and a shorter last block, so a block holds at most
+_BLOCK_TERMS (offset, time) terms and the work array stays within 768 KiB
+whatever N is. Each block also forms the carrier and the real part for its
+own times and writes its slice of the float results, and eval_passband sums
+no db/dt and gives its work array two planes, not three.
 On 10^5 times at W = 4, eval_passband traces about 15 bytes per time and
 eval_passband_with_derivative about 26, against 64 and 80 with the carrier
 formed over the whole batch and 480 with the pulse sum in one block.
@@ -149,24 +150,18 @@ class TransmitSignal:
         """s(t), and ds/dt when derivative is set, at a 1-D array of finite
         float times.
 
-        Times that fit in one block of _BLOCK_TERMS terms go to
-        _passband_block whole. At W = 4 that covers the tracker's call for
-        a bank of up to 151 candidates on 3 paths (12 times each; 120 make
-        1 440). Such calls stay whole because two blocks of 720 times cost
-        about 18% more than one of 1 440. More times are split into the
-        fewest blocks that fit, all of one size but a shorter last, each
-        filling its slice of the results.
+        The times go to _passband_block in blocks of _BLOCK_TERMS // (2W+1)
+        times (1 820 at W = 4), a shorter last block taking the rest; each
+        block fills its slice of the results. One block covers the tracker's
+        call for a bank of up to 151 candidates on 3 paths (12 times each;
+        120 make 1 440), and that matters: two blocks of 720 times cost about
+        18% more than one of 1 440.
         """
         s = np.empty(t.size)
         sd = np.empty(t.size) if derivative else None
-        cap = max(1, _BLOCK_TERMS // self._offsets_f.size)
-        if t.size <= cap:
-            self._passband_block(t, s, sd)
-            return s, sd
-        blocks = -(-t.size // cap)
-        size = -(-t.size // blocks)
-        for lo in range(0, t.size, size):
-            hi = lo + size
+        step = max(1, _BLOCK_TERMS // self._offsets_f.size)
+        for lo in range(0, t.size, step):
+            hi = lo + step
             self._passband_block(t[lo:hi], s[lo:hi],
                                  None if sd is None else sd[lo:hi])
         return s, sd

@@ -230,12 +230,20 @@ class TestSimulationArtifacts:
          [(0, "direct"), (1, "direct"), (0, "surface"), (1, "surface"),
           (0, "bottom"), (2, "bottom")],
          "different samples"),
+        # an index that is not an integer, in one block or in all three
+        (harness.read_truth, "truth.csv",
+         [(n, p) for p in ("direct", "surface", "bottom")
+          for n in ((0, 1.7) if p == "surface" else (0, 1))],
+         "not an integer"),
+        (harness.read_errors, "errors.csv",
+         [(n, p) for p in ("direct", "surface", "bottom") for n in (0, 0.5)],
+         "not an integer"),
     ])
     def test_malformed_blocks_are_bad_input(self, tmp_path, read, name, rows,
                                             match):
         path = tmp_path / name
         path.write_text("n,path,value,value\n"
-                        + "".join("%d,%s,0.0,1.0\n" % row for row in rows))
+                        + "".join("%s,%s,0.0,1.0\n" % row for row in rows))
         with pytest.raises(harness.BadInputError, match=match):
             read(str(path))
 
@@ -328,10 +336,11 @@ class TestCsvWriterBytes:
                          per_line_path_major("%d,%s,%r,%d\n", n_grid,
                                              delays, flags))
 
-    @pytest.mark.parametrize("count", [0, 1, 5])
+    # 100 segments make 300 lines, more than one block of rows
+    @pytest.mark.parametrize("count", [0, 1, 5, 100])
     def test_segments(self, tmp_path, count):
         rng = np.random.default_rng(count)
-        lse = [0.25, math.inf, 1e16, 3.0, 1e-5][:count]
+        lse = [0.25, math.inf, 1e16, 3.0, 1e-5] * 20
         segments = [DopplerSegment(a=10 * k, b=10 * k + 9,
                                    doppler=1.0 + rng.normal(0.0, 1e-4, 3),
                                    tau=self.floats(rng, 3), lse=lse[k])
@@ -665,8 +674,9 @@ class TestCli:
         assert "config error" in err and "baseline template" in err
         assert not (tmp_path / "out").exists()
 
-    # a value that is not finite in each input CSV, or a truth warp later
-    # than its reception time; sample 600 is the baseline's first iteration
+    # a value that is not finite in each input CSV, a truth warp later than
+    # its reception time, or a sample index that is out of place or not an
+    # integer; sample 600 is the baseline's first iteration
     @pytest.mark.parametrize("command, name, n, value", [
         ("track", "truth.csv", 0, "nan"),
         ("track", "truth.csv", 500, "nan"),
@@ -675,6 +685,11 @@ class TestCli:
         ("baseline", "received.csv", 500, "nan"),
         ("baseline", "received.csv", 500, "inf"),
         ("compare", "errors.csv", 3, "nan"),
+        # "n=x" renumbers the row as sample x
+        ("baseline", "received.csv", 500, "n=501"),
+        ("track", "received.csv", 0, "n=0.5"),
+        ("track", "truth.csv", 500, "n=500.5"),
+        ("compare", "errors.csv", 3, "n=3.5"),
     ])
     def test_bad_input_value_is_bad_input(self, tmp_path, capsys, command,
                                           name, n, value):
@@ -697,7 +712,10 @@ class TestCli:
         lines = edited.read_text().splitlines()
         fields = lines[n + 1].split(",")
         assert fields[0] == str(n)
-        fields[1 if name == "received.csv" else 2] = value
+        if value.startswith("n="):
+            fields[0] = value[2:]
+        else:
+            fields[1 if name == "received.csv" else 2] = value
         lines[n + 1] = ",".join(fields)
         edited.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
