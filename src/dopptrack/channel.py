@@ -4,11 +4,13 @@ Direct, surface-reflected (image across the instantaneously displaced flat
 surface) and bottom-reflected arrivals of a known waveform, with a horizontally
 oscillating receiver and a sinusoidally heaving surface. synthesize produces
 received samples plus the ground-truth emission-time warp and its derivative
-for every path, for evaluating trackers. path_warp is the one place that
-computes a path's warp and Doppler; synthesize and the harness's noise-level
-probe both call it. path_lengths gives every path's length at once, for the
-harness's bound on the longest delay. Both take each path's vertical extent
-from _vertical_extent, the one copy of the image-method geometry.
+for every path, for evaluating trackers, and owns the noise level: a scene
+gives noise_std, or snr_db against the clean direct path, which synthesize
+measures as it adds that path. path_warp is the one place that computes the
+paths' warps and Doppler factors; path_lengths gives the same lengths without
+their rates, for the harness's bound on the longest delay. Both evaluate the
+receiver sway and the surface heave once for all paths, in _extents, the one
+copy of the image-method geometry.
 
 Delays use the quasi-static convention: geometry is frozen at reception time,
 alpha(n T) = n T - L(n T) / c. At the sub-m/s speeds simulated here the
@@ -72,19 +74,30 @@ class MotionSpec:
 
 @dataclass(frozen=True)
 class ChannelScene:
-    """Full scene: geometry, motion, per-path gains, noise and sampling."""
+    """Full scene: geometry, motion, per-path gains, noise and sampling.
+
+    The noise level is noise_std when it is set; when it is None, synthesize
+    sets it from snr_db, the direct path's power over the noise's in dB."""
 
     geometry: Geometry
     motion: MotionSpec
     gains: tuple[float, float, float]
-    noise_std: float
+    noise_std: float | None
     sample_rate: float
+    snr_db: float | None = None
 
     def __post_init__(self):
         if len(self.gains) != len(PATHS):
             raise ValueError("need exactly %d path gains" % len(PATHS))
-        if not 0.0 <= self.noise_std < math.inf:
+        if self.noise_std is None and self.snr_db is None:
+            raise ValueError("need noise_std or snr_db")
+        if self.noise_std is not None and not 0.0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be >= 0 and finite")
+        # a power ratio of 1e+-30, far past any physical SNR, so that the
+        # level synthesize derives stays within float range
+        if self.snr_db is not None and not -300.0 <= self.snr_db <= 300.0:
+            raise ValueError("snr_db must lie within +-300 dB, got %r"
+                             % self.snr_db)
         if not 0.0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
         g = self.geometry
@@ -105,7 +118,7 @@ class GroundTruth:
 
 
 def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray,
-              rate: bool = True):
+              rate: bool):
     """amp sin(2 pi freq t + phase) and its rate of change (None unless
     rate)."""
     w = 2.0 * np.pi * freq
@@ -113,74 +126,75 @@ def _sinusoid(freq: float, amp: float, phase: float, t: np.ndarray,
     return amp * np.sin(arg), amp * w * np.cos(arg) if rate else None
 
 
-def _vertical_extent(g: Geometry, path: str):
-    """(depth, heave): the path's vertical extent is v = depth + heave * eta
-    for the surface displacement eta. It is the depth difference, the image
-    across the heaving surface, or the image across the bottom."""
-    if path == "direct":
-        return g.tx_depth - g.rx_depth, 0.0
-    if path == "surface":
-        return g.tx_depth + g.rx_depth, 2.0
-    if path == "bottom":
-        return 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth, 0.0
-    raise ValueError("unknown path %r" % path)
+def _extents(g: Geometry, m: MotionSpec, t: np.ndarray, rate: bool):
+    """(x, x_dot, v, v_dot) at a 1-D array of times: the swaying horizontal
+    range x and every path's vertical extent v = depth + heave * eta for the
+    surface displacement eta, shape (len(PATHS), t.size), with their rates
+    (None unless rate). Row by row, v is the depth difference, the image
+    across the heaving surface and the image across the bottom; the zero
+    heave of the other rows adds a signed zero, which moves no bit of a
+    length or a Doppler factor. Sway and heave are evaluated once."""
+    sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t,
+                            rate)
+    eta, eta_dot = _sinusoid(m.surface_freq, m.surface_amp, m.surface_phase,
+                             t, rate)
+    depth = np.array([[g.tx_depth - g.rx_depth], [g.tx_depth + g.rx_depth],
+                      [2.0 * g.bottom_depth - g.tx_depth - g.rx_depth]])
+    heave = np.array([[0.0], [2.0], [0.0]])
+    return (g.horizontal_range + sway, x_dot, depth + heave * eta,
+            heave * eta_dot if rate else None)
 
 
 def path_lengths(geometry: Geometry, motion: MotionSpec,
                  t: np.ndarray) -> np.ndarray:
     """Propagation path lengths in meters, shape (len(PATHS), t.size), at a
-    1-D array of times; row i equals the length path_warp uses for PATHS[i]."""
-    m = motion
-    sway, _ = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t,
-                        rate=False)
-    eta, _ = _sinusoid(m.surface_freq, m.surface_amp, m.surface_phase, t,
-                       rate=False)
-    v = np.empty((len(PATHS), t.size))
-    for row, path in zip(v, PATHS):
-        depth, heave = _vertical_extent(geometry, path)
-        row[:] = depth + heave * eta if heave else depth
-    return np.hypot(geometry.horizontal_range + sway, v)
+    1-D array of times: the lengths path_warp uses, without their rates."""
+    x, _, v, _ = _extents(geometry, motion, t, rate=False)
+    return np.hypot(x, v)
 
 
-def path_warp(geometry: Geometry, motion: MotionSpec, path: str,
-              t: np.ndarray):
-    """Emission-time warp alpha = t - L/c in seconds and Doppler factor
-    d = 1 - (dL/dt)/c of one path at a 1-D array of reception times.
+def path_warp(geometry: Geometry, motion: MotionSpec, t: np.ndarray):
+    """Emission-time warps alpha = t - L/c in seconds and Doppler factors
+    d = 1 - (dL/dt)/c of every path, each shape (len(PATHS), t.size), at a
+    1-D array of reception times.
 
-    L = hypot(x, v) for the swaying horizontal range x and the path's
+    L = hypot(x, v) for the swaying horizontal range x and each path's
     vertical extent v; dL/dt is analytic.
     """
-    g, m = geometry, motion
-    depth, heave = _vertical_extent(g, path)
-    sway, x_dot = _sinusoid(m.rx_osc_freq, m.rx_osc_amp, m.rx_osc_phase, t)
-    x = g.horizontal_range + sway
-    if heave:
-        eta, eta_dot = _sinusoid(m.surface_freq, m.surface_amp,
-                                 m.surface_phase, t)
-        v, v_dot = depth + heave * eta, heave * eta_dot
-    else:
-        v, v_dot = depth, 0.0
+    x, x_dot, v, v_dot = _extents(geometry, motion, t, rate=True)
     length = np.hypot(x, v)
-    c = g.sound_speed
-    return t - length / c, 1.0 - (x * x_dot + v * v_dot) / length / c
+    c = geometry.sound_speed
+    # v v' + x x' leaves its temporary on the left, which numpy divides in
+    # place (IEEE addition commutes, so the sum keeps its bits); alpha is
+    # then written over the lengths
+    doppler = 1.0 - (v * v_dot + x * x_dot) / length / c
+    return np.subtract(t, length / c, out=length), doppler
 
 
 def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
-               noise_seed: int) -> tuple[np.ndarray, GroundTruth]:
-    """Received samples r[n] = sum_l h_l s(alpha_l(n)) + noise, plus truth."""
+               noise_seed: int) -> tuple[np.ndarray, GroundTruth, float]:
+    """Received samples r[n] = sum_l h_l s(alpha_l(n)) + noise, the truth,
+    and the noise level drawn: the scene's noise_std or, when that is None,
+    the level snr_db below the power of the clean direct path h_0 s(alpha_0),
+    measured after that path is added and before any other (ValueError when
+    it carries no power)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n = np.arange(n_samples)
-    t = n * scene.sample_period
-    alpha = np.empty((len(PATHS), n_samples))
-    doppler = np.empty((len(PATHS), n_samples))
+    t = np.arange(n_samples) * scene.sample_period
+    alpha, doppler = path_warp(scene.geometry, scene.motion, t)
     r = np.zeros(n_samples)
-    for i, path in enumerate(PATHS):
-        alpha[i], doppler[i] = path_warp(scene.geometry, scene.motion,
-                                         path, t)
-        if scene.gains[i] != 0.0:
-            r += scene.gains[i] * sig.eval_passband(alpha[i])
+    noise_std = scene.noise_std
+    for i, gain in enumerate(scene.gains):
+        if gain != 0.0:
+            r += gain * sig.eval_passband(alpha[i])
+        if i == 0 and noise_std is None:
+            # r is 0.0 + h_0 s(alpha_0): the clean direct path, up to the
+            # sign of a zero, which its square drops
+            power = float(np.mean(r * r))
+            if power == 0.0:
+                raise ValueError("direct path carries no signal power")
+            noise_std = math.sqrt(power / 10.0 ** (scene.snr_db / 10.0))
     rng = np.random.default_rng(noise_seed)
-    if scene.noise_std > 0.0:
-        r = r + rng.normal(0.0, scene.noise_std, size=n_samples)
-    return r, GroundTruth(alpha=alpha, doppler=doppler)
+    if noise_std > 0.0:
+        r = r + rng.normal(0.0, noise_std, size=n_samples)
+    return r, GroundTruth(alpha=alpha, doppler=doppler), noise_std

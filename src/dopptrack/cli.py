@@ -18,12 +18,14 @@ sim/ directory.
 Exit codes: 0 success, 1 configuration error (a config file that is not
 UTF-8, a value that does not parse or is not finite, any value the simulator
 or a tracker rejects, a run no longer than the tracker warm-up, a run too
-large to allocate, a baseline run too short for the template and lag range,
+large to allocate, a direct path with no signal power when the noise level
+is set from snr_db, a baseline run too short for the template and lag range,
 or a compare window below 1 or threshold that is negative or not finite), 2
 I/O error (a file that cannot be opened, read or written), 3 the tracker
 reported numerical divergence, 4 bad input (an input CSV whose content does
 not parse, holds a value that is not finite or is laid out wrongly, a sample
-index that is not an integer, a truth warp later than its reception time, a
+index that is not an integer below 2**63 in magnitude, path blocks that are
+not in the order of PATHS, a truth warp later than its reception time, a
 received.csv or truth.csv whose samples are not numbered 0..N-1 in order or
 that does not hold the configured run's number of samples, error traces that
 cannot be compared, or a received sample the tracker cannot consume), 5

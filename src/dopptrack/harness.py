@@ -26,11 +26,12 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, asdict, replace
+from itertools import islice
 
 import numpy as np
 
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
-                      path_lengths, path_warp, synthesize)
+                      path_lengths, synthesize)
 from .peak_tracking import PeakTracker, template_samples
 from .signal_model import TransmitSignal, make_qpsk_signal
 from .tracker import (DopplerTracker, TrackerConfig, reconstruct_warp_array)
@@ -120,11 +121,6 @@ class RunConfig:
         if not 0.0 < self.channel.sample_rate < math.inf:
             raise ConfigError("sample_rate must be positive and finite, got %r"
                               % self.channel.sample_rate)
-        # a power ratio of 1e+-30, far past any physical SNR, so that
-        # resolve_noise_std stays within float range
-        if not -300.0 <= self.channel.snr_db <= 300.0:
-            raise ConfigError("snr_db must lie within +-300 dB, got %r"
-                              % self.channel.snr_db)
         # np.arange and the sample arrays index samples with np.intp
         if not self.duration * self.channel.sample_rate \
                 < np.iinfo(np.intp).max:
@@ -143,7 +139,7 @@ class RunConfig:
         zeros = np.zeros(len(PATHS))
         try:
             sig = build_signal(self)
-            _scene(self, self.channel.noise_std or 0.0)
+            build_scene(self)
             np.random.default_rng(self.channel.noise_seed)
             DopplerTracker(sig, tracker_config(self, zeros))
             peak_tracker(self, sig, zeros)
@@ -252,12 +248,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _scene(cfg: RunConfig, noise_std: float) -> ChannelScene:
-    return ChannelScene(geometry=cfg.geometry, motion=cfg.motion,
-                        gains=cfg.channel.gains, noise_std=noise_std,
-                        sample_rate=cfg.channel.sample_rate)
-
-
 def _max_path_delay(cfg: RunConfig) -> float:
     """The longest path delay over the run in seconds, taken at 512 evenly
     spaced times. Of build_signal's pulse_halfwidth + 1 extra lead-in
@@ -283,22 +273,14 @@ def build_signal(cfg: RunConfig) -> TransmitSignal:
                             lead_symbols=lead)
 
 
-def resolve_noise_std(cfg: RunConfig, sig: TransmitSignal) -> float:
-    """Explicit noise_std wins; otherwise derive it from snr_db against the
-    clean direct-path signal power."""
-    if cfg.channel.noise_std is not None:
-        return cfg.channel.noise_std
-    t = np.arange(cfg.n_samples) * (1.0 / cfg.channel.sample_rate)
-    alpha, _ = path_warp(cfg.geometry, cfg.motion, PATHS[0], t)
-    clean = cfg.channel.gains[0] * sig.eval_passband(alpha)
-    power = float(np.mean(clean * clean))
-    if power == 0.0:
-        raise ConfigError("direct path carries no signal power")
-    return math.sqrt(power / 10.0 ** (cfg.channel.snr_db / 10.0))
-
-
-def build_scene(cfg: RunConfig, sig: TransmitSignal) -> ChannelScene:
-    return _scene(cfg, resolve_noise_std(cfg, sig))
+def build_scene(cfg: RunConfig, sig=None) -> ChannelScene:
+    """The run's channel scene, with the run's noise_std or, when that is
+    None, its snr_db; synthesize resolves the level, so this evaluates
+    nothing. sig is not read: the scene does not depend on the waveform, and
+    callers that pass the run's signal may keep doing so."""
+    c = cfg.channel
+    return ChannelScene(cfg.geometry, cfg.motion, c.gains, c.noise_std,
+                        c.sample_rate, c.snr_db)
 
 
 def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
@@ -363,11 +345,17 @@ class ErrorTrace:
 
 
 def simulate_stream(cfg: RunConfig):
-    """In-memory simulation: (signal, scene, received, truth)."""
+    """In-memory simulation: (signal, scene, received, truth). The scene's
+    noise_std is the level the noise was drawn at; ConfigError when the
+    level is set from snr_db and the direct path carries no power."""
     sig = build_signal(cfg)
-    scene = build_scene(cfg, sig)
-    r, truth = synthesize(scene, sig, cfg.n_samples, cfg.channel.noise_seed)
-    return sig, scene, r, truth
+    scene = build_scene(cfg)
+    try:
+        r, truth, noise_std = synthesize(scene, sig, cfg.n_samples,
+                                         cfg.channel.noise_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return sig, replace(scene, noise_std=noise_std), r, truth
 
 
 def track_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
@@ -512,6 +500,12 @@ def _path_major(fmt: str, n, *columns):
             for name, *values in zip(PATHS, *columns)]
 
 
+def _is_data(line: str) -> bool:
+    """Whether np.loadtxt reads a line of a file as data: it skips an empty
+    line and a '#' comment line."""
+    return line[0] not in "#\n"
+
+
 def _read_csv(path: str, usecols) -> np.ndarray:
     """Numeric rows of a CSV below its header line; content that does not
     parse or a used value that is not finite raises BadInputError, a file
@@ -527,11 +521,10 @@ def _read_csv(path: str, usecols) -> np.ndarray:
         raise BadInputError("%s: %s" % (path, exc)) from exc
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        # the data rows' line numbers: np.loadtxt skipped the header line
-        # and every line that is empty once a '#' comment is cut off
+        # the data rows' line numbers, below the header line
         with open(path) as f:
             lines = [k for k, line in enumerate(f, start=1)
-                     if k > 1 and line.rstrip("\n").partition("#")[0]]
+                     if k > 1 and _is_data(line)]
         raise BadInputError("%s: line %d holds a value that is not finite"
                             % (path, lines[np.argmin(finite)]))
     return data
@@ -541,19 +534,42 @@ def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
     """A path-major CSV whose first used column is the sample index:
     (n, values), n the integer samples that every path's block lists and
     values the other used columns, shape (len(usecols) - 1, num_paths,
-    len(n)); BadInputError when an index is not an integer or the blocks
-    differ."""
+    len(n)); BadInputError when an index is not an integer, the blocks
+    differ or a block's first row does not name its path."""
     data = _read_csv(path, usecols)
     if data.shape[0] % len(PATHS) != 0:
         raise BadInputError("%s: rows not divisible by path count" % path)
     blocks = data.reshape(len(PATHS), data.shape[0] // len(PATHS),
                           data.shape[1])
-    idx = blocks[:, :, 0].astype(int)
-    if not (idx == blocks[:, :, 0]).all():
-        raise BadInputError("%s: a sample index is not an integer" % path)
+    if blocks.shape[1]:   # a header-only file has no block to name
+        _check_block_names(path, blocks.shape[1])
+    n = blocks[:, :, 0]
+    # checked before the cast, which is undefined for a float past int64
+    if not ((np.abs(n) < 2.0 ** 63) & (np.trunc(n) == n)).all():
+        raise BadInputError("%s: a sample index is not an integer below "
+                            "2**63 in magnitude" % path)
+    idx = n.astype(int)
     if not (idx == idx[0]).all():
         raise BadInputError("%s: path blocks list different samples" % path)
     return idx[0], np.moveaxis(blocks[:, :, 1:], 2, 0)
+
+
+def _check_block_names(path: str, rows: int) -> None:
+    """BadInputError unless the first data line of the i-th block of rows
+    data lines names PATHS[i]. The lines are picked by position first, which
+    finds them when no line is skipped and costs about half as much as
+    testing every line; when those picks do not name the paths in order, a
+    scan of the data lines decides."""
+    for data_only in (False, True):
+        with open(path) as f:
+            next(f)
+            lines = filter(_is_data, f) if data_only else f
+            heads = islice(lines, 0, (len(PATHS) - 1) * rows + 1, rows)
+            if [line.split(",", 2)[1:2] for line in heads] \
+                    == [[name] for name in PATHS]:
+                return
+    raise BadInputError("%s: path blocks are not in the order %s"
+                        % (path, ", ".join(PATHS)))
 
 
 def write_received(path: str, r: np.ndarray) -> None:

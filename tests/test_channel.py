@@ -32,7 +32,7 @@ def truth_of(scene, n_samples):
     """Ground truth of the first n_samples; zero gains skip the signal."""
     silent = dataclasses.replace(scene, gains=(0.0, 0.0, 0.0))
     sig = make_qpsk_signal(1, seed=7, symbol_rate=20e3, carrier_freq=30e3)
-    _, truth = synthesize(silent, sig, n_samples, noise_seed=0)
+    _, truth, _ = synthesize(silent, sig, n_samples, noise_seed=0)
     return truth
 
 
@@ -46,6 +46,33 @@ def swaying_scene():
     direct path's vertical extent is 0."""
     return dataclasses.replace(moving_scene(), motion=MotionSpec(
         rx_osc_freq=0.6, rx_osc_amp=0.125))
+
+
+def tilted_scene():
+    """Transmitter above the receiver, phase-shifted sway and heave."""
+    geometry = Geometry(bottom_depth=1.8, tx_depth=0.3, rx_depth=0.7,
+                        horizontal_range=1.45, sound_speed=C_SOUND)
+    return dataclasses.replace(moving_scene(), geometry=geometry,
+                               motion=MotionSpec(0.6, 0.125, 0.3, 0.7, 0.165,
+                                                 1.1))
+
+
+def per_path_warp(g, m, path, t):
+    """One path's warp and Doppler factor, with its own sway and heave."""
+    w, ws = 2.0 * np.pi * m.rx_osc_freq, 2.0 * np.pi * m.surface_freq
+    x = g.horizontal_range + m.rx_osc_amp * np.sin(w * t + m.rx_osc_phase)
+    x_dot = m.rx_osc_amp * w * np.cos(w * t + m.rx_osc_phase)
+    if path == "surface":
+        v = g.tx_depth + g.rx_depth \
+            + 2.0 * (m.surface_amp * np.sin(ws * t + m.surface_phase))
+        v_dot = 2.0 * (m.surface_amp * ws * np.cos(ws * t + m.surface_phase))
+    else:
+        v = g.tx_depth - g.rx_depth if path == "direct" \
+            else 2.0 * g.bottom_depth - g.tx_depth - g.rx_depth
+        v_dot = 0.0
+    length = np.hypot(x, v)
+    c = g.sound_speed
+    return t - length / c, 1.0 - (x * x_dot + v * v_dot) / length / c
 
 
 class TestPathLength:
@@ -77,10 +104,11 @@ class TestPathLength:
         scene = scene()
         g, m = scene.geometry, scene.motion
         t = np.arange(400000) * scene.sample_period
-        alpha, _ = path_warp(g, m, PATHS[i], t)
+        alpha, _ = path_warp(g, m, t)
         lengths = path_lengths(g, m, t)
-        assert lengths.shape == (len(PATHS), t.size)
-        np.testing.assert_array_equal(alpha, t - lengths[i] / g.sound_speed)
+        assert lengths.shape == alpha.shape == (len(PATHS), t.size)
+        np.testing.assert_array_equal(alpha[i],
+                                      t - lengths[i] / g.sound_speed)
 
 
 class TestWarp:
@@ -95,10 +123,19 @@ class TestWarp:
         delay = 0.0 - truth_of(static_scene(), 1).alpha[0, 0]
         assert delay == pytest.approx(9.6667e-4, abs=1e-8)
 
-    def test_unknown_path(self):
-        scene = static_scene()
-        with pytest.raises(ValueError):
-            path_warp(scene.geometry, scene.motion, "sideways", np.zeros(1))
+    # path_warp evaluates the sway and heave once for all paths; each row
+    # keeps the bits of the per-path formula, which evaluated them per path
+    @pytest.mark.parametrize("scene", [static_scene, moving_scene,
+                                       swaying_scene, tilted_scene])
+    def test_rows_match_per_path_reference(self, scene):
+        scene = scene()
+        g, m = scene.geometry, scene.motion
+        t = np.arange(400000) * scene.sample_period
+        alpha, doppler = path_warp(g, m, t)
+        for i, path in enumerate(PATHS):
+            ref_alpha, ref_doppler = per_path_warp(g, m, path, t)
+            np.testing.assert_array_equal(alpha[i], ref_alpha)
+            np.testing.assert_array_equal(doppler[i], ref_doppler)
 
     def test_monotone_in_paper_scenario(self):
         alpha = truth_of(moving_scene(), 10000).alpha
@@ -133,7 +170,7 @@ class TestSynthesize:
         scene = static_scene(gains=(1.0, 0.0, 0.0))
         sig = make_qpsk_signal(100, seed=7, symbol_rate=20e3,
                                carrier_freq=30e3, lead_symbols=40)
-        r, truth = synthesize(scene, sig, 2000, noise_seed=0)
+        r, truth, _ = synthesize(scene, sig, 2000, noise_seed=0)
         n = np.arange(2000)
         expect = sig.eval_passband(n * scene.sample_period - 1.45 / C_SOUND)
         np.testing.assert_array_equal(r, expect)
@@ -141,14 +178,14 @@ class TestSynthesize:
     def test_zero_gains_zero_output(self):
         scene = static_scene(gains=(0.0, 0.0, 0.0))
         sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
-        r, _ = synthesize(scene, sig, 500, noise_seed=0)
+        r, _, _ = synthesize(scene, sig, 500, noise_seed=0)
         assert np.all(r == 0.0)
 
     def test_energy_bound(self):
         scene = moving_scene()
         sig = make_qpsk_signal(200, seed=7, symbol_rate=20e3,
                                carrier_freq=30e3, lead_symbols=50)
-        r, _ = synthesize(scene, sig, 5000, noise_seed=0)
+        r, _, _ = synthesize(scene, sig, 5000, noise_seed=0)
         t = np.linspace(-50 / 20e3, 200 / 20e3, 200001)
         peak = np.max(np.abs(sig.eval_passband(t)))
         assert np.max(np.abs(r)) <= (1.0 + 0.8 + 0.5) * peak + 1e-12
@@ -156,16 +193,16 @@ class TestSynthesize:
     def test_noise_reproducible(self):
         scene = moving_scene(noise_std=0.05)
         sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
-        r1, _ = synthesize(scene, sig, 1000, noise_seed=99)
-        r2, _ = synthesize(scene, sig, 1000, noise_seed=99)
+        r1, _, _ = synthesize(scene, sig, 1000, noise_seed=99)
+        r2, _, _ = synthesize(scene, sig, 1000, noise_seed=99)
         assert np.array_equal(r1, r2)
-        r3, _ = synthesize(scene, sig, 1000, noise_seed=100)
+        r3, _, _ = synthesize(scene, sig, 1000, noise_seed=100)
         assert np.any(r3 != r1)
 
     def test_truth_filled_for_all_paths(self):
         scene = moving_scene()
         sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
-        _, truth = synthesize(scene, sig, 700, noise_seed=0)
+        _, truth, _ = synthesize(scene, sig, 700, noise_seed=0)
         assert truth.alpha.shape == (3, 700)
         assert truth.doppler.shape == (3, 700)
         assert np.all(np.isfinite(truth.alpha))
@@ -187,6 +224,15 @@ class TestValidation:
                          motion=MotionSpec(surface_amp=0.5),
                          gains=(1.0, -0.8, 0.5), noise_std=0.0,
                          sample_rate=200e3)
+
+    def test_noise_setting(self):
+        scene = static_scene()
+        noisy = dataclasses.replace(scene, noise_std=None, snr_db=20.0)
+        assert noisy.noise_std is None and noisy.snr_db == 20.0
+        for noise_std, snr_db in [(None, None), (None, 300.5), (0.0, -301.0),
+                                  (None, float("nan")), (-0.1, None)]:
+            with pytest.raises(ValueError):
+                dataclasses.replace(scene, noise_std=noise_std, snr_db=snr_db)
 
     def test_gain_count(self):
         with pytest.raises(ValueError):

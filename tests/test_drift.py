@@ -16,4 +16,5 @@ def test_tree_against_itself_reports_zero_drift(tmp_path):
     assert first.startswith("boundaries: equal (")
     assert deltas == ["max |delta| %s: 0" % name
                       for name in ("error_s", "doppler", "tau", "lse",
-                                   "received", "baseline_delay_s")]
+                                   "received", "noise_std", "truth_alpha_s",
+                                   "truth_doppler", "baseline_delay_s")]

@@ -11,6 +11,7 @@ import pytest
 from dopptrack import cli, harness
 from dopptrack.channel import PATHS, ChannelScene, GroundTruth, synthesize
 from dopptrack.harness import ConfigError
+from dopptrack.signal_model import TransmitSignal
 from dopptrack.tracker import DopplerSegment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -26,6 +27,19 @@ def short_config(duration=0.02, **channel_kw):
 def static_config(duration=0.02):
     cfg = short_config(duration, noise_std=0.0)
     return dataclasses.replace(cfg, motion=harness.MotionSpec())
+
+
+def count_passband_calls(monkeypatch) -> list:
+    """The time counts of every later TransmitSignal.eval_passband call."""
+    calls = []
+    original = TransmitSignal.eval_passband
+
+    def counted(self, t):
+        calls.append(t.size)
+        return original(self, t)
+
+    monkeypatch.setattr(TransmitSignal, "eval_passband", counted)
+    return calls
 
 
 class TestConfig:
@@ -110,15 +124,18 @@ class TestConfig:
         assert sig.symbols.size == 10049
         assert sig.start_time == -47 / cfg.signal.symbol_rate
 
+    # the level the stream's noise was drawn at: simulate_stream's scene
+    @staticmethod
+    def noise_level(cfg):
+        return harness.simulate_stream(cfg)[1].noise_std
+
     def test_noise_std_override(self):
         cfg = short_config(noise_std=0.0)
-        sig = harness.build_signal(cfg)
-        assert harness.resolve_noise_std(cfg, sig) == 0.0
+        assert self.noise_level(cfg) == 0.0
 
     def test_snr_sets_noise(self):
         cfg = short_config()
-        sig = harness.build_signal(cfg)
-        std = harness.resolve_noise_std(cfg, sig)
+        std = self.noise_level(cfg)
         probe = dataclasses.replace(cfg, channel=dataclasses.replace(
             cfg.channel, gains=(cfg.channel.gains[0], 0.0, 0.0),
             noise_std=0.0))
@@ -133,7 +150,7 @@ class TestConfig:
                              gains=(cfg.channel.gains[0], 0.0, 0.0),
                              noise_std=0.0,
                              sample_rate=cfg.channel.sample_rate)
-        clean, _ = synthesize(probe, sig, cfg.n_samples, noise_seed=0)
+        clean, _, _ = synthesize(probe, sig, cfg.n_samples, noise_seed=0)
         power = float(np.mean(clean * clean))
         return math.sqrt(power / 10.0 ** (cfg.channel.snr_db / 10.0))
 
@@ -150,13 +167,39 @@ class TestConfig:
         cfg = dataclasses.replace(cfg, duration=duration, channel=(
             dataclasses.replace(cfg.channel, gains=gains, snr_db=snr_db)))
         sig = harness.build_signal(cfg)
-        std = harness.resolve_noise_std(cfg, sig)
+        std = self.noise_level(cfg)
         assert std.hex() == self.synthesized_noise_std(cfg, sig).hex()
 
-    def test_silent_direct_path_is_config_error(self):
+    def test_silent_direct_path_is_config_error(self, tmp_path, capsys):
         cfg = short_config(gains=(0.0, -0.8, 0.5))
         with pytest.raises(ConfigError, match="no signal power"):
-            harness.resolve_noise_std(cfg, harness.build_signal(cfg))
+            harness.simulate_stream(cfg)
+        ini = tmp_path / "silent.ini"
+        ini.write_text("[channel]\ngain_direct = 0\n")
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(ini), "--duration",
+                         "0.005", "--out", str(out)]) == 1
+        assert "no signal power" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the scene carries the noise setting; synthesize resolves it, so the
+    # scene's construction evaluates no waveform and a simulation evaluates
+    # each path with a nonzero gain once, at every sample
+    def test_build_scene_evaluates_no_waveform(self, monkeypatch):
+        cfg = harness.default_config()
+        sig = harness.build_signal(cfg)
+        calls = count_passband_calls(monkeypatch)
+        scene = harness.build_scene(cfg, sig)
+        assert calls == []
+        assert scene.noise_std is None and scene.snr_db == cfg.channel.snr_db
+
+    @pytest.mark.parametrize("gains", [(1.0, -0.8, 0.5), (1.0, 0.0, 0.5),
+                                       (-0.3, 0.0, 0.0)])
+    def test_one_passband_call_per_sounding_path(self, monkeypatch, gains):
+        cfg = short_config(gains=gains)
+        calls = count_passband_calls(monkeypatch)
+        harness.simulate_stream(cfg)
+        assert calls == [cfg.n_samples] * np.count_nonzero(gains)
 
     # a NaN noise level once simulated a noiseless stream, and NaN or inf
     # geometry or motion poisoned the warp. The RunConfig checks the other
@@ -238,7 +281,22 @@ class TestSimulationArtifacts:
         (harness.read_errors, "errors.csv",
          [(n, p) for p in ("direct", "surface", "bottom") for n in (0, 0.5)],
          "not an integer"),
+        # an index past the int64 range, which a cast would warn about
+        (harness.read_errors, "errors.csv",
+         [(n, p) for p in ("direct", "surface", "bottom") for n in (0, 1e300)],
+         "not an integer"),
+        # well-formed blocks in another order, or named wrongly
+        (harness.read_truth, "truth.csv",
+         [(n, p) for p in ("bottom", "surface", "direct") for n in (0, 1)],
+         "not in the order"),
+        (harness.read_errors, "errors.csv",
+         [(n, p) for p in ("direct", "bottom", "surface") for n in (0, 1)],
+         "not in the order"),
+        (harness.read_errors, "errors.csv",
+         [(n, p) for p in ("direct", "surface", "Bottom") for n in (0, 1)],
+         "not in the order"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_blocks_are_bad_input(self, tmp_path, read, name, rows,
                                             match):
         path = tmp_path / name
@@ -246,6 +304,28 @@ class TestSimulationArtifacts:
                         + "".join("%s,%s,0.0,1.0\n" % row for row in rows))
         with pytest.raises(harness.BadInputError, match=match):
             read(str(path))
+
+    # np.loadtxt skips '#' comment lines and blank lines, so they move the
+    # blocks' first lines; their path names are still checked
+    @pytest.mark.parametrize("order", [PATHS, PATHS[::-1]])
+    def test_block_names_read_past_skipped_lines(self, tmp_path, order):
+        truth = GroundTruth(alpha=np.arange(12.0).reshape(3, 4),
+                            doppler=np.ones((3, 4)))
+        path = tmp_path / "truth.csv"
+        harness.write_truth(str(path), truth)
+        lines = path.read_text().splitlines()
+        blocks = [lines[1 + 4 * PATHS.index(p):5 + 4 * PATHS.index(p)]
+                  for p in order]
+        path.write_text("\n".join(
+            [lines[0], "# note"] + blocks[0] + ["", "# c"] + blocks[1]
+            + blocks[2][:1] + ["#"] + blocks[2][1:]) + "\n")
+        if order == PATHS:
+            read = harness.read_truth(str(path))
+            np.testing.assert_array_equal(read.alpha, truth.alpha)
+        else:
+            with pytest.raises(harness.BadInputError,
+                               match="not in the order"):
+                harness.read_truth(str(path))
 
 
 # The writer that formatted and wrote one line at a time, kept as the
@@ -690,7 +770,13 @@ class TestCli:
         ("track", "received.csv", 0, "n=0.5"),
         ("track", "truth.csv", 500, "n=500.5"),
         ("compare", "errors.csv", 3, "n=3.5"),
+        ("compare", "errors.csv", 3, "n=1e300"),
+        ("track", "truth.csv", 500, "n=-1e300"),
+        # "swap" writes the bottom block first and the direct block last
+        ("track", "truth.csv", 0, "swap"),
+        ("compare", "errors.csv", 0, "swap"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_value_is_bad_input(self, tmp_path, capsys, command,
                                           name, n, value):
         out = tmp_path / "out"
@@ -714,9 +800,13 @@ class TestCli:
         assert fields[0] == str(n)
         if value.startswith("n="):
             fields[0] = value[2:]
-        else:
+        elif value != "swap":
             fields[1 if name == "received.csv" else 2] = value
         lines[n + 1] = ",".join(fields)
+        if value == "swap":
+            rows = (len(lines) - 1) // 3
+            lines[1:] = lines[1 + 2 * rows:] + lines[1 + rows:1 + 2 * rows] \
+                + lines[1:1 + rows]
         edited.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = cli.main(args)

@@ -240,7 +240,7 @@ class TestTrackerRuns:
                              gains=(1.0, -0.8, 0.5), noise_std=0.0,
                              sample_rate=FS)
         sig = build_signal(n_symbols=int(n_samples * T * 20e3) + 2)
-        r, truth = synthesize(scene, sig, n_samples, noise_seed=0)
+        r, truth, _ = synthesize(scene, sig, n_samples, noise_seed=0)
         cfg = config(scene.gains, truth.alpha[:, 0])
         trk = DopplerTracker(sig, cfg)
         closures = [trk.process_sample(float(v)) for v in r]
