@@ -177,7 +177,7 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
     and the noise level drawn: the scene's noise_std or, when that is None,
     the level snr_db below the power of the clean direct path h_0 s(alpha_0),
     measured after that path is added and before any other (ValueError when
-    it carries no power)."""
+    it carries no power, or when its power or the level overflows)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     t = np.arange(n_samples) * scene.sample_period
@@ -189,11 +189,15 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
             r += gain * sig.eval_passband(alpha[i])
         if i == 0 and noise_std is None:
             # r is 0.0 + h_0 s(alpha_0): the clean direct path, up to the
-            # sign of a zero, which its square drops
-            power = float(np.mean(r * r))
+            # sign of a zero, which its square drops; an overflow is
+            # rejected below, as an infinite level
+            with np.errstate(over="ignore"):
+                power = float(np.mean(r * r))
             if power == 0.0:
                 raise ValueError("direct path carries no signal power")
             noise_std = math.sqrt(power / 10.0 ** (scene.snr_db / 10.0))
+            if not math.isfinite(noise_std):
+                raise ValueError("noise level set from snr_db is not finite")
     rng = np.random.default_rng(noise_seed)
     if noise_std > 0.0:
         r = r + rng.normal(0.0, noise_std, size=n_samples)

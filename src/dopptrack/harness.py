@@ -134,8 +134,6 @@ class RunConfig:
         if self.channel.sample_rate <= nyq:
             raise ConfigError("sample_rate must exceed twice the carrier "
                               "plus signal bandwidth")
-        if self.signal.symbol_rate <= 0.0:
-            raise ConfigError("symbol_rate must be positive")
         zeros = np.zeros(len(PATHS))
         try:
             sig = build_signal(self)
@@ -347,7 +345,8 @@ class ErrorTrace:
 def simulate_stream(cfg: RunConfig):
     """In-memory simulation: (signal, scene, received, truth). The scene's
     noise_std is the level the noise was drawn at; ConfigError when the
-    level is set from snr_db and the direct path carries no power."""
+    level is set from snr_db and the direct path carries no power, or so much
+    that its power or the level is not finite."""
     sig = build_signal(cfg)
     scene = build_scene(cfg)
     try:
@@ -405,11 +404,10 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     if first >= r.size:   # the truth at sample first gives the start delays
         raise ConfigError("run too short for the baseline template")
     pk = peak_tracker(cfg, sig, first * T - truth.alpha[:, first])
-    if r.size - 1 - pk.max_lag < pk.template_samples:
-        raise ConfigError("run of %d samples too short for the baseline "
-                          "template of %d and lag range of %d samples"
-                          % (r.size, pk.template_samples, pk.max_lag))
-    n_grid, delays, flags = pk.run(r)
+    try:   # a run too short for the template and lag range
+        n_grid, delays, flags = pk.run(r)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     n_all = np.arange(n_grid[0], n_grid[-1] + 1)
     held = np.searchsorted(n_grid, n_all, side="right") - 1
     delay_per_sample = delays[:, held]
@@ -535,7 +533,8 @@ def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
     (n, values), n the integer samples that every path's block lists and
     values the other used columns, shape (len(usecols) - 1, num_paths,
     len(n)); BadInputError when an index is not an integer, the blocks
-    differ or a block's first row does not name its path."""
+    differ or a block's first row does not name its path. Both are copies,
+    so they keep no parsed row alive."""
     data = _read_csv(path, usecols)
     if data.shape[0] % len(PATHS) != 0:
         raise BadInputError("%s: rows not divisible by path count" % path)
@@ -548,10 +547,9 @@ def _read_blocks(path: str, usecols) -> tuple[np.ndarray, np.ndarray]:
     if not ((np.abs(n) < 2.0 ** 63) & (np.trunc(n) == n)).all():
         raise BadInputError("%s: a sample index is not an integer below "
                             "2**63 in magnitude" % path)
-    idx = n.astype(int)
-    if not (idx == idx[0]).all():
+    if not (n == n[0]).all():
         raise BadInputError("%s: path blocks list different samples" % path)
-    return idx[0], np.moveaxis(blocks[:, :, 1:], 2, 0)
+    return n[0].astype(int), np.moveaxis(blocks[:, :, 1:], 2, 0).copy()
 
 
 def _check_block_names(path: str, rows: int) -> None:
@@ -586,7 +584,7 @@ def _check_numbered(path: str, n: np.ndarray) -> None:
 def read_received(path: str) -> np.ndarray:
     data = _read_csv(path, usecols=(0, 1))
     _check_numbered(path, data[:, 0])
-    return data[:, 1]
+    return data[:, 1].copy()
 
 
 def write_truth(path: str, truth: GroundTruth) -> None:

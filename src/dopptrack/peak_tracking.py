@@ -120,8 +120,8 @@ class PeakTracker:
         self.sig = sig
         self.T = 1.0 / sample_rate
         self._initial_delays = np.asarray(initial_delays, dtype=float).copy()
-        if not 0.0 < template_len < math.inf:
-            raise ValueError("template_len must be positive and finite")
+        if not 0.0 < template_len * sample_rate < math.inf:
+            raise ValueError("template_len must be > 0 and finite in samples")
         if not np.all(np.isfinite(self._initial_delays)
                       & (self._initial_delays >= 0.0)):
             raise ValueError("delays must be finite and non-negative")
@@ -132,6 +132,9 @@ class PeakTracker:
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
         self.template_samples = template_samples(template_len, sample_rate)
+        if self.template_samples < 1:
+            raise ValueError("template_len of %r s is shorter than one sample"
+                             % template_len)
         max_delay = 2.0 * float(np.max(self._initial_delays))
         self.max_lag = int(np.ceil(max_delay * sample_rate)) \
             + 4 * search_halfwidth
@@ -141,14 +144,16 @@ class PeakTracker:
 
         Returns (n_grid, delays, flags): iteration sample indices, per-path
         delays in seconds with shape (num_paths, len(n_grid)), and the
-        no-peak-found flags with the same shape.
+        no-peak-found flags with the same shape. A stream no longer than the
+        template plus the lag range raises ValueError; run raises no other.
         """
         K = self.template_samples
-        first = K
         last = received.size - 1 - self.max_lag
-        if last < first:
-            raise ValueError("stream too short for template and lag range")
-        n_grid = np.arange(first, last + 1, self.hop)
+        if last < K:
+            raise ValueError("stream of %d samples too short for the template "
+                             "of %d and lag range of %d samples"
+                             % (received.size, K, self.max_lag))
+        n_grid = np.arange(K, last + 1, self.hop)
         tx_times = np.arange(received.size) * self.T
         tx = self.sig.eval_passband(tx_times)
         prev = self._initial_delays

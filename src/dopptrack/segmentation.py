@@ -75,8 +75,7 @@ class SegmentationState:
         self.prev_best_start = 0
 
 
-def admit_hypothesis(state: SegmentationState, n: int, d_ref=0.0,
-                     tau=0.0) -> int:
+def admit_hypothesis(state: SegmentationState, n: int, d_ref, tau) -> int:
     """Append a fresh fit starting at n-1 as the newest row; returns the row.
 
     E(n-1) is frozen as its prefix cost; d_ref and tau fill its reference

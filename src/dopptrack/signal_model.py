@@ -136,7 +136,6 @@ class TransmitSignal:
             raise ValueError("start_time must be finite")
         # symbol k sits at _padded[k + 1], between two zeros
         self._padded = np.concatenate(([0j], symbols, [0j]))
-        self.symbols = self._padded[1:-1]
         self.pulse = pulse
         self.carrier_freq = float(carrier_freq)
         self.amplitude = float(amplitude)
@@ -232,6 +231,9 @@ def make_qpsk_signal(n_symbols: int, seed: int, symbol_rate: float,
     lead_symbols extra symbols are prepended before t = 0 so the waveform is
     already on the air when reception starts.
     """
+    if not 0.0 < symbol_rate < math.inf:
+        raise ValueError("symbol_rate must be positive and finite, got %r"
+                         % symbol_rate)
     period = 1.0 / symbol_rate
     pulse = PulseShape(symbol_period=period,
                        gaussian_std=std_fraction * period,

@@ -170,11 +170,6 @@ class DopplerTracker:
         self._finalized = False
 
     @property
-    def sample_index(self) -> int:
-        """Number of samples consumed so far."""
-        return self._n
-
-    @property
     def segmentation(self) -> SegmentationState:
         return self._seg
 

@@ -140,12 +140,12 @@ def _online_and_batch_costs(y, ridge, penalty, keep_best, keep_recent):
     whose observations i..j are samples i+1..j+1."""
     N = y.size
     state = SegmentationState(keep_best, keep_recent, 2, ridge)
-    admit_hypothesis(state, 1)
+    admit_hypothesis(state, 1, d_ref=1.0, tau=0.0)
     E_online, starts = [0.0], [0]
     for n in range(1, N):
         evict_if_full(state)
         if n > 1:
-            admit_hypothesis(state, n)
+            admit_hypothesis(state, n, d_ref=1.0, tau=0.0)
         _absorb_line_rows(state, n, y[n])
         En, best = bellman_step(state, penalty)
         E_online.append(En)

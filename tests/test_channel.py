@@ -175,6 +175,20 @@ class TestSynthesize:
         expect = sig.eval_passband(n * scene.sample_period - 1.45 / C_SOUND)
         np.testing.assert_array_equal(r, expect)
 
+    # the direct path's power overflows, or a finite power puts the level
+    # snr_db below it past float range; neither warns. An explicit level
+    # derives nothing from the power
+    @pytest.mark.parametrize("gain, snr_db", [(1e200, 20.0), (1e150, -300.0)])
+    def test_non_finite_noise_level_rejected(self, gain, snr_db):
+        scene = static_scene(gains=(gain, 0.0, 0.0))
+        sig = make_qpsk_signal(100, seed=7, symbol_rate=20e3,
+                               carrier_freq=30e3, lead_symbols=40)
+        with pytest.raises(ValueError, match="not finite"):
+            synthesize(dataclasses.replace(scene, noise_std=None,
+                                           snr_db=snr_db), sig, 2000, 0)
+        r, _, noise_std = synthesize(scene, sig, 2000, noise_seed=0)
+        assert noise_std == 0.0 and np.isfinite(r).all()
+
     def test_zero_gains_zero_output(self):
         scene = static_scene(gains=(0.0, 0.0, 0.0))
         sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)

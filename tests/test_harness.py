@@ -8,7 +8,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from dopptrack import cli, harness
+from dopptrack import cli, harness, signal_model
 from dopptrack.channel import PATHS, ChannelScene, GroundTruth, synthesize
 from dopptrack.harness import ConfigError
 from dopptrack.signal_model import TransmitSignal
@@ -118,10 +118,18 @@ class TestConfig:
     # the lead-in is ceil(longest delay * symbol rate) + pulse_halfwidth + 1
     # = 42 + 4 + 1 symbols; integers, not the bound's bits, which numpy's
     # per-CPU sin and hypot kernels may move in the last place
-    def test_default_lead_in(self):
+    def test_default_lead_in(self, monkeypatch):
         cfg = harness.default_config()
+        counts = []
+        generate = signal_model.generate_symbols
+
+        def counted(count, seed):
+            counts.append(count)
+            return generate(count, seed)
+
+        monkeypatch.setattr(signal_model, "generate_symbols", counted)
         sig = harness.build_signal(cfg)
-        assert sig.symbols.size == 10049
+        assert counts == [10049]
         assert sig.start_time == -47 / cfg.signal.symbol_rate
 
     # the level the stream's noise was drawn at: simulate_stream's scene
@@ -259,6 +267,30 @@ class TestSimulationArtifacts:
         np.testing.assert_array_equal(r, r2)
         np.testing.assert_array_equal(truth.alpha, t2.alpha)
         np.testing.assert_array_equal(truth.doppler, t2.doppler)
+
+    # a reader returns copies: the arrays at the end of its results' .base
+    # chains hold no more bytes than the results, so the parsed rows, index
+    # column included, do not stay alive with them
+    def test_read_back_holds_only_what_it_returns(self, tmp_path):
+        cfg = short_config(duration=0.01)
+        _, _, r, truth = harness.simulate_stream(cfg)
+        trace = harness.ErrorTrace(n=np.arange(r.size),
+                                   abs_err=np.abs(truth.alpha))
+        received, truth_csv, errors = (str(tmp_path / name) for name in (
+            "received.csv", "truth.csv", "errors.csv"))
+        harness.write_received(received, r)
+        harness.write_truth(truth_csv, truth)
+        harness.write_errors(errors, trace)
+        for returned in ([harness.read_received(received)],
+                         vars(harness.read_truth(truth_csv)).values(),
+                         vars(harness.read_errors(errors)).values()):
+            owners = {}
+            for array in returned:
+                owner = array
+                while owner.base is not None:
+                    owner = owner.base
+                owners[id(owner)] = owner.nbytes
+            assert sum(owners.values()) <= sum(a.nbytes for a in returned)
 
     # (reader, file, (n, path) of each row): every row list breaks the
     # path-major block layout that both readers require
@@ -596,7 +628,7 @@ class TestCompare:
     def test_report_on_equal_samples_matches_intersection(self, tmp_path,
                                                           order):
         # one trace read back from its CSV, as `compare_dirs` reads it: its
-        # rows are strided views, and equal ascending samples skip the
+        # values are a contiguous copy, and equal ascending samples skip the
         # intersection; the report keeps every bit of the intersected one
         rng = np.random.default_rng(4)
         n = {"ascending": np.arange(20_001),
@@ -608,7 +640,7 @@ class TestCompare:
         harness.write_errors(path, a)
         b = harness.read_errors(path)
         np.testing.assert_array_equal(b.n, n)
-        assert not b.abs_err[0].flags.c_contiguous
+        assert b.abs_err.flags.c_contiguous
         common, ia, ib = np.intersect1d(a.n, b.n, return_indices=True)
         cut = [harness.ErrorTrace(n=common, abs_err=t.abs_err[:, i])
                for t, i in ((a, ia), (b, ib))]
@@ -902,6 +934,55 @@ class TestCli:
         assert code == 1
         assert "config error" in err
         assert not (tmp_path / "sim").exists()
+
+    # the direct path's power overflows, so the noise level snr_db below it
+    # is infinite; synthesize finds this while it simulates
+    @pytest.mark.parametrize("ini", ["[channel]\ngain_direct = 1e200\n",
+                                     "[signal]\namplitude = 1e200\n"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_noise_level_is_config_error(self, tmp_path, capsys,
+                                                     ini):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        code = cli.main(["simulate", "--config", str(cfg), "--duration",
+                         "0.005", "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "not finite" in err
+        assert not (tmp_path / "sim" / "received.csv").exists()
+
+    # an explicit noise level derives nothing from the direct path's power
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_explicit_noise_level_with_huge_gain_simulates(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\ngain_direct = 1e200\nnoise_std = 0.1\n")
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(cfg), "--duration",
+                         "0.005", "--out", str(sim)]) == 0
+        r = harness.read_received(str(sim / "received.csv"))
+        assert r.size == 1000 and np.isfinite(r).all()
+        assert np.abs(r).max() > 1e190
+
+    # 0.001 ms is 0.2 samples at 200 kHz, a template of no sample: every
+    # step rejects the configuration before it reads or writes
+    @pytest.mark.parametrize("command", ["simulate", "track", "baseline"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_template_under_one_sample_is_config_error(self, tmp_path, capsys,
+                                                       command):
+        sim = self.simulate(tmp_path, "0.005")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[baseline]\ntemplate_ms = 0.001\n")
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--duration", "0.005",
+                "--out", str(out)]
+        if command != "simulate":
+            args += ["--in", str(sim)]
+        capsys.readouterr()
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "shorter than one sample" in err
+        assert not out.exists()
 
     def test_internal_fault_exit_code(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, out_dir):

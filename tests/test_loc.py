@@ -53,3 +53,25 @@ def test_counts_code_lines_of_a_package(tmp_path):
         "    %2d  total" % (MODULE.count("# code") + 4),
     ]
     assert MODULE.count("# code") == 10
+
+
+def test_compares_two_packages(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for package in (old, new):
+        package.mkdir()
+        (package / "mod.py").write_text(MODULE)
+    (old / "gone.py").write_text("x = 1\ny = 2\n")
+    (new / "mod.py").write_text(MODULE + "\n\nz = 3   # code\n")
+    (new / "added.py").write_text("w = 4\n")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "loc.py"), str(old),
+         str(new)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # the old package's modules in its order, then the added one
+    assert done.stdout.splitlines() == [
+        "   old     new    diff  module",
+        "     2       0      -2  gone.py",
+        "    10      11      +1  mod.py",
+        "     0       1      +1  added.py",
+        "    12      12      +0  total",
+    ]

@@ -211,11 +211,22 @@ class TestPeakTrackerRun:
     def test_stream_too_short(self):
         sig = make_qpsk_signal(10, seed=7, symbol_rate=20e3, carrier_freq=30e3)
         pk = PeakTracker(sig, [1e-3], FS, template_len=3e-3, hop=1)
-        with pytest.raises(ValueError):
+        # a 600-sample template and 2 * 200 + 4 * 20 lags
+        with pytest.raises(ValueError, match="stream of 100 samples too "
+                           "short for the template of 600 and lag range of "
+                           "480 samples"):
             pk.run(np.zeros(100))
+        # the shortest stream run accepts: one iteration, at sample 600
+        n_grid, _, _ = pk.run(np.zeros(1081))
+        assert n_grid.tolist() == [600]
+        with pytest.raises(ValueError, match="stream of 1080 samples"):
+            pk.run(np.zeros(1080))
 
     @pytest.mark.parametrize("delays, kw", [
         ([1e-3], {"template_len": 0.0}),
+        # 0.5 samples round to none; 1e305 s is past any sample count
+        ([1e-3], {"template_len": 2.5e-6}),
+        ([1e-3], {"template_len": 1e305}),
         ([-1e-6], {}),
         ([1e-3], {"search_halfwidth": 0}),
         ([1e-3], {"hop": 0}),

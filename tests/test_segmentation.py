@@ -8,12 +8,18 @@ from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
 from oracles import batch_sls, line_fitter
 
 
+def admit(state, n):
+    """admit_hypothesis with unit Doppler and zero delay references, which
+    no bank rule reads."""
+    return admit_hypothesis(state, n, d_ref=1.0, tau=0.0)
+
+
 def bank(candidates, keep_best=1, keep_recent=1):
     """A bank holding one candidate per (start, lse, e_admit), in this order."""
     state = SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
     for start, lse, e_admit in candidates:
         state.last_E = e_admit
-        row = admit_hypothesis(state, start + 1)
+        row = admit(state, start + 1)
         state.lse[row] = lse
     state.last_E = 0.0
     return state
@@ -46,7 +52,7 @@ class TestBellmanStep:
         state = bank([(0, 0.0, 0.0)])
         bellman_step(state, penalty=0.01)
         state.last_E = -1.0
-        admit_hypothesis(state, 5)
+        admit(state, 5)
         bellman_step(state, penalty=0.01)
         assert state.prev_best_start == 0
         assert state.best_start == 4
@@ -67,9 +73,9 @@ class TestBankSize:
             assert state.start.shape == (capacity,)
             assert state.factor.shape == (capacity, 3, 3)
             for n in range(1, capacity + 1):
-                admit_hypothesis(state, n)
+                admit(state, n)
             with pytest.raises(ValueError):
-                admit_hypothesis(state, capacity + 1)
+                admit(state, capacity + 1)
 
     def test_sizes_below_one_rejected(self):
         for keep_best, keep_recent in [(0, 1), (1, 0), (-1, 5), (0, 0)]:
@@ -93,29 +99,29 @@ class TestAdmit:
 
     def test_admission_records_last_prefix_cost(self):
         state = SegmentationState(2, 1, dim=1, ridge=1e-4)
-        admit_hypothesis(state, 1)
+        admit(state, 1)
         state.lse[0] = 0.25
         bellman_step(state, penalty=0.01)
-        row = admit_hypothesis(state, 2)
+        row = admit(state, 2)
         assert state.start[row] == 1
         assert state.e_admit[row] == pytest.approx(0.26)
 
     def test_filled_increments(self):
         state = SegmentationState(2, 2, dim=1, ridge=1e-4)
         for n in range(1, 6):
-            admit_hypothesis(state, n)
+            admit(state, n)
         assert state.filled == 5
         assert live_starts(state) == [0, 1, 2, 3, 4]
 
     def test_full_bank_and_stale_start_rejected(self):
         state = SegmentationState(1, 1, dim=1, ridge=1e-4)
-        admit_hypothesis(state, 3)
+        admit(state, 3)
         with pytest.raises(ValueError):
-            admit_hypothesis(state, 3)
-        admit_hypothesis(state, 4)
-        admit_hypothesis(state, 5)
+            admit(state, 3)
+        admit(state, 4)
+        admit(state, 5)
         with pytest.raises(ValueError):
-            admit_hypothesis(state, 6)
+            admit(state, 6)
         assert live_starts(state) == [2, 3, 4]
 
 
@@ -236,7 +242,7 @@ class TestBankMatchesListReference:
             if state.filled < state.capacity and data.draw(st.booleans()):
                 if data.draw(st.booleans()):
                     state.last_E = ref.last_E = data.draw(TIE_VALUES)
-                admit_hypothesis(state, n)
+                admit(state, n)
                 ref.admit(n)
             assert live_starts(state) == [h.start for h in ref.items]
             assert state.e_admit[:state.filled].tolist() == \

@@ -139,9 +139,14 @@ def sum_columns_in_order(x):
 class PointMajorSignal(TransmitSignal):
     """Reference kernel: one row per time, one column per pulse offset, an
     explicit range-and-window mask, and a sum over the offsets in order.
-    blocks counts the blocks it has evaluated."""
+    It keeps the symbols it was built from; blocks counts the blocks it has
+    evaluated."""
 
     blocks = 0
+
+    def __init__(self, symbols, *args, **kwargs):
+        super().__init__(symbols, *args, **kwargs)
+        self.symbols = np.asarray(symbols, dtype=complex)
 
     def _passband_block(self, t, s, sd):
         self.blocks += 1
@@ -330,6 +335,12 @@ class TestValidation:
         pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError, match="unit magnitude"):
             TransmitSignal(np.array([1, bad, 1j]), pulse, 30e3)
+
+    # the one owner of the symbol-rate rule: 0 would divide by zero
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_symbol_rate_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="symbol_rate"):
+            make_qpsk_signal(10, seed=1, symbol_rate=rate, carrier_freq=30e3)
 
     @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_time(self, start):

@@ -1,11 +1,14 @@
-"""Count the code lines of a Python package.
+"""Count the code lines of a Python package, or compare two packages.
 
     python tools/loc.py [PACKAGE_DIR]     (default: src/dopptrack)
+    python tools/loc.py OLD_PKG NEW_PKG
 
 A code line holds at least one token of code. Blank lines, lines that hold
 only a comment, and the lines of module, class and function docstrings do not
 count; every line of any other multi-line statement or string does. Prints
-the count of each module, then the total.
+the count of each module, then the total. Given two packages, it prints for
+each module its count in OLD_PKG and in NEW_PKG (0 where it is missing) and
+the difference, OLD_PKG's modules first, then the totals.
 """
 
 from __future__ import annotations
@@ -57,8 +60,22 @@ def count_package(root: str) -> dict[str, int]:
     return counts
 
 
+def print_difference(old_root: str, new_root: str) -> None:
+    """One line per module of either package: old count, new count and
+    their difference; then the same for the totals."""
+    old, new = count_package(old_root), count_package(new_root)
+    rows = [(old.get(m, 0), new.get(m, 0), m) for m in {**old, **new}]
+    rows.append((sum(old.values()), sum(new.values()), "total"))
+    print("%6s  %6s  %6s  %s" % ("old", "new", "diff", "module"))
+    for before, after, module in rows:
+        print("%6d  %6d  %+6d  %s" % (before, after, after - before, module))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2:
+        print_difference(*args)
+        return 0
     root = args[0] if args else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src", "dopptrack")
     counts = count_package(root)
