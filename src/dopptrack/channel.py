@@ -176,29 +176,31 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
     """Received samples r[n] = sum_l h_l s(alpha_l(n)) + noise, the truth,
     and the noise level drawn: the scene's noise_std or, when that is None,
     the level snr_db below the power of the clean direct path h_0 s(alpha_0),
-    measured after that path is added and before any other (ValueError when
-    it carries no power, or when its power or the level overflows)."""
+    measured after that path is added and before any other. ValueError when
+    that path carries no power, or when the stream is not finite: a gain,
+    amplitude or noise level so large that a sample overflows, which
+    includes an SNR-derived level that overflows and draws infinite noise."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     t = np.arange(n_samples) * scene.sample_period
     alpha, doppler = path_warp(scene.geometry, scene.motion, t)
     r = np.zeros(n_samples)
     noise_std = scene.noise_std
-    for i, gain in enumerate(scene.gains):
-        if gain != 0.0:
-            r += gain * sig.eval_passband(alpha[i])
-        if i == 0 and noise_std is None:
-            # r is 0.0 + h_0 s(alpha_0): the clean direct path, up to the
-            # sign of a zero, which its square drops; an overflow is
-            # rejected below, as an infinite level
-            with np.errstate(over="ignore"):
+    # an overflow here is rejected once, below, by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, gain in enumerate(scene.gains):
+            if gain != 0.0:
+                r += gain * sig.eval_passband(alpha[i])
+            if i == 0 and noise_std is None:
+                # r is 0.0 + h_0 s(alpha_0): the clean direct path, up to
+                # the sign of a zero, which its square drops
                 power = float(np.mean(r * r))
-            if power == 0.0:
-                raise ValueError("direct path carries no signal power")
-            noise_std = math.sqrt(power / 10.0 ** (scene.snr_db / 10.0))
-            if not math.isfinite(noise_std):
-                raise ValueError("noise level set from snr_db is not finite")
-    rng = np.random.default_rng(noise_seed)
-    if noise_std > 0.0:
-        r = r + rng.normal(0.0, noise_std, size=n_samples)
+                if power == 0.0:
+                    raise ValueError("direct path carries no signal power")
+                noise_std = math.sqrt(power / 10.0 ** (scene.snr_db / 10.0))
+        rng = np.random.default_rng(noise_seed)
+        if noise_std > 0.0:
+            r = r + rng.normal(0.0, noise_std, size=n_samples)
+    if not np.isfinite(r).all():
+        raise ValueError("received stream is not finite")
     return r, GroundTruth(alpha=alpha, doppler=doppler), noise_std

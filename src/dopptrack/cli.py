@@ -19,10 +19,10 @@ Exit codes: 0 success, 1 configuration error (a config file that is not
 UTF-8, a value that does not parse or is not finite, any value the simulator
 or a tracker rejects, a run no longer than the tracker warm-up, a run too
 large to allocate, a direct path with no signal power when the noise level
-is set from snr_db, a gain or amplitude so large that the noise level set
-from snr_db overflows, a baseline template shorter than one sample, a
-baseline run too short for the template and lag range, or a compare window
-below 1 or threshold that is negative or not finite), 2
+is set from snr_db, a gain, amplitude or noise level so large that the
+received stream is not finite, a baseline template shorter than one
+sample, a baseline run too short for the template and lag range, or a
+compare window below 1 or threshold that is negative or not finite), 2
 I/O error (a file that cannot be opened, read or written), 3 the tracker
 reported numerical divergence, 4 bad input (an input CSV whose content does
 not parse, holds a value that is not finite or is laid out wrongly, a sample

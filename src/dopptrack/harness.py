@@ -33,7 +33,7 @@ import numpy as np
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
                       path_lengths, synthesize)
 from .peak_tracking import PeakTracker, template_samples
-from .signal_model import TransmitSignal, make_qpsk_signal
+from .signal_model import TransmitSignal, check_symbol_rate, make_qpsk_signal
 from .tracker import (DopplerTracker, TrackerConfig, reconstruct_warp_array)
 
 
@@ -112,32 +112,33 @@ class RunConfig:
         return 2 * self.tracker.detect_threshold
 
     def validate(self) -> None:
-        """Check the rules that span fields or that the harness applies, then
-        build each configured object once so that every value a library
-        constructor rejects is a ConfigError too."""
-        if not 0.0 < self.duration < math.inf:
-            raise ConfigError("duration must be positive and finite, got %r"
-                              % self.duration)
-        if not 0.0 < self.channel.sample_rate < math.inf:
-            raise ConfigError("sample_rate must be positive and finite, got %r"
-                              % self.channel.sample_rate)
-        # np.arange and the sample arrays index samples with np.intp
-        if not self.duration * self.channel.sample_rate \
-                < np.iinfo(np.intp).max:
-            raise ConfigError("run of %r s at %r Hz has too many samples"
-                              % (self.duration, self.channel.sample_rate))
-        if self.n_samples <= self.warmup_samples:
-            raise ConfigError("run of %d samples must be longer than the "
-                              "tracker warm-up of %d"
-                              % (self.n_samples, self.warmup_samples))
-        nyq = 2.0 * (self.signal.carrier_freq + self.signal.symbol_rate)
-        if self.channel.sample_rate <= nyq:
-            raise ConfigError("sample_rate must exceed twice the carrier "
-                              "plus signal bandwidth")
+        """Build the scene, which checks the sample rate, then check the
+        rules that span fields or that the harness applies, then build each
+        other configured object once, so that every value a library
+        constructor rejects is a ConfigError too. The signal is built after
+        the Nyquist rule, which bounds its symbol count by the sample
+        count."""
         zeros = np.zeros(len(PATHS))
         try:
-            sig = build_signal(self)
             build_scene(self)
+            if not 0.0 < self.duration < math.inf:
+                raise ConfigError("duration must be positive and finite, "
+                                  "got %r" % self.duration)
+            # np.arange and the sample arrays index samples with np.intp
+            if not self.duration * self.channel.sample_rate \
+                    < np.iinfo(np.intp).max:
+                raise ConfigError("run of %r s at %r Hz has too many samples"
+                                  % (self.duration, self.channel.sample_rate))
+            if self.n_samples <= self.warmup_samples:
+                raise ConfigError("run of %d samples must be longer than the "
+                                  "tracker warm-up of %d"
+                                  % (self.n_samples, self.warmup_samples))
+            nyq = 2.0 * (self.signal.carrier_freq
+                         + check_symbol_rate(self.signal.symbol_rate))
+            if self.channel.sample_rate <= nyq:
+                raise ConfigError("sample_rate must exceed twice the carrier "
+                                  "plus signal bandwidth")
+            sig = build_signal(self)
             np.random.default_rng(self.channel.noise_seed)
             DopplerTracker(sig, tracker_config(self, zeros))
             peak_tracker(self, sig, zeros)
@@ -260,15 +261,14 @@ def _max_path_delay(cfg: RunConfig) -> float:
 def build_signal(cfg: RunConfig) -> TransmitSignal:
     """Waveform covering the run, with enough lead-in symbols before t = 0
     that every propagation-delayed evaluation stays inside the support."""
-    n_symbols = int(math.ceil(cfg.duration * cfg.signal.symbol_rate)) + 2
-    lead = int(math.ceil(_max_path_delay(cfg) * cfg.signal.symbol_rate)) \
+    rate = check_symbol_rate(cfg.signal.symbol_rate)
+    n_symbols = int(math.ceil(cfg.duration * rate)) + 2
+    lead = int(math.ceil(_max_path_delay(cfg) * rate)) \
         + cfg.signal.pulse_halfwidth + 1
-    return make_qpsk_signal(n_symbols, cfg.signal.symbol_seed,
-                            cfg.signal.symbol_rate, cfg.signal.carrier_freq,
-                            cfg.signal.amplitude,
+    return make_qpsk_signal(n_symbols, cfg.signal.symbol_seed, rate,
+                            cfg.signal.carrier_freq, cfg.signal.amplitude,
                             cfg.signal.pulse_std_fraction,
-                            cfg.signal.pulse_halfwidth,
-                            lead_symbols=lead)
+                            cfg.signal.pulse_halfwidth, lead_symbols=lead)
 
 
 def build_scene(cfg: RunConfig, sig=None) -> ChannelScene:
@@ -345,8 +345,8 @@ class ErrorTrace:
 def simulate_stream(cfg: RunConfig):
     """In-memory simulation: (signal, scene, received, truth). The scene's
     noise_std is the level the noise was drawn at; ConfigError when the
-    level is set from snr_db and the direct path carries no power, or so much
-    that its power or the level is not finite."""
+    level is set from snr_db and the direct path carries no power, or when
+    the received stream is not finite."""
     sig = build_signal(cfg)
     scene = build_scene(cfg)
     try:
@@ -666,7 +666,9 @@ def _read_inputs(cfg: RunConfig, in_dir: str
         raise BadInputError("received.csv holds %d samples, truth.csv %d; "
                             "the configured run needs %d"
                             % (r.size, truth.alpha.shape[1], cfg.n_samples))
-    late = (truth.alpha > np.arange(r.size) / cfg.channel.sample_rate).any(0)
+    # the reception times as the simulator takes them, bit for bit
+    t = np.arange(r.size) * (1.0 / cfg.channel.sample_rate)
+    late = (truth.alpha > t).any(0)
     if late.any():
         raise BadInputError("truth.csv: the warp of sample %d is later than "
                             "its reception time" % np.argmax(late))

@@ -9,13 +9,18 @@ absorb rows as one QR of the old factor stacked on the new rows, overwrite
 the factor in place and return lse. The QR runs in numpy's raw mode on one
 freshly filled stack, and only the upper triangle of its output is copied
 back under a cached mask; this gives the same bits as mode "r" without its
-per-call triu. lse is the last diagonal entry squared
-and equals ridge*||x||^2 + sum of squared residuals, so it compares directly
-against solve_direct on the same rows. estimate reads the fit x off a factor
-by solving R[:d, :d] x = R[:d, d]. No inverse Gram is formed: there is no
-1/ridge cancellation while a fit has fewer rows than unknowns, and the
-factor stays triangular with a nonzero leading diagonal (positive definite
-Gram) by construction.
+per-call triu.
+
+One rule defines lse, the cost the segmentation layer compares (plus a
+penalty per segment): after rows A and targets y, lse is the minimum over x
+of ridge*||x||^2 + ||y - A x||^2, the cost solve_direct computes on the same
+rows. Every row is charged, so a zero row adds its target squared and moves
+no estimate. lse is the last diagonal entry of the factor squared.
+
+estimate reads the fit x off a factor by solving R[:d, :d] x = R[:d, d]. No
+inverse Gram is formed: there is no 1/ridge cancellation while a fit has
+fewer rows than unknowns, and the factor stays triangular with a nonzero
+leading diagonal (positive definite Gram) by construction.
 """
 
 from __future__ import annotations
@@ -63,8 +68,7 @@ def update_batch(factors: np.ndarray, rows: np.ndarray,
     """Absorb the same number of rows into many independent factors at once.
 
     factors has shape (H, dim+1, dim+1) and is overwritten in place; rows has
-    shape (H, R, dim) and targets (H, R): factor h absorbs its R rows. A zero
-    row carries no information; its target is not charged to the fit.
+    shape (H, R, dim) and targets (H, R): factor h absorbs its R rows.
     Returns the H updated lse values.
     """
     H, R, dim = rows.shape
@@ -73,10 +77,7 @@ def update_batch(factors: np.ndarray, rows: np.ndarray,
     stack = np.empty((H, dim + 1 + R, dim + 1))
     stack[:, :dim + 1] = factors
     stack[:, dim + 1:, :dim] = rows
-    # zeroing the target makes a zero row a zero row of the augmented data,
-    # which the QR passes over
-    live = (rows != 0.0).any(axis=2)
-    stack[:, dim + 1:, dim] = np.where(live, targets, 0.0)
+    stack[:, dim + 1:, dim] = targets
     # raw mode returns the Householder output transposed, R in its upper
     # triangle; the factors' lower triangle is already zero
     h = np.linalg.qr(stack, mode="raw")[0]

@@ -221,6 +221,15 @@ class TransmitSignal:
         return self._passband(t, derivative=True)
 
 
+def check_symbol_rate(rate: float) -> float:
+    """The symbol rate, unchanged; ValueError naming symbol_rate unless it is
+    positive and finite. Callers check the rate before any arithmetic on
+    it."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError("symbol_rate must be positive and finite: %r" % rate)
+    return rate
+
+
 def make_qpsk_signal(n_symbols: int, seed: int, symbol_rate: float,
                      carrier_freq: float, amplitude: float = 1.0,
                      std_fraction: float = 0.25,
@@ -231,10 +240,7 @@ def make_qpsk_signal(n_symbols: int, seed: int, symbol_rate: float,
     lead_symbols extra symbols are prepended before t = 0 so the waveform is
     already on the air when reception starts.
     """
-    if not 0.0 < symbol_rate < math.inf:
-        raise ValueError("symbol_rate must be positive and finite, got %r"
-                         % symbol_rate)
-    period = 1.0 / symbol_rate
+    period = 1.0 / check_symbol_rate(symbol_rate)
     pulse = PulseShape(symbol_period=period,
                        gaussian_std=std_fraction * period,
                        truncation_halfwidth=truncation_halfwidth)

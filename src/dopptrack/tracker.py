@@ -94,7 +94,8 @@ class TrackerConfig:
 
 @dataclass
 class DopplerSegment:
-    """One closed segment: samples a..b inclusive, per-path Doppler and delay."""
+    """One closed segment: samples a..b inclusive, per-path Doppler within
+    DOPPLER_BOUNDS and delay."""
 
     a: int
     b: int
@@ -105,8 +106,10 @@ class DopplerSegment:
     def __post_init__(self):
         if self.b < self.a:
             raise ValueError("segment end before start")
-        if np.any(self.doppler <= 0.0) or np.any(self.doppler >= 2.0):
-            raise ValueError("unphysical Doppler factor")
+        # written so that the NaN of a halted bank's fit passes
+        lo, hi = DOPPLER_BOUNDS
+        if np.any(self.doppler < lo) or np.any(self.doppler > hi):
+            raise ValueError("Doppler factor outside DOPPLER_BOUNDS")
 
 
 def rows_batch(sig: TransmitSignal, d_ref: np.ndarray, tau: np.ndarray,

@@ -234,6 +234,32 @@ class TestConfig:
             dataclasses.replace(cfg, **{group: dataclasses.replace(
                 getattr(cfg, group), **{field: value})})
 
+    # the scene states the sample-rate rule; the RunConfig builds the scene
+    # before any rule of its own and maps its ValueError
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_sample_rate_checked_by_scene(self, rate):
+        cfg = harness.default_config()
+        with pytest.raises(ConfigError, match="sample_rate must be positive "
+                           "and finite") as info:
+            dataclasses.replace(cfg, channel=dataclasses.replace(
+                cfg.channel, sample_rate=rate))
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError)
+        tb = cause.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_filename.endswith("channel.py")
+        assert tb.tb_frame.f_code.co_name == "__post_init__"
+
+    # the symbol rate is checked before build_signal or the Nyquist rule
+    # does arithmetic on it, so the message names it
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_symbol_rate_named_in_its_error(self, rate):
+        cfg = harness.default_config()
+        with pytest.raises(ConfigError, match="symbol_rate"):
+            dataclasses.replace(cfg, signal=dataclasses.replace(
+                cfg.signal, symbol_rate=rate))
+
 
 class TestSimulationArtifacts:
     def test_row_counts_and_headers(self, tmp_path):
@@ -848,6 +874,19 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["a", "b"] if command == "compare" else ["sim"])
 
+    # reception times are n * (1 / sample_rate), as the simulator takes
+    # them: at sample 3 that is one ulp past 3 / sample_rate
+    def test_truth_warp_at_reception_time_is_not_late(self, tmp_path):
+        cfg = short_config(duration=0.005)
+        sim = self.simulate(tmp_path, "0.005")
+        truth = harness.read_truth(str(sim / "truth.csv"))
+        t3 = 3 * (1.0 / cfg.channel.sample_rate)
+        assert t3 > 3 / cfg.channel.sample_rate
+        truth.alpha[0, 3] = t3
+        harness.write_truth(str(sim / "truth.csv"), truth)
+        _, _, read = harness._read_inputs(cfg, str(sim))
+        assert read.alpha[0, 3] == t3
+
     # np.loadtxt skips '#' comment lines and blank lines; the message still
     # names the line as the file numbers it
     def test_bad_input_names_line_past_skipped_lines(self, tmp_path, capsys):
@@ -944,6 +983,20 @@ class TestCli:
                                                      ini):
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
+        code = cli.main(["simulate", "--config", str(cfg), "--duration",
+                         "0.005", "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "not finite" in err
+        assert not (tmp_path / "sim" / "received.csv").exists()
+
+    # gain times amplitude overflows the stream itself, with an explicit
+    # noise level that derives nothing from it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_stream_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\ngain_direct = 1e200\nnoise_std = 0.1\n"
+                       "[signal]\namplitude = 1e200\n")
         code = cli.main(["simulate", "--config", str(cfg), "--duration",
                          "0.005", "--out", str(tmp_path / "sim")])
         err = capsys.readouterr().err

@@ -31,12 +31,22 @@ class TestUpdate:
         assert rls.estimate(factor)[0] == pytest.approx(2.0, abs=1e-8)
         assert lse <= 1e-8
 
-    def test_zero_row_is_noop(self):
+    # lse is solve_direct's cost on the same rows: a zero row is charged its
+    # target squared, and it moves no estimate
+    def test_zero_row_charges_its_target(self):
         factor = rls.init(3, ridge=1e-4)
         lse = rls.update(factor, np.array([1.0, 0.5, -0.2]), 1.0)
         before = rls.estimate(factor)
-        assert rls.update(factor, np.zeros(3), 123.0) == lse
+        assert rls.update(factor, np.zeros(3), 3.0) \
+            == pytest.approx(lse + 9.0, rel=1e-15)
         np.testing.assert_array_equal(rls.estimate(factor), before)
+        factors = np.stack([factor, factor])
+        lse_batch = rls.update_batch(factors, np.zeros((2, 2, 3)),
+                                     np.array([[2.0, 0.0], [0.0, -1.0]]))
+        np.testing.assert_allclose(lse_batch, [lse + 13.0, lse + 10.0],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(rls.estimate(factors),
+                                      [before, before])
 
     def test_single_axis_row(self):
         factor = rls.init(3, ridge=1e-10)
@@ -77,6 +87,14 @@ class TestUpdate:
         assert np.all(np.diag(factor)[:4] != 0.0)
 
 
+def with_zero_rows(A, y, count, rng):
+    """A and y with count zero rows, each with a nonzero target, inserted at
+    random places."""
+    at = rng.integers(0, A.shape[0] + 1, size=count)
+    return (np.insert(A, at, 0.0, axis=0),
+            np.insert(y, at, rng.normal(size=count) + 2.0))
+
+
 def absorb(A, y, ridge):
     """Fit rows A and targets y one rls.update at a time: (factor, lse)."""
     factor = rls.init(A.shape[1], ridge)
@@ -91,8 +109,9 @@ class TestOracleEquivalence:
         for _ in range(100):
             dim = int(rng.integers(1, 6))
             rows = int(rng.integers(dim + 1, 201))
-            A = rng.normal(size=(rows, dim))
-            y = rng.normal(size=rows)
+            A, y = with_zero_rows(rng.normal(size=(rows, dim)),
+                                  rng.normal(size=rows),
+                                  int(rng.integers(1, 6)), rng)
             factor, lse_rls = absorb(A, y, 1e-8)
             x, lse = rls.solve_direct(A, y, ridge=1e-8)
             np.testing.assert_allclose(rls.estimate(factor), x, rtol=1e-8,
@@ -102,15 +121,16 @@ class TestOracleEquivalence:
 
 @st.composite
 def instances(draw):
-    """Random (rows, targets, ridge): dim 1-5, dim+1 to 60 rows, row scale
-    1e-3 to 1e3, ridge 1e-10 to 1."""
+    """Random (rows, targets, ridge): dim 1-5, dim+1 to 60 rows and 0 to 3
+    zero rows, row scale 1e-3 to 1e3, ridge 1e-10 to 1."""
     dim = draw(st.integers(1, 5))
     n_rows = draw(st.integers(dim + 1, 60))
+    zeros = draw(st.integers(0, 3))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     ridge = 10.0 ** draw(st.floats(-10.0, 0.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return (scale * rng.normal(size=(n_rows, dim)), rng.normal(size=n_rows),
-            ridge)
+    return (*with_zero_rows(scale * rng.normal(size=(n_rows, dim)),
+                            rng.normal(size=n_rows), zeros, rng), ridge)
 
 
 PROPERTY = settings(max_examples=60)
@@ -159,9 +179,7 @@ class TestSolveDirect:
 
 def stacked_qr(factors, rows, targets):
     """The update spelled out: R of the old factors stacked on the new rows."""
-    live = np.any(rows != 0.0, axis=2)
-    data = np.concatenate([rows, np.where(live, targets, 0.0)[:, :, None]],
-                          axis=2)
+    data = np.concatenate([rows, targets[:, :, None]], axis=2)
     return np.linalg.qr(np.concatenate([factors, data], axis=1), mode="r")
 
 

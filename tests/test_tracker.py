@@ -11,9 +11,10 @@ from dopptrack import harness, rls
 from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
 from dopptrack.signal_model import (TransmitSignal, generate_symbols,
                                     make_qpsk_signal)
-from dopptrack.tracker import (DopplerSegment, DopplerTracker,
-                               InvalidSampleError, TrackerConfig,
-                               reconstruct_warp_array, rows_batch)
+from dopptrack.tracker import (DOPPLER_BOUNDS, DopplerSegment,
+                               DopplerTracker, InvalidSampleError,
+                               TrackerConfig, reconstruct_warp_array,
+                               rows_batch)
 
 FS = 200e3
 T = 1.0 / FS
@@ -233,6 +234,22 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             DopplerSegment(a=0, b=5, doppler=np.array([2.5]),
                            tau=np.array([0.0]), lse=0.0)
+
+    # a segment holds the Doppler range a closure clamps to, and the NaN of
+    # a halted bank's fit
+    @pytest.mark.parametrize("d, ok", [(0.4, False), (1.6, False),
+                                       (0.5, True), (1.5, True),
+                                       (np.nan, True)])
+    def test_doppler_within_bounds(self, d, ok):
+        assert DOPPLER_BOUNDS == (0.5, 1.5)
+        doppler = np.array([1.0, d])
+        if ok:
+            DopplerSegment(a=0, b=5, doppler=doppler, tau=np.zeros(2),
+                           lse=0.0)
+        else:
+            with pytest.raises(ValueError, match="DOPPLER_BOUNDS"):
+                DopplerSegment(a=0, b=5, doppler=doppler, tau=np.zeros(2),
+                               lse=0.0)
 
 
 class TestTrackerRuns:

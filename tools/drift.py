@@ -11,7 +11,10 @@ and per-path error trace, and the baseline's per-path delays. The report
 says whether the segment boundaries are equal and gives the largest |delta|
 of the per-path error, when the boundaries are equal of each segment's
 per-path Doppler and tau and its lse, and then of the simulator's outputs
-and the baseline's delays. A tree compared with itself reports zero drift.
+and the baseline's delays. It exits 0 when nothing drifts (a tree compared
+with itself) and 1 when the boundaries differ or any |delta| is not zero; a
+place where both trees hold the same value, an infinity or NaN included,
+does not drift.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ np.savez(out, module=dopptrack.__file__,
          doppler=np.array([s.doppler for s in segments]),
          tau=np.array([s.tau for s in segments]),
          lse=np.array([s.lse for s in segments]),
-         error=trace.abs_err, received=r, noise_std=scene.noise_std,
+         error_s=trace.abs_err, received=r, noise_std=scene.noise_std,
          truth_alpha_s=truth.alpha, truth_doppler=truth.doppler,
          baseline_delay_s=baseline_delay)
 """
@@ -68,25 +71,30 @@ def run_trees(trees, config, scratch):
     return results
 
 
-def max_delta(a, b) -> str:
-    return "%.3g" % float(np.max(np.abs(a - b), initial=0.0))
+def max_delta(a, b) -> float:
+    """The largest |a - b|, where places equal in both, or NaN in both, count
+    as zero (inf - inf would be NaN); NaN when one side alone is NaN."""
+    equal = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.where(equal, 0.0, np.abs(a - b)), initial=0.0))
 
 
-def report(old, new) -> list[str]:
+def report(old, new) -> tuple[list[str], bool]:
+    """The report's lines, and whether anything drifted."""
     same = np.array_equal(old["bounds"], new["bounds"])
     lines = ["boundaries: %s (%d segments old, %d new)"
              % ("equal" if same else "differ", len(old["bounds"]),
-                len(new["bounds"])),
-             "max |delta| error_s: " + max_delta(old["error"], new["error"])]
-    for name in ("doppler", "tau", "lse"):
-        lines.append("max |delta| %s: %s" % (
-            name, max_delta(old[name], new[name]) if same
-            else "n/a, boundaries differ"))
-    for name in ("received", "noise_std", "truth_alpha_s", "truth_doppler",
-                 "baseline_delay_s"):
-        lines.append("max |delta| %s: %s"
-                     % (name, max_delta(old[name], new[name])))
-    return lines
+                len(new["bounds"]))]
+    drifted = not same
+    for name in ("error_s", "doppler", "tau", "lse", "received", "noise_std",
+                 "truth_alpha_s", "truth_doppler", "baseline_delay_s"):
+        if name in ("doppler", "tau", "lse") and not same:
+            lines.append("max |delta| %s: n/a, boundaries differ" % name)
+            continue
+        delta = max_delta(old[name], new[name])
+        drifted |= delta != 0.0
+        lines.append("max |delta| %s: %.3g" % (name, delta))
+    return lines, drifted
 
 
 def main():
@@ -99,7 +107,9 @@ def main():
     config = [os.path.abspath(args.config)] if args.config else []
     with tempfile.TemporaryDirectory() as scratch:
         old, new = run_trees(trees, config, scratch)
-        print("\n".join(report(old, new)))
+    lines, drifted = report(old, new)
+    print("\n".join(lines))
+    sys.exit(1 if drifted else 0)
 
 
 if __name__ == "__main__":
