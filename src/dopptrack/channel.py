@@ -10,7 +10,7 @@ measures as it adds that path. path_warp is the one place that computes the
 paths' warps and Doppler factors; path_lengths gives the same lengths without
 their rates, for the harness's bound on the longest delay. Both evaluate the
 receiver sway and the surface heave once for all paths, in _extents, the one
-copy of the image-method geometry.
+copy of the image-method geometry. sample_times is the one sample grid.
 
 Delays use the quasi-static convention: geometry is frozen at reception time,
 alpha(n T) = n T - L(n T) / c. At the sub-m/s speeds simulated here the
@@ -104,9 +104,11 @@ class ChannelScene:
         if self.motion.surface_amp >= min(g.tx_depth, g.rx_depth):
             raise ValueError("surface heave may not cross the terminals")
 
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.sample_rate
+
+def sample_times(n: int, sample_rate: float) -> np.ndarray:
+    """Reception times in seconds of samples 0..n-1, n * (1 / sample_rate):
+    the one sample grid of the simulator, the harness and the baseline."""
+    return np.arange(n) * (1.0 / sample_rate)
 
 
 @dataclass
@@ -182,7 +184,7 @@ def synthesize(scene: ChannelScene, sig: TransmitSignal, n_samples: int,
     includes an SNR-derived level that overflows and draws infinite noise."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    t = np.arange(n_samples) * scene.sample_period
+    t = sample_times(n_samples, scene.sample_rate)
     alpha, doppler = path_warp(scene.geometry, scene.motion, t)
     r = np.zeros(n_samples)
     noise_std = scene.noise_std

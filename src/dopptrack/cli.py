@@ -29,10 +29,9 @@ not parse, holds a value that is not finite or is laid out wrongly, a sample
 index that is not an integer below 2**63 in magnitude, path blocks that are
 not in the order of PATHS, a truth warp later than its reception time, a
 received.csv or truth.csv whose samples are not numbered 0..N-1 in order or
-that does not hold the configured run's number of samples, error traces that
-cannot be compared, or a received sample the tracker cannot consume), 5
-internal fault: any other exception is a fault of the program, not of its
-input, and its traceback goes to stderr.
+that does not hold the configured run's number of samples, or error traces
+that cannot be compared), 5 internal fault: any other exception is a fault
+of the program, not of its input, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import traceback
 
 from . import harness
 from .harness import BadInputError, ConfigError
-from .tracker import InvalidSampleError
 
 
 def _load(args) -> harness.RunConfig:
@@ -169,7 +167,7 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as exc:   # a run too large to allocate
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except (BadInputError, InvalidSampleError) as exc:
+    except BadInputError as exc:
         print("bad input: %s" % exc, file=sys.stderr)
         return 4
     except OSError as exc:

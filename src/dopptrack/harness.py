@@ -31,8 +31,8 @@ from itertools import islice
 import numpy as np
 
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
-                      path_lengths, synthesize)
-from .peak_tracking import PeakTracker, template_samples
+                      path_lengths, sample_times, synthesize)
+from .peak_tracking import PeakTracker
 from .signal_model import TransmitSignal, check_symbol_rate, make_qpsk_signal
 from .tracker import (DopplerTracker, TrackerConfig, reconstruct_warp_array)
 
@@ -118,7 +118,6 @@ class RunConfig:
         constructor rejects is a ConfigError too. The signal is built after
         the Nyquist rule, which bounds its symbol count by the sample
         count."""
-        zeros = np.zeros(len(PATHS))
         try:
             build_scene(self)
             if not 0.0 < self.duration < math.inf:
@@ -140,8 +139,8 @@ class RunConfig:
                                   "plus signal bandwidth")
             sig = build_signal(self)
             np.random.default_rng(self.channel.noise_seed)
-            DopplerTracker(sig, tracker_config(self, zeros))
-            peak_tracker(self, sig, zeros)
+            DopplerTracker(sig, tracker_config(self, np.zeros(len(PATHS))))
+            peak_tracker(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -295,14 +294,10 @@ def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
                          ridge=t.ridge)
 
 
-def peak_tracker(cfg: RunConfig, sig: TransmitSignal,
-                 initial_delays) -> PeakTracker:
-    """The run's baseline, with initial_delays the per-path delays of its
-    first template."""
-    b = cfg.baseline
-    return PeakTracker(sig, initial_delays, cfg.channel.sample_rate,
-                       template_len=b.template_len,
-                       search_halfwidth=b.search_halfwidth, hop=b.hop)
+def peak_tracker(cfg: RunConfig) -> PeakTracker:
+    """The run's baseline settings: BaselineParams' fields are PeakTracker's
+    keyword arguments."""
+    return PeakTracker(cfg.channel.sample_rate, **asdict(cfg.baseline))
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -398,27 +393,26 @@ def baseline_stream(cfg: RunConfig, sig: TransmitSignal, r: np.ndarray,
     Returns (n_grid, delays, flags, error trace, summary). Delays are held
     between hops when forming the per-sample error trace.
     """
-    b = cfg.baseline
-    T = 1.0 / cfg.channel.sample_rate
-    first = template_samples(b.template_len, cfg.channel.sample_rate)
+    pk = peak_tracker(cfg)
+    first = pk.template_samples
     if first >= r.size:   # the truth at sample first gives the start delays
         raise ConfigError("run too short for the baseline template")
-    pk = peak_tracker(cfg, sig, first * T - truth.alpha[:, first])
+    t = sample_times(r.size, cfg.channel.sample_rate)
     try:   # a run too short for the template and lag range
-        n_grid, delays, flags = pk.run(r)
+        n_grid, delays, flags = pk.run(r, sig.eval_passband(t),
+                                       t[first] - truth.alpha[:, first])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n_all = np.arange(n_grid[0], n_grid[-1] + 1)
     held = np.searchsorted(n_grid, n_all, side="right") - 1
-    delay_per_sample = delays[:, held]
-    alpha_hat = n_all * T - delay_per_sample
+    alpha_hat = t[n_all] - delays[:, held]
     trace = ErrorTrace(n=n_all,
                        abs_err=np.abs(alpha_hat - truth.alpha[:, n_all]))
     summary = {
         "tracker": "peak_tracking",
         "config": config_echo(cfg),
         "iterations": int(n_grid.size),
-        "hop": b.hop,
+        "hop": pk.hop,
         "no_peak_flags": int(flags.sum()),
         "max_abs_err_s": _max_per_path(trace.abs_err),
     }
@@ -628,7 +622,7 @@ def write_delays(path: str, n_grid: np.ndarray, delays: np.ndarray,
 
 def dump_signal(cfg: RunConfig, path: str) -> None:
     """The transmitted waveform at the run's sample times, as CSV."""
-    t = np.arange(cfg.n_samples) * (1.0 / cfg.channel.sample_rate)
+    t = sample_times(cfg.n_samples, cfg.channel.sample_rate)
     values = build_signal(cfg).eval_passband(t)
     _write_csv(path, "n,t_seconds,value",
                [("%d,%r,%r\n", (range(t.size), t, values))])
@@ -666,9 +660,7 @@ def _read_inputs(cfg: RunConfig, in_dir: str
         raise BadInputError("received.csv holds %d samples, truth.csv %d; "
                             "the configured run needs %d"
                             % (r.size, truth.alpha.shape[1], cfg.n_samples))
-    # the reception times as the simulator takes them, bit for bit
-    t = np.arange(r.size) * (1.0 / cfg.channel.sample_rate)
-    late = (truth.alpha > t).any(0)
+    late = (truth.alpha > sample_times(r.size, cfg.channel.sample_rate)).any(0)
     if late.any():
         raise BadInputError("truth.csv: the warp of sample %d is later than "
                             "its reception time" % np.argmax(late))

@@ -12,10 +12,9 @@ correlation over all lags computes, so the answers keep every bit.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
-
-from .signal_model import TransmitSignal
 
 
 def crosscorr(received: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -104,64 +103,67 @@ def template_samples(template_len: float, sample_rate: float) -> int:
 
 
 class PeakTracker:
-    """Runs the baseline over a full received stream.
+    """The baseline's settings, and its run over one sampled stream.
 
-    At iteration n the template is the template_len-long stretch of the
-    transmitted signal ending at sample n, correlated against the received
-    samples from n - template up to n + max_lag, so path delays appear
-    directly as correlation lags. max_lag covers twice the longest initial
-    delay plus four search half-widths; `track_step` correlates only the
-    2 * search_halfwidth + 5 or fewer lags around each path's delay.
+    Built from settings alone: the template length rounds to at least one
+    sample and is finite, and hop and search_halfwidth are integers >= 1
+    (numpy integers count), stored as given. At iteration n the template is
+    the template_len-long stretch of the transmitted samples ending at
+    sample n, correlated against the received samples from n - template up
+    to n + max_lag, so path delays appear directly as correlation lags.
+    max_lag covers twice the longest initial delay plus four search
+    half-widths; `track_step` correlates only the 2 * search_halfwidth + 5
+    or fewer lags around each path's delay.
     """
 
-    def __init__(self, sig: TransmitSignal, initial_delays, sample_rate: float,
-                 template_len: float = 3e-3, search_halfwidth: int = 20,
-                 hop: int = 10):
-        self.sig = sig
-        self.T = 1.0 / sample_rate
-        self._initial_delays = np.asarray(initial_delays, dtype=float).copy()
-        if not 0.0 < template_len * sample_rate < math.inf:
-            raise ValueError("template_len must be > 0 and finite in samples")
-        if not np.all(np.isfinite(self._initial_delays)
-                      & (self._initial_delays >= 0.0)):
-            raise ValueError("delays must be finite and non-negative")
-        if search_halfwidth < 1:
-            raise ValueError("search_halfwidth must be >= 1")
-        self._search_halfwidth = search_halfwidth
-        self.hop = int(hop)
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
+    def __init__(self, sample_rate: float, template_len: float = 3e-3,
+                 search_halfwidth: int = 20, hop: int = 10):
+        # x > 0.5 is exactly round(x) >= 1
+        if not 0.5 < template_len * sample_rate < math.inf:
+            raise ValueError("template_len of %r s is shorter than one sample "
+                             "or not finite" % template_len)
+        for name, count in (("search_halfwidth", search_halfwidth),
+                            ("hop", hop)):
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ValueError("%s must be an integer >= 1" % name)
+        self.sample_rate = sample_rate
+        self.search_halfwidth = search_halfwidth
+        self.hop = hop
         self.template_samples = template_samples(template_len, sample_rate)
-        if self.template_samples < 1:
-            raise ValueError("template_len of %r s is shorter than one sample"
-                             % template_len)
-        max_delay = 2.0 * float(np.max(self._initial_delays))
-        self.max_lag = int(np.ceil(max_delay * sample_rate)) \
-            + 4 * search_halfwidth
 
-    def run(self, received: np.ndarray):
-        """Track delays over the stream from the initial delays.
+    def run(self, received: np.ndarray, transmitted: np.ndarray,
+            initial_delays):
+        """Track delays over a stream: received and transmitted samples on
+        one grid, and the per-path delays in seconds at the first iteration,
+        sample template_samples.
 
         Returns (n_grid, delays, flags): iteration sample indices, per-path
         delays in seconds with shape (num_paths, len(n_grid)), and the
-        no-peak-found flags with the same shape. A stream no longer than the
-        template plus the lag range raises ValueError; run raises no other.
+        no-peak-found flags with the same shape. ValueError when the two
+        streams differ in length, a delay is negative or not finite, or the
+        stream is no longer than the template plus the lag range.
         """
+        if received.size != transmitted.size:
+            raise ValueError("received stream of %d samples, transmitted of %d"
+                             % (received.size, transmitted.size))
+        prev = np.asarray(initial_delays, dtype=float)
+        if not np.all(np.isfinite(prev) & (prev >= 0.0)):
+            raise ValueError("delays must be finite and non-negative")
+        max_lag = int(np.ceil(2.0 * float(np.max(prev)) * self.sample_rate)) \
+            + 4 * self.search_halfwidth
         K = self.template_samples
-        last = received.size - 1 - self.max_lag
+        last = received.size - 1 - max_lag
         if last < K:
             raise ValueError("stream of %d samples too short for the template "
                              "of %d and lag range of %d samples"
-                             % (received.size, K, self.max_lag))
+                             % (received.size, K, max_lag))
         n_grid = np.arange(K, last + 1, self.hop)
-        tx_times = np.arange(received.size) * self.T
-        tx = self.sig.eval_passband(tx_times)
-        prev = self._initial_delays
+        period = 1.0 / self.sample_rate
         delays = np.empty((prev.size, n_grid.size))
         flags = np.zeros((prev.size, n_grid.size), dtype=bool)
         for j, n in enumerate(n_grid):
             prev, flags[:, j] = track_step(
-                prev, received[n - K + 1:n + 1 + self.max_lag],
-                tx[n - K + 1:n + 1], self.T, self._search_halfwidth)
+                prev, received[n - K + 1:n + 1 + max_lag],
+                transmitted[n - K + 1:n + 1], period, self.search_halfwidth)
             delays[:, j] = prev
         return n_grid, delays, flags

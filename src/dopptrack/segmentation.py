@@ -23,6 +23,8 @@ their oracle (tests/oracles.py).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import rls
@@ -55,8 +57,10 @@ class SegmentationState:
 
     def __init__(self, keep_best: int, keep_recent: int, dim: int,
                  ridge: float):
-        if keep_best < 1 or keep_recent < 1:
-            raise ValueError("memory sizes must be >= 1")
+        for name, count in (("keep_best", keep_best),
+                            ("keep_recent", keep_recent)):
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ValueError("%s must be an integer >= 1" % name)
         self.keep_best = keep_best
         self.keep_recent = keep_recent
         self.capacity = capacity = keep_best + keep_recent + 1

@@ -43,6 +43,7 @@ summed on its own, with the same operations in the same order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,9 @@ class PulseShape:
             raise ValueError("symbol_period must be positive and finite")
         if not 0.0 < self.gaussian_std < math.inf:
             raise ValueError("gaussian_std must be positive and finite")
-        if self.truncation_halfwidth < 1:
-            raise ValueError("truncation_halfwidth must be >= 1")
+        if not (isinstance(self.truncation_halfwidth, numbers.Integral)
+                and self.truncation_halfwidth >= 1):
+            raise ValueError("truncation_halfwidth must be an integer >= 1")
         edge = self.truncation_halfwidth * self.symbol_period / self.gaussian_std
         if np.exp(-0.5 * edge * edge) >= 1e-6:
             raise ValueError(

@@ -35,6 +35,7 @@ One tracker instance consumes one strictly sample-ordered stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,9 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0.0 < self.penalty < math.inf:
             raise ValueError("penalty must be positive and finite")
-        if self.detect_threshold < 1:
-            raise ValueError("detect_threshold must be >= 1")
+        if not (isinstance(self.detect_threshold, numbers.Integral)
+                and self.detect_threshold >= 1):
+            raise ValueError("detect_threshold must be an integer >= 1")
         if not 0.0 < self.perturbation < math.inf:
             raise ValueError("perturbation must be positive and finite")
         if not 0.0 < self.sample_period < math.inf:

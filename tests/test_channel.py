@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dopptrack.channel import (ChannelScene, Geometry, MotionSpec, PATHS,
-                               path_lengths, path_warp, synthesize)
+                               path_lengths, path_warp, sample_times,
+                               synthesize)
 from dopptrack.signal_model import make_qpsk_signal
 
 C_SOUND = 1500.0
@@ -103,12 +104,22 @@ class TestPathLength:
     def test_row_is_path_warp_length(self, scene, i):
         scene = scene()
         g, m = scene.geometry, scene.motion
-        t = np.arange(400000) * scene.sample_period
+        t = sample_times(400000, scene.sample_rate)
         alpha, _ = path_warp(g, m, t)
         lengths = path_lengths(g, m, t)
         assert lengths.shape == alpha.shape == (len(PATHS), t.size)
         np.testing.assert_array_equal(alpha[i],
                                       t - lengths[i] / g.sound_speed)
+
+
+class TestSampleTimes:
+    # n times the rounded period, not n / fs: at n = 3 the two differ by one
+    # ulp
+    def test_is_index_times_period(self):
+        t = sample_times(1000, 200e3)
+        np.testing.assert_array_equal(t, np.arange(1000) * (1 / 200e3))
+        assert t[3] == 3 * (1 / 200e3) == np.nextafter(3 / 200e3, 1.0)
+        assert sample_times(0, 200e3).shape == (0,)
 
 
 class TestWarp:
@@ -130,7 +141,7 @@ class TestWarp:
     def test_rows_match_per_path_reference(self, scene):
         scene = scene()
         g, m = scene.geometry, scene.motion
-        t = np.arange(400000) * scene.sample_period
+        t = sample_times(400000, scene.sample_rate)
         alpha, doppler = path_warp(g, m, t)
         for i, path in enumerate(PATHS):
             ref_alpha, ref_doppler = per_path_warp(g, m, path, t)
@@ -156,7 +167,7 @@ class TestGroundTruthDoppler:
 
     def test_matches_finite_difference_of_warp(self):
         scene = moving_scene()
-        T = scene.sample_period
+        T = 1.0 / scene.sample_rate
         truth = truth_of(scene, 90005)
         rng = np.random.default_rng(3)
         n = rng.integers(100, 90000, size=200)
@@ -171,8 +182,8 @@ class TestSynthesize:
         sig = make_qpsk_signal(100, seed=7, symbol_rate=20e3,
                                carrier_freq=30e3, lead_symbols=40)
         r, truth, _ = synthesize(scene, sig, 2000, noise_seed=0)
-        n = np.arange(2000)
-        expect = sig.eval_passband(n * scene.sample_period - 1.45 / C_SOUND)
+        expect = sig.eval_passband(sample_times(2000, scene.sample_rate)
+                                   - 1.45 / C_SOUND)
         np.testing.assert_array_equal(r, expect)
 
     # the direct path's power overflows, or a finite power puts the level

@@ -8,7 +8,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ZERO_DRIFT = ["max |delta| %s: 0" % name
               for name in ("error_s", "doppler", "tau", "lse", "received",
                            "noise_std", "truth_alpha_s", "truth_doppler",
-                           "baseline_delay_s")]
+                           "baseline_n", "baseline_delay_s", "baseline_flag",
+                           "baseline_error_s", "dump_signal")]
 
 
 def drift(tmp_path, new_tree, settings=""):

@@ -251,6 +251,23 @@ class TestConfig:
         assert tb.tb_frame.f_code.co_filename.endswith("channel.py")
         assert tb.tb_frame.f_code.co_name == "__post_init__"
 
+    # each count is checked by the library object it sizes, which names its
+    # own field: the signal's pulse_halfwidth is the pulse's
+    # truncation_halfwidth
+    @pytest.mark.parametrize("group, field, value, name", [
+        ("baseline", "hop", 2.5, "hop"),
+        ("baseline", "search_halfwidth", 2.5, "search_halfwidth"),
+        ("tracker", "detect_threshold", 2.5, "detect_threshold"),
+        ("tracker", "keep_best", 2.5, "keep_best"),
+        ("signal", "pulse_halfwidth", 4.5, "truncation_halfwidth"),
+    ])
+    def test_non_integer_count_rejected(self, group, field, value, name):
+        cfg = harness.default_config()
+        with pytest.raises(ConfigError, match="%s must be an integer >= 1"
+                           % name):
+            dataclasses.replace(cfg, **{group: dataclasses.replace(
+                getattr(cfg, group), **{field: value})})
+
     # the symbol rate is checked before build_signal or the Nyquist rule
     # does arithmetic on it, so the message names it
     @pytest.mark.parametrize("rate", [math.nan, math.inf])

@@ -200,28 +200,53 @@ class TestPeakTrackerRun:
         delay = 150 * T  # exactly on-grid
         sig = make_qpsk_signal(650, seed=7, symbol_rate=20e3,
                                carrier_freq=30e3, lead_symbols=30)
-        n = np.arange(6000)
-        r = sig.eval_passband(n * T - delay)
-        pk = PeakTracker(sig, [delay], FS, template_len=3e-3,
-                         search_halfwidth=20, hop=10)
-        n_grid, delays, flags = pk.run(r)
+        t = np.arange(6000) * T
+        r = sig.eval_passband(t - delay)
+        pk = PeakTracker(FS, template_len=3e-3, search_halfwidth=20, hop=10)
+        n_grid, delays, flags = pk.run(r, sig.eval_passband(t), [delay])
         assert not flags.any()
         assert np.max(np.abs(delays - delay)) < T
 
     def test_stream_too_short(self):
-        sig = make_qpsk_signal(10, seed=7, symbol_rate=20e3, carrier_freq=30e3)
-        pk = PeakTracker(sig, [1e-3], FS, template_len=3e-3, hop=1)
+        pk = PeakTracker(FS, template_len=3e-3, hop=1)
         # a 600-sample template and 2 * 200 + 4 * 20 lags
         with pytest.raises(ValueError, match="stream of 100 samples too "
                            "short for the template of 600 and lag range of "
                            "480 samples"):
-            pk.run(np.zeros(100))
+            pk.run(np.zeros(100), np.zeros(100), [1e-3])
         # the shortest stream run accepts: one iteration, at sample 600
-        n_grid, _, _ = pk.run(np.zeros(1081))
+        n_grid, _, _ = pk.run(np.zeros(1081), np.zeros(1081), [1e-3])
         assert n_grid.tolist() == [600]
         with pytest.raises(ValueError, match="stream of 1080 samples"):
-            pk.run(np.zeros(1080))
+            pk.run(np.zeros(1080), np.zeros(1080), [1e-3])
 
+    def test_stream_length_mismatch_rejected(self):
+        pk = PeakTracker(FS, template_len=3e-3, hop=1)
+        with pytest.raises(ValueError, match="received stream of 1081 "
+                           "samples, transmitted of 1080"):
+            pk.run(np.zeros(1081), np.zeros(1080), [1e-3])
+
+    # 0.52 samples round to one; 0.5 round to none (below)
+    def test_template_of_half_a_sample_and_more_is_one_sample(self):
+        pk = PeakTracker(FS, template_len=2.6e-6, hop=1)
+        assert pk.template_samples == 1
+        n_grid, _, _ = pk.run(np.zeros(82), np.zeros(82), [0.0])
+        assert n_grid.tolist() == [1]
+
+    def test_numpy_integer_counts_accepted(self):
+        pk = PeakTracker(FS, search_halfwidth=np.int64(20), hop=np.int64(10))
+        assert pk.hop == 10 and type(pk.hop) is np.int64
+        assert type(pk.search_halfwidth) is np.int64
+
+    @pytest.mark.parametrize("kw", [{"search_halfwidth": 2.5}, {"hop": 2.5}])
+    def test_non_integer_counts_rejected(self, kw):
+        name, = kw
+        with pytest.raises(ValueError, match="%s must be an integer >= 1"
+                           % name):
+            PeakTracker(FS, **kw)
+
+    # the settings are checked when the tracker is built, the delays when it
+    # runs
     @pytest.mark.parametrize("delays, kw", [
         ([1e-3], {"template_len": 0.0}),
         # 0.5 samples round to none; 1e305 s is past any sample count
@@ -234,6 +259,6 @@ class TestPeakTrackerRun:
         ([np.inf], {}),
     ])
     def test_bad_arguments_rejected(self, delays, kw):
-        sig = make_qpsk_signal(10, seed=7, symbol_rate=20e3, carrier_freq=30e3)
         with pytest.raises(ValueError):
-            PeakTracker(sig, delays, FS, **kw)
+            pk = PeakTracker(FS, **kw)
+            pk.run(np.zeros(2000), np.zeros(2000), delays)

@@ -82,6 +82,14 @@ class TestBankSize:
             with pytest.raises(ValueError):
                 SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
 
+    def test_sizes_are_integers(self):
+        with pytest.raises(ValueError, match="keep_best must be an integer"):
+            SegmentationState(2.5, 1, dim=1, ridge=1e-4)
+        with pytest.raises(ValueError, match="keep_recent must be an integer"):
+            SegmentationState(1, 2.0, dim=1, ridge=1e-4)
+        state = SegmentationState(np.int64(2), np.int64(3), dim=1, ridge=1e-4)
+        assert state.capacity == 6
+
 
 class TestAdmit:
     def test_start_and_prefix_cost(self):

@@ -7,19 +7,22 @@ simulates the scenario (the defaults, or FILE read by the tree's
 `harness.load_config`), runs the tracker and the baseline over it and saves
 every output of the simulator (the received stream, the noise level it was
 drawn at and the truth's per-path warp and Doppler), the tracker's segments
-and per-path error trace, and the baseline's per-path delays. The report
-says whether the segment boundaries are equal and gives the largest |delta|
-of the per-path error, when the boundaries are equal of each segment's
-per-path Doppler and tau and its lse, and then of the simulator's outputs
-and the baseline's delays. It exits 0 when nothing drifts (a tree compared
-with itself) and 1 when the boundaries differ or any |delta| is not zero; a
-place where both trees hold the same value, an infinity or NaN included,
-does not drift.
+and per-path error trace, the baseline's iteration samples, per-path delays,
+no-peak flags and per-path error trace, and the waveform that `dump_signal`
+writes (read back from its CSV). The report says whether the segment
+boundaries are equal and gives the largest |delta| of the per-path error,
+when the boundaries are equal of each segment's per-path Doppler and tau and
+its lse, and then of the simulator's, the baseline's and dump_signal's
+outputs; flags count 1 when raised. It exits 0 when nothing drifts (a tree
+compared with itself) and 1 when the boundaries differ or any |delta| is not
+zero; a place where both trees hold the same value, an infinity or NaN
+included, does not drift, and arrays of different shapes drift by inf.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -36,7 +39,9 @@ out, config = sys.argv[1], sys.argv[2:]
 cfg = harness.load_config(config[0]) if config else harness.default_config()
 sig, scene, r, truth = harness.simulate_stream(cfg)
 segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
-_, baseline_delay, _, _, _ = harness.baseline_stream(cfg, sig, r, truth)
+n_grid, baseline_delay, flags, btrace, _ = harness.baseline_stream(
+    cfg, sig, r, truth)
+harness.dump_signal(cfg, out + ".dump.csv")
 np.savez(out, module=dopptrack.__file__,
          bounds=np.array([(s.a, s.b) for s in segments]),
          doppler=np.array([s.doppler for s in segments]),
@@ -44,7 +49,9 @@ np.savez(out, module=dopptrack.__file__,
          lse=np.array([s.lse for s in segments]),
          error_s=trace.abs_err, received=r, noise_std=scene.noise_std,
          truth_alpha_s=truth.alpha, truth_doppler=truth.doppler,
-         baseline_delay_s=baseline_delay)
+         baseline_n=n_grid, baseline_delay_s=baseline_delay,
+         baseline_flag=flags, baseline_error_s=btrace.abs_err,
+         dump_signal=np.loadtxt(out + ".dump.csv", delimiter=",", skiprows=1))
 """
 
 
@@ -72,8 +79,12 @@ def run_trees(trees, config, scratch):
 
 
 def max_delta(a, b) -> float:
-    """The largest |a - b|, where places equal in both, or NaN in both, count
-    as zero (inf - inf would be NaN); NaN when one side alone is NaN."""
+    """The largest |a - b| of two arrays, booleans taken as 0 and 1, where
+    places equal in both, or NaN in both, count as zero (inf - inf would be
+    NaN); NaN when one side alone is NaN, inf when the shapes differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return math.inf
     equal = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore"):
         return float(np.max(np.where(equal, 0.0, np.abs(a - b)), initial=0.0))
@@ -87,7 +98,9 @@ def report(old, new) -> tuple[list[str], bool]:
                 len(new["bounds"]))]
     drifted = not same
     for name in ("error_s", "doppler", "tau", "lse", "received", "noise_std",
-                 "truth_alpha_s", "truth_doppler", "baseline_delay_s"):
+                 "truth_alpha_s", "truth_doppler", "baseline_n",
+                 "baseline_delay_s", "baseline_flag", "baseline_error_s",
+                 "dump_signal"):
         if name in ("doppler", "tau", "lse") and not same:
             lines.append("max |delta| %s: n/a, boundaries differ" % name)
             continue
