@@ -10,28 +10,16 @@ Subcommands:
 
 Each subcommand loads its configuration, then runs one step function that
 calls the harness and prints a summary; demo runs the simulate, baseline,
-track and compare steps in that order. The harness computes each step
-before it writes, so a step that rejects its configuration or input leaves
-no output behind, and a demo run too short for the baseline leaves only its
-sim/ directory.
+track and compare steps in that order. README "CLI" states what a step
+leaves behind when it fails.
 
-Exit codes: 0 success, 1 configuration error (a config file that is not
-UTF-8, a value that does not parse or is not finite, any value the simulator
-or a tracker rejects, a run no longer than the tracker warm-up, a run too
-large to allocate, a direct path with no signal power when the noise level
-is set from snr_db, a gain, amplitude or noise level so large that the
-received stream is not finite, a baseline template shorter than one
-sample, a baseline run too short for the template and lag range, or a
-compare window below 1 or threshold that is negative or not finite), 2
-I/O error (a file that cannot be opened, read or written), 3 the tracker
-reported numerical divergence, 4 bad input (an input CSV whose content does
-not parse, holds a value that is not finite or is laid out wrongly, a sample
-index that is not an integer below 2**63 in magnitude, path blocks that are
-not in the order of PATHS, a truth warp later than its reception time, a
-received.csv or truth.csv whose samples are not numbered 0..N-1 in order or
-that does not hold the configured run's number of samples, or error traces
-that cannot be compared), 5 internal fault: any other exception is a fault
-of the program, not of its input, and its traceback goes to stderr.
+Exit codes (README "Exit codes" lists the causes of each):
+    0  success
+    1  configuration error
+    2  I/O error
+    3  the tracker flagged numerical divergence
+    4  bad input
+    5  internal fault
 """
 
 from __future__ import annotations

@@ -2,20 +2,8 @@
 
 Builds the simulated scene, runs the streaming tracker and the peak-tracking
 baseline over it, and turns both into per-sample absolute timing-error traces
-against the simulator's ground truth. All artifacts are plain CSV with
-mandatory headers:
-
-    received.csv   n,r
-    truth.csv      n,path,alpha_s,doppler      (path-major blocks)
-    segments.csv   segment,path,a,b,d,tau_s,lse
-    errors.csv     n,path,abs_err_s            (path-major blocks)
-    delays.csv     n,path,delay_seconds,flag   (baseline only)
-    <dump>.csv     n,t_seconds,value           (transmitted waveform)
-
-Floats are written with repr so outputs are byte-identical across runs with
-the same seeds. One writer frames every CSV: it formats a block of at most
-_BLOCK_ROWS rows from Python values (.tolist() of the block's column slices)
-and writes the block in one call, so a whole column is never a list.
+against the simulator's ground truth. README "Output files" lists the
+artifacts and their columns; _write_csv frames every CSV.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
 from dopptrack.signal_model import make_qpsk_signal
 from dopptrack.tracker import (DopplerTracker, reconstruct_warp_array,
                                rows_batch)
-from oracles import batch_sls, enumerate_best, line_fitter
+from oracles import (batch_sls, enumerate_best, line_fitter,
+                     uniform_doppler_run)
 
 SAMPLE_INTERVAL = 5e-6
 
@@ -366,6 +367,31 @@ def test_perturbed_rows_bound_conditioning_on_coincident_paths():
              weak_err.max()))
     assert ratio <= COINCIDENT_RATIO_BOUND < weak_ratio
     assert err.max() < SAMPLE_INTERVAL
+
+
+def test_criterion_11_uniform_doppler_loses_the_track():
+    # the paper's claim that one Doppler for all paths cannot track a
+    # multipath channel whose arrivals are stretched differently
+    cfg = dataclasses.replace(harness.default_config(), duration=0.03)
+    sig, _, r, truth = harness.simulate_stream(cfg)
+    tcfg = harness.tracker_config(cfg, truth.alpha[:, 0])
+    segments = uniform_doppler_run(sig, tcfg, r)
+    warp = reconstruct_warp_array(segments, tcfg.num_paths, r.size,
+                                  tcfg.sample_period)
+    warmup = cfg.warmup_samples
+    uniform = np.abs(warp - truth.alpha)[:, warmup:].max(axis=1)
+    per_path_segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
+    per_path = trace.abs_err[:, warmup:].max(axis=1)
+
+    def us(worst):
+        return "/".join("%.3g" % (v * 1e6) for v in worst)
+    report(11, uniform.max() > SAMPLE_INTERVAL
+           and per_path.max() < SAMPLE_INTERVAL,
+           "0.03 s of the default scene after %d-sample warm-up: uniform "
+           "Doppler max |error| %s us (%d segments), per-path %s us "
+           "(%d segments), one sample interval %.0f us"
+           % (warmup, us(uniform), len(segments), us(per_path),
+              len(per_path_segments), SAMPLE_INTERVAL * 1e6))
 
 
 # The 21 segments of the default scenario as (a, b, d per path, tau_s per
