@@ -199,18 +199,21 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a UTF-8 INI config file on top of the defaults."""
+    """Parse a UTF-8 INI config file on top of the defaults. A file that
+    exists but cannot be opened or read raises its OSError; a key under
+    [DEFAULT] is an unknown key, as sections do not inherit it."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    try:
-        parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
+    with open(path, encoding="utf-8") as f:
+        try:
+            parser.read_file(f)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
     base = default_config()
     changes = {}    # group -> {field: value}
     gains = list(base.channel.gains)
-    for section in parser.sections():
+    for section in parser:     # [DEFAULT] first, then the file's sections
         for key, raw in parser.items(section):
             spec = _CONFIG_KEYS.get((section, key))
             if spec is None:

@@ -97,11 +97,6 @@ def track_step(prev_delays: np.ndarray, window: np.ndarray,
     return out, flags
 
 
-def template_samples(template_len: float, sample_rate: float) -> int:
-    """Length in samples of a template_len-second template."""
-    return int(round(template_len * sample_rate))
-
-
 class PeakTracker:
     """The baseline's settings, and its run over one sampled stream.
 
@@ -129,7 +124,7 @@ class PeakTracker:
         self.sample_rate = sample_rate
         self.search_halfwidth = search_halfwidth
         self.hop = hop
-        self.template_samples = template_samples(template_len, sample_rate)
+        self.template_samples = int(round(template_len * sample_rate))
 
     def run(self, received: np.ndarray, transmitted: np.ndarray,
             initial_delays):

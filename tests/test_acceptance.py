@@ -22,6 +22,8 @@ from oracles import (batch_sls, enumerate_best, line_fitter,
                      uniform_doppler_run)
 
 SAMPLE_INTERVAL = 5e-6
+SCENES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenes")
 
 
 def report(num, ok, detail):
@@ -288,10 +290,8 @@ def test_criterion_7_perturbation_restores_rank():
 
 
 def test_criterion_8_identity_fixed_point():
-    cfg = harness.default_config()
     cfg = dataclasses.replace(
-        cfg, duration=0.05, motion=harness.MotionSpec(),
-        channel=dataclasses.replace(cfg.channel, noise_std=0.0))
+        harness.load_config(os.path.join(SCENES, "static.ini")), duration=0.05)
     sig, scene, r, truth = harness.simulate_stream(cfg)
     tracker = DopplerTracker(sig, harness.tracker_config(cfg,
                                                          truth.alpha[:, 0]))
@@ -325,16 +325,13 @@ def test_criterion_9_delay_chain_continuity(scenario):
 
 
 def coincident_path_run(perturbation):
-    """The tracker on 0.03 s of a scene whose surface and bottom paths nearly
-    coincide: tx = rx = 0.9 m, half the 1.8 m depth, and no surface heave.
-    Returns the largest max/min ratio of |diag R[:3, :3]| of the anchor's
-    factor over the samples, and the per-path |error| of every sample."""
-    cfg = harness.default_config()
+    """The tracker on 0.03 s of scenes/coincident.ini, whose surface and
+    bottom paths nearly coincide. Returns the largest max/min ratio of
+    |diag R[:3, :3]| of the anchor's factor over the samples, and the
+    per-path |error| of every sample."""
+    cfg = harness.load_config(os.path.join(SCENES, "coincident.ini"))
     cfg = dataclasses.replace(
         cfg, duration=0.03,
-        geometry=dataclasses.replace(cfg.geometry, tx_depth=0.9, rx_depth=0.9),
-        motion=dataclasses.replace(cfg.motion, surface_amp=0.0),
-        channel=dataclasses.replace(cfg.channel, noise_seed=1),
         tracker=dataclasses.replace(cfg.tracker, perturbation=perturbation))
     sig, _, r, truth = harness.simulate_stream(cfg)
     tcfg = harness.tracker_config(cfg, truth.alpha[:, 0])

@@ -52,6 +52,11 @@ def test_paper_map_tests_exist(row):
             "%s has no %s" % (name, test)
 
 
+def test_scene_table_lists_each_scene_file():
+    files = [row[0].strip("`") for row in readme_table("| file | differs")]
+    assert sorted(files) == sorted(os.listdir(os.path.join(ROOT, "scenes")))
+
+
 def test_exit_code_table_lists_each_code_once():
     codes = [row[0] for row in readme_table("| code | meaning | examples |")]
     assert sorted(codes) == ["`%d`" % k for k in range(6)]

@@ -2,6 +2,9 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -22,8 +25,12 @@ def drift(tmp_path, new_tree, settings=""):
         text=True, timeout=600)
 
 
-def test_tree_against_itself_reports_zero_drift(tmp_path):
-    done = drift(tmp_path, ROOT)
+# coincident.ini is the scene where the perturbed rows decide the fit
+@pytest.mark.parametrize("scene", [None, "coincident.ini"],
+                         ids=["default", "coincident"])
+def test_tree_against_itself_reports_zero_drift(tmp_path, scene):
+    settings = Path(ROOT, "scenes", scene).read_text() if scene else ""
+    done = drift(tmp_path, ROOT, settings)
     assert done.returncode == 0, done.stderr
     first, *deltas = done.stdout.splitlines()
     assert first.startswith("boundaries: equal (")

@@ -1,9 +1,12 @@
+import configparser
 import dataclasses
 import json
 import math
 import os
+import sys
 import tracemalloc
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from dopptrack.signal_model import TransmitSignal
 from dopptrack.tracker import DopplerSegment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENES = os.path.join(ROOT, "scenes")
 
 
 def short_config(duration=0.02, **channel_kw):
@@ -25,8 +29,22 @@ def short_config(duration=0.02, **channel_kw):
 
 
 def static_config(duration=0.02):
-    cfg = short_config(duration, noise_std=0.0)
-    return dataclasses.replace(cfg, motion=harness.MotionSpec())
+    cfg = harness.load_config(os.path.join(SCENES, "static.ini"))
+    return dataclasses.replace(cfg, duration=duration)
+
+
+def ini_file(tmp_path, text) -> str:
+    """The path of a run.ini holding text."""
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return str(path)
+
+
+def run_cli(capsys, *argv):
+    """cli.main on argv: its exit code and what it wrote to stderr."""
+    capsys.readouterr()
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def count_passband_calls(monkeypatch) -> list:
@@ -62,14 +80,12 @@ class TestConfig:
         assert cfg.baseline.template_len == pytest.approx(3e-3)
 
     def test_ini_roundtrip(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[run]\nduration_s = 0.05\n"
+        cfg = harness.load_config(ini_file(
+            tmp_path, "[run]\nduration_s = 0.05\n"
             "[motion]\nrx_osc_pp_m = 0.5\n"
             "[channel]\nsnr_db = 14\ngain_surface = -0.6\nnoise_seed = 55\n"
             "[tracker]\npenalty = 0.02\n"
-            "[baseline]\ntemplate_ms = 2.0\n")
-        cfg = harness.load_config(str(path))
+            "[baseline]\ntemplate_ms = 2.0\n"))
         assert cfg.duration == 0.05
         assert cfg.motion.rx_osc_amp == pytest.approx(0.25)
         assert cfg.channel.snr_db == 14
@@ -81,25 +97,51 @@ class TestConfig:
     def test_readme_config_block_is_the_default(self, tmp_path):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
             readme = f.read()
-        path = tmp_path / "run.ini"
-        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-        assert harness.load_config(str(path)) == harness.default_config()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert harness.load_config(ini_file(tmp_path, block)) \
+            == harness.default_config()
 
+    # sections do not inherit [DEFAULT], so each key under it is unknown
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[tracker]\npenalti = 0.02\n")
-        with pytest.raises(ConfigError):
-            harness.load_config(str(path))
+        for text in ("[tracker]\npenalti = 0.02\n", "[DEFAULT]\npenalty = 5\n",
+                     "[DEFAULT]\nhop = 5\n[baseline]\n"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                harness.load_config(ini_file(tmp_path, text))
 
     def test_bad_value_rejected(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[tracker]\npenalty = abc\n")
+        ini = ini_file(tmp_path, "[tracker]\npenalty = abc\n")
         with pytest.raises(ConfigError):
-            harness.load_config(str(path))
+            harness.load_config(ini)
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             harness.load_config("/nonexistent/run.ini")
+
+    # a file that opens but fails to read is an I/O error, not the defaults
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_unreadable_file_exits_two(self, tmp_path):
+        out = tmp_path / "signal.csv"
+        assert cli.main(["dump-signal", "--config", "/proc/self/mem",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    # a scene sets only keys whose values differ from the defaults, leaves
+    # the run length to its reader, and is named by at least one test module
+    @pytest.mark.parametrize("path", sorted(Path(SCENES).glob("*.ini")),
+                             ids=lambda path: path.name)
+    def test_scene_catalogue(self, path, tmp_path):
+        harness.load_config(str(path))
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(path.read_text(encoding="utf-8"))
+        assert "run" not in parser
+        default = harness.default_config()
+        for section in parser.sections():
+            for item in parser.items(section):
+                one = ini_file(tmp_path, "[%s]\n%s = %s\n" % (section, *item))
+                assert harness.load_config(one) != default, item
+        tests = Path(ROOT, "tests").glob("*.py")
+        assert any(path.name in test.read_text(encoding="utf-8")
+                   for test in tests), "no test reads %s" % path.name
 
     # 20 samples are below the detection threshold of 50; 60 are above it
     # but within the 100-sample warm-up the error summary skips
@@ -110,10 +152,9 @@ class TestConfig:
             dataclasses.replace(cfg, duration=duration)
 
     def test_validation_undersampled(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[channel]\nsample_rate_hz = 60000\n")
+        ini = ini_file(tmp_path, "[channel]\nsample_rate_hz = 60000\n")
         with pytest.raises(ConfigError):
-            harness.load_config(str(path))
+            harness.load_config(ini)
 
     # the lead-in is ceil(longest delay * symbol rate) + pulse_halfwidth + 1
     # = 42 + 4 + 1 symbols; integers, not the bound's bits, which numpy's
@@ -182,11 +223,10 @@ class TestConfig:
         cfg = short_config(gains=(0.0, -0.8, 0.5))
         with pytest.raises(ConfigError, match="no signal power"):
             harness.simulate_stream(cfg)
-        ini = tmp_path / "silent.ini"
-        ini.write_text("[channel]\ngain_direct = 0\n")
+        ini = ini_file(tmp_path, "[channel]\ngain_direct = 0\n")
         out = tmp_path / "sim"
-        assert cli.main(["simulate", "--config", str(ini), "--duration",
-                         "0.005", "--out", str(out)]) == 1
+        assert cli.main(["simulate", "--config", ini, "--duration", "0.005",
+                         "--out", str(out)]) == 1
         assert "no signal power" in capsys.readouterr().err
         assert not out.exists()
 
@@ -694,18 +734,16 @@ class TestCompare:
 
 class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[tracker]\npenalty = -1\n")
-        code = cli.main(["simulate", "--config", str(bad),
+        bad = ini_file(tmp_path, "[tracker]\npenalty = -1\n")
+        code = cli.main(["simulate", "--config", bad,
                          "--out", str(tmp_path / "o")])
         assert code == 1
 
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_bytes(b"[tracker]\npenalty = 0.01\xff\n")
-        code = cli.main(["simulate", "--config", str(bad),
-                         "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "simulate", "--config", str(bad),
+                            "--out", str(tmp_path / "o"))
         assert code == 1
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
@@ -724,10 +762,8 @@ class TestCli:
         assert lines[50].startswith("49,")
         lines[50] = "49,nan"
         received.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = cli.main(["track", "--duration", "0.005", "--in", str(sim),
-                         "--out", str(tmp_path / "trk")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "track", "--duration", "0.005",
+                            "--in", str(sim), "--out", str(tmp_path / "trk"))
         assert code == 4
         assert "bad input" in err
         assert "i/o error" not in err
@@ -758,10 +794,8 @@ class TestCli:
     def test_malformed_received_is_bad_input(self, tmp_path, capsys):
         sim = self.simulate(tmp_path, "0.005")
         self.set_sample(sim, 49, "0.1x")
-        capsys.readouterr()
-        code = cli.main(["track", "--duration", "0.005", "--in", str(sim),
-                         "--out", str(tmp_path / "trk")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "track", "--duration", "0.005",
+                            "--in", str(sim), "--out", str(tmp_path / "trk"))
         assert code == 4
         assert "bad input" in err and "received.csv" in err
         assert "i/o error" not in err
@@ -777,10 +811,8 @@ class TestCli:
         lines = received.read_text().splitlines()
         assert len(lines) == 1 + 1000
         received.write_text("\n".join(lines[:1 + kept]) + "\n")
-        capsys.readouterr()
-        code = cli.main([command, "--duration", "0.005", "--in", str(sim),
-                         "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, command, "--duration", "0.005",
+                            "--in", str(sim), "--out", str(tmp_path / "out"))
         assert code == 4
         assert "bad input" in err and "%d samples" % kept in err
         assert not (tmp_path / "out").exists()
@@ -795,10 +827,8 @@ class TestCli:
             header, *rows = (sim / name).read_text().splitlines(True)
             (sim / name).write_text(header + "".join(
                 row for row in rows if int(row.split(",")[0]) < 60))
-        capsys.readouterr()
-        code = cli.main([command, "--duration", "0.005", "--in", str(sim),
-                         "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, command, "--duration", "0.005",
+                            "--in", str(sim), "--out", str(tmp_path / "out"))
         assert code == 4
         assert "bad input" in err and "needs 1000" in err
         assert not (tmp_path / "out").exists()
@@ -808,10 +838,8 @@ class TestCli:
     def test_baseline_too_short_for_lag_range_is_config_error(
             self, tmp_path, capsys):
         sim = self.simulate(tmp_path, "0.0035")
-        capsys.readouterr()
-        code = cli.main(["baseline", "--duration", "0.0035", "--in", str(sim),
-                         "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "baseline", "--duration", "0.0035",
+                            "--in", str(sim), "--out", str(tmp_path / "out"))
         assert code == 1
         assert "config error" in err and "lag range" in err
         assert not (tmp_path / "out").exists()
@@ -821,10 +849,8 @@ class TestCli:
     def test_baseline_too_short_for_template_is_config_error(
             self, tmp_path, capsys):
         sim = self.simulate(tmp_path, "0.002")
-        capsys.readouterr()
-        code = cli.main(["baseline", "--duration", "0.002", "--in", str(sim),
-                         "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "baseline", "--duration", "0.002",
+                            "--in", str(sim), "--out", str(tmp_path / "out"))
         assert code == 1
         assert "config error" in err and "baseline template" in err
         assert not (tmp_path / "out").exists()
@@ -883,9 +909,7 @@ class TestCli:
             lines[1:] = lines[1 + 2 * rows:] + lines[1 + rows:1 + 2 * rows] \
                 + lines[1:1 + rows]
         edited.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = cli.main(args)
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, *args)
         assert code == 4
         assert "bad input" in err and name in err
         assert sorted(os.listdir(tmp_path)) == sorted(
@@ -913,10 +937,8 @@ class TestCli:
         lines[2] = "1,nan"
         lines[1:1] = ["# note", ""]
         received.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = cli.main(["baseline", "--duration", "0.02", "--in", str(sim),
-                         "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "baseline", "--duration", "0.02",
+                            "--in", str(sim), "--out", str(tmp_path / "out"))
         assert code == 4
         assert "received.csv: line 5 holds a value that is not finite" in err
 
@@ -924,9 +946,8 @@ class TestCli:
     # fits no address space, so its allocation fails at once
     def test_run_too_large_to_allocate_is_config_error(self, tmp_path,
                                                        capsys):
-        code = cli.main(["simulate", "--duration", "4e13",
-                         "--out", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "simulate", "--duration", "4e13",
+                            "--out", str(tmp_path / "sim"))
         assert code == 1
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "sim").exists()
@@ -944,10 +965,9 @@ class TestCli:
             (tmp_path / name).mkdir()
             harness.write_errors(str(tmp_path / name / "errors.csv"), trace)
         out = tmp_path / "compare.json"
-        code = cli.main(["compare", "--a", str(tmp_path / "a"),
-                         "--b", str(tmp_path / "b"), "--out", str(out),
-                         option, value])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "compare", "--a", str(tmp_path / "a"),
+                            "--b", str(tmp_path / "b"), "--out", str(out),
+                            option, value)
         assert code == 1
         assert "config error" in err
         assert not out.exists()
@@ -979,14 +999,11 @@ class TestCli:
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
                                             duration):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(ini)
-        args = ["simulate", "--config", str(cfg),
+        args = ["simulate", "--config", ini_file(tmp_path, ini),
                 "--out", str(tmp_path / "sim")]
         if duration is not None:
             args += ["--duration", duration]
-        code = cli.main(args)
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, *args)
         assert code == 1
         assert "config error" in err
         assert not (tmp_path / "sim").exists()
@@ -998,11 +1015,9 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_noise_level_is_config_error(self, tmp_path, capsys,
                                                      ini):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(ini)
-        code = cli.main(["simulate", "--config", str(cfg), "--duration",
-                         "0.005", "--out", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "simulate", "--duration", "0.005",
+                            "--config", ini_file(tmp_path, ini),
+                            "--out", str(tmp_path / "sim"))
         assert code == 1
         assert "config error" in err and "not finite" in err
         assert not (tmp_path / "sim" / "received.csv").exists()
@@ -1011,12 +1026,10 @@ class TestCli:
     # noise level that derives nothing from it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_stream_is_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[channel]\ngain_direct = 1e200\nnoise_std = 0.1\n"
-                       "[signal]\namplitude = 1e200\n")
-        code = cli.main(["simulate", "--config", str(cfg), "--duration",
-                         "0.005", "--out", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
+        ini = ini_file(tmp_path, "[channel]\ngain_direct = 1e200\n"
+                       "noise_std = 0.1\n[signal]\namplitude = 1e200\n")
+        code, err = run_cli(capsys, "simulate", "--duration", "0.005",
+                            "--config", ini, "--out", str(tmp_path / "sim"))
         assert code == 1
         assert "config error" in err and "not finite" in err
         assert not (tmp_path / "sim" / "received.csv").exists()
@@ -1024,11 +1037,11 @@ class TestCli:
     # an explicit noise level derives nothing from the direct path's power
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_explicit_noise_level_with_huge_gain_simulates(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[channel]\ngain_direct = 1e200\nnoise_std = 0.1\n")
+        ini = ini_file(tmp_path, "[channel]\ngain_direct = 1e200\n"
+                       "noise_std = 0.1\n")
         sim = tmp_path / "sim"
-        assert cli.main(["simulate", "--config", str(cfg), "--duration",
-                         "0.005", "--out", str(sim)]) == 0
+        assert cli.main(["simulate", "--config", ini, "--duration", "0.005",
+                         "--out", str(sim)]) == 0
         r = harness.read_received(str(sim / "received.csv"))
         assert r.size == 1000 and np.isfinite(r).all()
         assert np.abs(r).max() > 1e190
@@ -1040,16 +1053,13 @@ class TestCli:
     def test_template_under_one_sample_is_config_error(self, tmp_path, capsys,
                                                        command):
         sim = self.simulate(tmp_path, "0.005")
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[baseline]\ntemplate_ms = 0.001\n")
+        ini = ini_file(tmp_path, "[baseline]\ntemplate_ms = 0.001\n")
         out = tmp_path / "out"
-        args = [command, "--config", str(cfg), "--duration", "0.005",
+        args = [command, "--config", ini, "--duration", "0.005",
                 "--out", str(out)]
         if command != "simulate":
             args += ["--in", str(sim)]
-        capsys.readouterr()
-        code = cli.main(args)
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, *args)
         assert code == 1
         assert "config error" in err and "shorter than one sample" in err
         assert not out.exists()
@@ -1059,9 +1069,8 @@ class TestCli:
             raise RuntimeError("simulated internal fault")
 
         monkeypatch.setattr(harness, "run_simulation", broken)
-        code = cli.main(["simulate", "--duration", "0.005",
-                         "--out", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "simulate", "--duration", "0.005",
+                            "--out", str(tmp_path / "sim"))
         assert code == 5
         assert "Traceback" in err
         assert "RuntimeError: simulated internal fault" in err
@@ -1101,8 +1110,8 @@ class TestCli:
     def test_demo_too_short_for_baseline_leaves_only_simulation(
             self, tmp_path, capsys):
         out = tmp_path / "demo"
-        code = cli.main(["demo", "--duration", "0.0074", "--out", str(out)])
-        err = capsys.readouterr().err
+        code, err = run_cli(capsys, "demo", "--duration", "0.0074",
+                            "--out", str(out))
         assert code == 1
         assert "config error" in err and "lag range" in err
         assert (out / "sim" / "received.csv").exists()
@@ -1114,15 +1123,11 @@ class TestCli:
         trk = str(tmp_path / "trk")
         bas = str(tmp_path / "bas")
         rep = str(tmp_path / "report.json")
-        ini = tmp_path / "run.ini"
-        ini.write_text("[run]\nduration_s = 0.02\n"
-                       "[channel]\nnoise_std = 0\n"
-                       "[motion]\nrx_osc_pp_m = 0\nsurface_pp_m = 0\n")
-        assert cli.main(["simulate", "--config", str(ini), "--out", sim]) == 0
-        assert cli.main(["track", "--config", str(ini), "--in", sim,
-                         "--out", trk]) == 0
-        assert cli.main(["baseline", "--config", str(ini), "--in", sim,
-                         "--out", bas]) == 0
+        scene = ["--config", os.path.join(SCENES, "static.ini"),
+                 "--duration", "0.02"]
+        assert cli.main(["simulate", *scene, "--out", sim]) == 0
+        assert cli.main(["track", *scene, "--in", sim, "--out", trk]) == 0
+        assert cli.main(["baseline", *scene, "--in", sim, "--out", bas]) == 0
         assert cli.main(["compare", "--a", trk, "--b", bas,
                          "--out", rep]) == 0
         with open(rep) as f:

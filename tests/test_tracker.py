@@ -8,16 +8,17 @@ import pytest
 
 import dopptrack
 from dopptrack import harness, rls
-from dopptrack.channel import ChannelScene, Geometry, MotionSpec, synthesize
+from dopptrack.channel import synthesize
 from dopptrack.signal_model import (TransmitSignal, generate_symbols,
                                     make_qpsk_signal)
 from dopptrack.tracker import (DOPPLER_BOUNDS, DopplerSegment,
                                DopplerTracker, InvalidSampleError,
-                               TrackerConfig, reconstruct_warp_array,
-                               rows_batch)
+                               reconstruct_warp_array, rows_batch)
 
 FS = 200e3
 T = 1.0 / FS
+STATIC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenes", "static.ini")
 
 
 def build_signal(n_symbols=400, lead=60, seed=7, amplitude=0.25):
@@ -27,11 +28,10 @@ def build_signal(n_symbols=400, lead=60, seed=7, amplitude=0.25):
 
 
 def config(gains, tau0, **kw):
-    defaults = dict(penalty=0.01, detect_threshold=50, keep_best=10,
-                    keep_recent=20, perturbation=1e-6, sample_period=T)
-    defaults.update(kw)
-    return TrackerConfig(gains=tuple(gains), initial_tau=tuple(tau0),
-                         **defaults)
+    """The default run's tracker settings for these paths, with kw replaced."""
+    base = harness.tracker_config(harness.default_config(), (0.0, 0.0, 0.0))
+    return dataclasses.replace(base, gains=tuple(gains),
+                               initial_tau=tuple(tau0), **kw)
 
 
 # closed segments (a, b, doppler) of the 3 000-sample default stream per
@@ -254,11 +254,7 @@ class TestReconstruction:
 
 class TestTrackerRuns:
     def static_run(self, n_samples):
-        geo = Geometry(bottom_depth=1.8, tx_depth=0.46, rx_depth=0.46,
-                       horizontal_range=1.45)
-        scene = ChannelScene(geometry=geo, motion=MotionSpec(),
-                             gains=(1.0, -0.8, 0.5), noise_std=0.0,
-                             sample_rate=FS)
+        scene = harness.build_scene(harness.load_config(STATIC))
         sig = build_signal(n_symbols=int(n_samples * T * 20e3) + 2)
         r, truth, _ = synthesize(scene, sig, n_samples, noise_seed=0)
         cfg = config(scene.gains, truth.alpha[:, 0])
