@@ -204,7 +204,8 @@ def load_config(path: str) -> RunConfig:
     [DEFAULT] is an unknown key, as sections do not inherit it."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                       interpolation=None)
     with open(path, encoding="utf-8") as f:
         try:
             parser.read_file(f)
@@ -273,16 +274,12 @@ def build_scene(cfg: RunConfig, sig=None) -> ChannelScene:
 
 def tracker_config(cfg: RunConfig, initial_tau) -> TrackerConfig:
     """The run's tracker settings, with initial_tau the per-path emission
-    time of sample 0."""
-    t = cfg.tracker
-    return TrackerConfig(penalty=t.penalty,
-                         detect_threshold=t.detect_threshold,
-                         keep_best=t.keep_best, keep_recent=t.keep_recent,
-                         perturbation=t.perturbation,
+    time of sample 0: TrackerParams' fields are TrackerConfig's keyword
+    arguments."""
+    return TrackerConfig(**asdict(cfg.tracker),
                          gains=tuple(cfg.channel.gains),
                          initial_tau=tuple(initial_tau),
-                         sample_period=1.0 / cfg.channel.sample_rate,
-                         ridge=t.ridge)
+                         sample_period=1.0 / cfg.channel.sample_rate)
 
 
 def peak_tracker(cfg: RunConfig) -> PeakTracker:

@@ -70,7 +70,7 @@ class TrackerConfig:
     gains: tuple[float, ...]       # known per-path channel gains
     initial_tau: tuple[float, ...]
     sample_period: float
-    ridge: float = 1e-4
+    ridge: float                   # RLS regularization of every fit
 
     def __post_init__(self):
         if not 0.0 < self.penalty < math.inf:
@@ -173,10 +173,6 @@ class DopplerTracker:
         self.diverged_at: int | None = None
         self._halted = False       # a live lse went non-finite
         self._finalized = False
-
-    @property
-    def segmentation(self) -> SegmentationState:
-        return self._seg
 
     @property
     def diverged(self) -> bool:

@@ -31,6 +31,11 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def microseconds(worst) -> str:
+    """Per-path errors in seconds as "a/b/c" microseconds."""
+    return "/".join("%.3g" % (v * 1e6) for v in worst)
+
+
 def run_default_baseline():
     """The peak-tracking baseline at hop 1 on the default scenario:
     (error trace, summary)."""
@@ -336,7 +341,7 @@ def coincident_path_run(perturbation):
     sig, _, r, truth = harness.simulate_stream(cfg)
     tcfg = harness.tracker_config(cfg, truth.alpha[:, 0])
     tracker = DopplerTracker(sig, tcfg)
-    bank = tracker.segmentation
+    bank = tracker._seg
     worst = 0.0
     for value in r:
         tracker.process_sample(float(value))
@@ -379,16 +384,45 @@ def test_criterion_11_uniform_doppler_loses_the_track():
     uniform = np.abs(warp - truth.alpha)[:, warmup:].max(axis=1)
     per_path_segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
     per_path = trace.abs_err[:, warmup:].max(axis=1)
-
-    def us(worst):
-        return "/".join("%.3g" % (v * 1e6) for v in worst)
     report(11, uniform.max() > SAMPLE_INTERVAL
            and per_path.max() < SAMPLE_INTERVAL,
            "0.03 s of the default scene after %d-sample warm-up: uniform "
            "Doppler max |error| %s us (%d segments), per-path %s us "
            "(%d segments), one sample interval %.0f us"
-           % (warmup, us(uniform), len(segments), us(per_path),
-              len(per_path_segments), SAMPLE_INTERVAL * 1e6))
+           % (warmup, microseconds(uniform), len(segments),
+              microseconds(per_path), len(per_path_segments),
+              SAMPLE_INTERVAL * 1e6))
+
+
+def test_criterion_12_single_linearization_fails_near_coincidence(
+        monkeypatch):
+    # the paper's claim that the perturbed linearizations keep the fit
+    # well-conditioned: under heave the surface and bottom paths of
+    # coincident_heave.ini pass through each other, and a tracker that fits
+    # only the unperturbed row (one row per sample, weight 1/sqrt(1))
+    # loses them while the shipped L+1 rows hold one sample interval
+    cfg = harness.load_config(os.path.join(SCENES, "coincident_heave.ini"))
+    cfg = dataclasses.replace(cfg, duration=0.05)
+    sig, _, r, truth = harness.simulate_stream(cfg)
+    warmup = cfg.warmup_samples
+    shipped_segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
+    shipped = trace.abs_err[:, warmup:].max(axis=1)
+
+    def unperturbed_only(*args):
+        rows, offsets, preds = rows_batch(*args)
+        return rows[:, :1], offsets[:, :1], preds[:, :1]
+
+    monkeypatch.setattr("dopptrack.tracker.rows_batch", unperturbed_only)
+    one_row_segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
+    one_row = trace.abs_err[:, warmup:].max(axis=1)
+    report(12, shipped.max() < SAMPLE_INTERVAL
+           and one_row.max() > 5 * SAMPLE_INTERVAL,
+           "0.05 s of coincident_heave.ini after %d-sample warm-up: "
+           "unperturbed row only max |error| %s us (%d segments), L+1 rows "
+           "%s us (%d segments), one sample interval %.0f us"
+           % (warmup, microseconds(one_row), len(one_row_segments),
+              microseconds(shipped), len(shipped_segments),
+              SAMPLE_INTERVAL * 1e6))
 
 
 # The 21 segments of the default scenario as (a, b, d per path, tau_s per

@@ -113,6 +113,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config(ini)
 
+    # a '%' is part of the value, not an interpolation of another key
+    @pytest.mark.parametrize("raw", ["5%", "%(x)s"])
+    def test_percent_value_exits_one(self, raw, tmp_path, capsys):
+        ini = ini_file(tmp_path, "[tracker]\npenalty = %s\n" % raw)
+        code, err = run_cli(capsys, "dump-signal", "--config", ini,
+                            "--out", str(tmp_path / "signal.csv"))
+        assert code == 1
+        assert "bad value for [tracker] penalty" in err
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             harness.load_config("/nonexistent/run.ini")
@@ -131,7 +140,8 @@ class TestConfig:
                              ids=lambda path: path.name)
     def test_scene_catalogue(self, path, tmp_path):
         harness.load_config(str(path))
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                           interpolation=None)
         parser.read_string(path.read_text(encoding="utf-8"))
         assert "run" not in parser
         default = harness.default_config()

@@ -353,7 +353,7 @@ class TestTrackerRuns:
         with pytest.warns(RuntimeWarning):
             trk.process_sample(1e300)
         assert trk.diverged_at == 100
-        bank = trk.segmentation
+        bank = trk._seg
         frozen = (bank.filled, bank.start.copy(), bank.factor.copy())
         with pytest.raises(InvalidSampleError):
             trk.process_sample(float("nan"))
@@ -375,7 +375,7 @@ class TestTrackerRuns:
         live = []
         for v in r:
             trk.process_sample(float(v))
-            live.append(trk.segmentation.filled)
+            live.append(trk._seg.filled)
         assert max(live) == 3
         assert trk.finalize().b == 599
 
@@ -391,7 +391,7 @@ class TestTrackerRuns:
                                              truth.alpha[:, 0],
                                              keep_best=keep_best,
                                              keep_recent=keep_recent))
-            bank = trk.segmentation
+            bank = trk._seg
             closures = shifts = 0
             for v in r:
                 row = bank.anchor
