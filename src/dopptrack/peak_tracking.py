@@ -111,8 +111,8 @@ class PeakTracker:
     or fewer lags around each path's delay.
     """
 
-    def __init__(self, sample_rate: float, template_len: float = 3e-3,
-                 search_halfwidth: int = 20, hop: int = 10):
+    def __init__(self, sample_rate: float, template_len: float,
+                 search_halfwidth: int, hop: int):
         # x > 0.5 is exactly round(x) >= 1
         if not 0.5 < template_len * sample_rate < math.inf:
             raise ValueError("template_len of %r s is shorter than one sample "

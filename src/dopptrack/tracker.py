@@ -178,21 +178,14 @@ class DopplerTracker:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
-    @property
-    def current_correction(self) -> np.ndarray:
-        """Running Doppler-correction estimate of the open segment."""
-        return rls.estimate(self._seg.factor[self._seg.anchor])
-
     def _open_start(self) -> int:
         """First sample of the open segment: the start of its anchor row."""
         return int(self._seg.start[self._seg.anchor])
 
     def _running_doppler(self) -> np.ndarray:
-        return self._seg.d_ref[self._seg.anchor] + self.current_correction
-
-    def _running_warp_at(self, m: int) -> np.ndarray:
-        return self._tau_cur + self._running_doppler() \
-            * (m - self._open_start()) * self.config.sample_period
+        """The open segment's Doppler: its anchor's reference plus fit."""
+        anchor = self._seg.anchor
+        return self._seg.d_ref[anchor] + rls.estimate(self._seg.factor[anchor])
 
     def _flag_divergence(self, n: int) -> None:
         if self.diverged_at is None:
@@ -221,9 +214,11 @@ class DopplerTracker:
             return None
         evict_if_full(seg)
         if n > 1:
-            # the constructor admitted start 0, the candidate of sample 1
-            admit_hypothesis(seg, n, self._d_ref,
-                             self._running_warp_at(n - 1))
+            # the constructor admitted start 0, the candidate of sample 1;
+            # the newcomer starts at the open segment's warp of sample n - 1
+            tau = self._tau_cur + self._running_doppler() \
+                * (n - 1 - self._open_start()) * cfg.sample_period
+            admit_hypothesis(seg, n, self._d_ref, tau)
         k = seg.filled
         lever = (n - seg.start[:k]) * cfg.sample_period
         rows, offsets, preds = rows_batch(self.sig, seg.d_ref[:k],
@@ -242,7 +237,13 @@ class DopplerTracker:
         _, best = bellman_step(seg, cfg.penalty)
         jump = best - seg.prev_best_start
         if jump >= cfg.detect_threshold and best > self._open_start():
-            return self._close_segment(best, n)
+            closed = self._close(best - 1, n)
+            # chain the delays: the warp of sample best under the closed fit
+            self._tau_cur = self._tau_cur + closed.doppler \
+                * (best - closed.a) * cfg.sample_period
+            seg.anchor = seg.best_row
+            self._d_ref = closed.doppler.copy()
+            return closed
         return None
 
     def _close(self, b: int, n: int) -> DopplerSegment:
@@ -258,15 +259,6 @@ class DopplerTracker:
                              tau=self._tau_cur.copy(),
                              lse=float(self._seg.lse[self._seg.anchor]))
         self.segments.append(seg)
-        return seg
-
-    def _close_segment(self, new_start: int, n: int) -> DopplerSegment:
-        seg = self._close(new_start - 1, n)
-        # chain the delays: the warp of sample new_start under the closed fit
-        self._tau_cur = self._tau_cur + seg.doppler * (new_start - seg.a) \
-            * self.config.sample_period
-        self._seg.anchor = self._seg.best_row
-        self._d_ref = seg.doppler.copy()
         return seg
 
     def finalize(self) -> DopplerSegment | None:

@@ -4,13 +4,12 @@ PASS/FAIL line with the measured values (run with -s to see them live)."""
 import dataclasses
 import filecmp
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blas_core import run_on_nehalem_core
 from dopptrack import cli, harness, rls
 from dopptrack.channel import PATHS
 from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
@@ -26,8 +25,9 @@ SCENES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scenes")
 
 
-def report(num, ok, detail):
-    print("\n[criterion %2d] %s: %s" % (num, "PASS" if ok else "FAIL", detail))
+def report(label, ok, detail):
+    print("\n[criterion %2s] %s: %s" % (label, "PASS" if ok else "FAIL",
+                                        detail))
     assert ok, detail
 
 
@@ -125,11 +125,13 @@ def test_criterion_4_batch_dp_optimal():
         worst_gap = max(worst_gap, abs(prefix[-1] - brute))
     k = np.arange(100, dtype=float)
     y2 = np.where(k < 50, 1.0 + 0.5 * k, 26.0 - 2.0 * (k - 50))
-    segments, _ = batch_sls(y2, 1e-6, line_fitter(y2))
+    segments, prefix = batch_sls(y2, 1e-6, line_fitter(y2))
     starts = [a for a, _ in segments]
-    report(4, worst_gap < 1e-9 and starts == [0, 50],
+    report(4, worst_gap < 1e-9 and starts == [0, 50]
+           and prefix[-1] == pytest.approx(2e-6, abs=1e-12),
            "30 instances (N<=12) match exhaustive enumeration within %.1e; "
-           "two-piece linear data breakpoints %s" % (worst_gap, starts))
+           "two-piece linear data breakpoints %s, cost %.6g"
+           % (worst_gap, starts, prefix[-1]))
 
 
 def _absorb_line_rows(state, n, y_n):
@@ -195,7 +197,7 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     y[60:] += 3.0
     E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty, 4, 4)
     slack = float(np.min(E_online - prefix))
-    report(5, slack > -1e-9,
+    report("5b", slack > -1e-9,
            "memory-restricted online prefix costs stay >= batch costs "
            "(worst slack %.2e)" % slack)
 
@@ -300,14 +302,16 @@ def test_criterion_8_identity_fixed_point():
     sig, scene, r, truth = harness.simulate_stream(cfg)
     tracker = DopplerTracker(sig, harness.tracker_config(cfg,
                                                          truth.alpha[:, 0]))
+    bank = tracker._seg
     closures = 0
     worst_correction = 0.0
     for i, v in enumerate(r):
         if tracker.process_sample(float(v)) is not None:
             closures += 1
         if i >= 1000:
+            correction = rls.estimate(bank.factor[bank.anchor])
             worst_correction = max(worst_correction,
-                                   float(np.abs(tracker.current_correction).max()))
+                                   float(np.abs(correction).max()))
     report(8, closures == 0 and worst_correction < 1e-5,
            "static channel, zero noise: %d closures over %d samples, "
            "max correction after sample 1000 = %.2e (tolerance 1e-5)"
@@ -556,33 +560,12 @@ def test_default_scenario_baseline_unchanged(default_baseline):
                                BASELINE_ERR_SUBSAMPLE, rtol=1e-12, atol=0.0)
 
 
-# run in a child process whose OpenBLAS was loaded as the Nehalem core
-NEHALEM_CHILD = """
-from blas_core import openblas_core
-import test_acceptance as t
-core = openblas_core()
-print(core)
-if core == "Nehalem":
-    t.test_default_scenario_baseline_unchanged(t.run_default_baseline())
-"""
-
-
 def test_default_scenario_baseline_holds_on_nehalem_core():
     # the same pins on OpenBLAS's SSE core without FMA: fails when the
     # baseline's delays hang on the last bits of one core's dot products
-    paths = [os.path.dirname(os.path.dirname(harness.__file__)),
-             os.path.dirname(os.path.abspath(__file__))]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
-               PYTHONPATH=os.pathsep.join(paths))
-    child = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", NEHALEM_CHILD],
-        env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr
-    core = child.stdout.strip()
-    if core == "None":
-        pytest.skip("the OpenBLAS core cannot be read")
-    if core != "Nehalem":
-        pytest.skip("OPENBLAS_CORETYPE=Nehalem left the core at " + core)
+    run_on_nehalem_core(
+        "import test_acceptance as t; "
+        "t.test_default_scenario_baseline_unchanged(t.run_default_baseline())")
 
 
 def test_criterion_10_demo_determinism(tmp_path):

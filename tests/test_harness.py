@@ -108,14 +108,10 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown config key"):
                 harness.load_config(ini_file(tmp_path, text))
 
-    def test_bad_value_rejected(self, tmp_path):
-        ini = ini_file(tmp_path, "[tracker]\npenalty = abc\n")
-        with pytest.raises(ConfigError):
-            harness.load_config(ini)
-
-    # a '%' is part of the value, not an interpolation of another key
-    @pytest.mark.parametrize("raw", ["5%", "%(x)s"])
-    def test_percent_value_exits_one(self, raw, tmp_path, capsys):
+    # a value that is not a number; a '%' is part of the value, not an
+    # interpolation of another key
+    @pytest.mark.parametrize("raw", ["abc", "5%", "%(x)s"])
+    def test_bad_value_exits_one(self, raw, tmp_path, capsys):
         ini = ini_file(tmp_path, "[tracker]\npenalty = %s\n" % raw)
         code, err = run_cli(capsys, "dump-signal", "--config", ini,
                             "--out", str(tmp_path / "signal.csv"))
@@ -160,11 +156,6 @@ class TestConfig:
         cfg = harness.default_config()
         with pytest.raises(ConfigError, match="warm-up"):
             dataclasses.replace(cfg, duration=duration)
-
-    def test_validation_undersampled(self, tmp_path):
-        ini = ini_file(tmp_path, "[channel]\nsample_rate_hz = 60000\n")
-        with pytest.raises(ConfigError):
-            harness.load_config(ini)
 
     # the lead-in is ceil(longest delay * symbol rate) + pulse_halfwidth + 1
     # = 42 + 4 + 1 symbols; integers, not the bound's bits, which numpy's
@@ -340,15 +331,6 @@ class TestSimulationArtifacts:
         truth = (tmp_path / "sim" / "truth.csv").read_text().splitlines()
         assert truth[0] == "n,path,alpha_s,doppler"
         assert len(truth) == 1 + 3 * 2000
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = short_config(duration=0.01)
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        harness.run_simulation(cfg, a)
-        harness.run_simulation(cfg, b)
-        for name in ("received.csv", "truth.csv"):
-            assert (tmp_path / "a" / name).read_bytes() \
-                == (tmp_path / "b" / name).read_bytes()
 
     def test_roundtrip_received_truth(self, tmp_path):
         cfg = short_config(duration=0.01)
@@ -619,11 +601,6 @@ class TestTrackerPipeline:
         segments, trace, summary = harness.track_stream(cfg, sig, r, truth)
         assert not summary["diverged"]
         assert max(summary["max_abs_err_s"].values()) < 1e-7
-
-    def test_errors_cover_every_sample(self):
-        cfg = static_config()
-        sig, scene, r, truth = harness.simulate_stream(cfg)
-        _, trace, _ = harness.track_stream(cfg, sig, r, truth)
         assert trace.n.size == r.size
         assert np.all(np.isfinite(trace.abs_err))
 
@@ -743,12 +720,6 @@ class TestCompare:
 
 
 class TestCli:
-    def test_bad_config_exit_code(self, tmp_path):
-        bad = ini_file(tmp_path, "[tracker]\npenalty = -1\n")
-        code = cli.main(["simulate", "--config", bad,
-                         "--out", str(tmp_path / "o")])
-        assert code == 1
-
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_bytes(b"[tracker]\npenalty = 0.01\xff\n")
@@ -762,22 +733,6 @@ class TestCli:
         code = cli.main(["track", "--in", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "o"), "--duration", "0.02"])
         assert code == 2
-
-    def test_non_finite_sample_exit_code(self, tmp_path, capsys):
-        sim = tmp_path / "sim"
-        assert cli.main(["simulate", "--duration", "0.005",
-                         "--out", str(sim)]) == 0
-        received = sim / "received.csv"
-        lines = received.read_text().splitlines()
-        assert lines[50].startswith("49,")
-        lines[50] = "49,nan"
-        received.write_text("\n".join(lines) + "\n")
-        code, err = run_cli(capsys, "track", "--duration", "0.005",
-                            "--in", str(sim), "--out", str(tmp_path / "trk"))
-        assert code == 4
-        assert "bad input" in err
-        assert "i/o error" not in err
-        assert not (tmp_path / "trk").exists()
 
     def simulate(self, tmp_path, duration):
         sim = tmp_path / "sim"
@@ -800,15 +755,6 @@ class TestCli:
                          "--out", str(tmp_path / "trk")])
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
-
-    def test_malformed_received_is_bad_input(self, tmp_path, capsys):
-        sim = self.simulate(tmp_path, "0.005")
-        self.set_sample(sim, 49, "0.1x")
-        code, err = run_cli(capsys, "track", "--duration", "0.005",
-                            "--in", str(sim), "--out", str(tmp_path / "trk"))
-        assert code == 4
-        assert "bad input" in err and "received.csv" in err
-        assert "i/o error" not in err
 
     # numpy warns that a header-only file holds no data; none may escape
     @pytest.mark.filterwarnings("error::UserWarning")
@@ -865,12 +811,14 @@ class TestCli:
         assert "config error" in err and "baseline template" in err
         assert not (tmp_path / "out").exists()
 
-    # a value that is not finite in each input CSV, a truth warp later than
-    # its reception time, or a sample index that is out of place or not an
-    # integer; sample 600 is the baseline's first iteration
+    # a value that is not finite in each input CSV or not a number, a truth
+    # warp later than its reception time, or a sample index that is out of
+    # place or not an integer; sample 600 is the baseline's first iteration
     @pytest.mark.parametrize("command, name, n, value", [
         ("track", "truth.csv", 0, "nan"),
         ("track", "truth.csv", 500, "nan"),
+        ("track", "received.csv", 49, "nan"),
+        ("track", "received.csv", 49, "0.1x"),
         ("baseline", "truth.csv", 600, "nan"),
         ("baseline", "truth.csv", 600, "1.0"),
         ("baseline", "received.csv", 500, "nan"),
@@ -989,6 +937,7 @@ class TestCli:
         ("[signal]\npulse_std_fraction = 1.0\n", "0.005"),
         ("[signal]\npulse_halfwidth = 0\n", "0.005"),
         ("[tracker]\npenalty = nan\n", "0.005"),
+        ("[tracker]\npenalty = -1\n", "0.005"),
         ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
         ("", "inf"),
@@ -1006,6 +955,8 @@ class TestCli:
         ("[signal]\nsymbol_rate_hz = 0\n", "0.005"),
         # the geometry checks itself: the transmitter below the 1.8 m bottom
         ("[geometry]\ntx_depth_m = 2.0\n", "0.005"),
+        # at most twice the carrier plus the signal bandwidth
+        ("[channel]\nsample_rate_hz = 60000\n", "0.005"),
     ])
     def test_rejected_value_is_config_error(self, tmp_path, capsys, ini,
                                             duration):

@@ -8,6 +8,8 @@ from dopptrack.signal_model import make_qpsk_signal
 
 FS = 200e3
 T = 1.0 / FS
+# the default run's baseline settings
+SETTINGS = dict(template_len=3e-3, search_halfwidth=20, hop=10)
 
 
 class TestSubsampleInterp:
@@ -202,13 +204,13 @@ class TestPeakTrackerRun:
                                carrier_freq=30e3, lead_symbols=30)
         t = np.arange(6000) * T
         r = sig.eval_passband(t - delay)
-        pk = PeakTracker(FS, template_len=3e-3, search_halfwidth=20, hop=10)
+        pk = PeakTracker(FS, **SETTINGS)
         n_grid, delays, flags = pk.run(r, sig.eval_passband(t), [delay])
         assert not flags.any()
         assert np.max(np.abs(delays - delay)) < T
 
     def test_stream_too_short(self):
-        pk = PeakTracker(FS, template_len=3e-3, hop=1)
+        pk = PeakTracker(FS, template_len=3e-3, search_halfwidth=20, hop=1)
         # a 600-sample template and 2 * 200 + 4 * 20 lags
         with pytest.raises(ValueError, match="stream of 100 samples too "
                            "short for the template of 600 and lag range of "
@@ -221,20 +223,22 @@ class TestPeakTrackerRun:
             pk.run(np.zeros(1080), np.zeros(1080), [1e-3])
 
     def test_stream_length_mismatch_rejected(self):
-        pk = PeakTracker(FS, template_len=3e-3, hop=1)
+        pk = PeakTracker(FS, template_len=3e-3, search_halfwidth=20, hop=1)
         with pytest.raises(ValueError, match="received stream of 1081 "
                            "samples, transmitted of 1080"):
             pk.run(np.zeros(1081), np.zeros(1080), [1e-3])
 
     # 0.52 samples round to one; 0.5 round to none (below)
     def test_template_of_half_a_sample_and_more_is_one_sample(self):
-        pk = PeakTracker(FS, template_len=2.6e-6, hop=1)
+        pk = PeakTracker(FS, template_len=2.6e-6, search_halfwidth=20,
+                         hop=1)
         assert pk.template_samples == 1
         n_grid, _, _ = pk.run(np.zeros(82), np.zeros(82), [0.0])
         assert n_grid.tolist() == [1]
 
     def test_numpy_integer_counts_accepted(self):
-        pk = PeakTracker(FS, search_halfwidth=np.int64(20), hop=np.int64(10))
+        pk = PeakTracker(FS, template_len=3e-3,
+                         search_halfwidth=np.int64(20), hop=np.int64(10))
         assert pk.hop == 10 and type(pk.hop) is np.int64
         assert type(pk.search_halfwidth) is np.int64
 
@@ -243,7 +247,7 @@ class TestPeakTrackerRun:
         name, = kw
         with pytest.raises(ValueError, match="%s must be an integer >= 1"
                            % name):
-            PeakTracker(FS, **kw)
+            PeakTracker(FS, **{**SETTINGS, **kw})
 
     # the settings are checked when the tracker is built, the delays when it
     # runs
@@ -260,5 +264,5 @@ class TestPeakTrackerRun:
     ])
     def test_bad_arguments_rejected(self, delays, kw):
         with pytest.raises(ValueError):
-            pk = PeakTracker(FS, **kw)
+            pk = PeakTracker(FS, **{**SETTINGS, **kw})
             pk.run(np.zeros(2000), np.zeros(2000), delays)

@@ -270,14 +270,6 @@ class TestBatchSls:
         assert segments == [(0, 39)]
         assert prefix[-1] == pytest.approx(0.5, abs=1e-9)
 
-    def test_two_piece_break_recovered_exactly(self):
-        k = np.arange(100, dtype=float)
-        y = np.where(k < 50, 1.0 + 0.5 * k, 26.0 - 2.0 * (k - 50))
-        segments, prefix = batch_sls(y, penalty=1e-6,
-                                     segment_fitter=line_fitter(y))
-        assert [a for a, _ in segments] == [0, 50]
-        assert prefix[-1] == pytest.approx(2e-6, abs=1e-12)
-
     def test_huge_penalty_forces_single_segment(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=30)

@@ -1,12 +1,10 @@
 import dataclasses
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import dopptrack
+from blas_core import run_on_nehalem_core
 from dopptrack import harness, rls
 from dopptrack.channel import synthesize
 from dopptrack.signal_model import (TransmitSignal, generate_symbols,
@@ -54,16 +52,6 @@ EVICTION_HEAVY_SEGMENTS = {
     ],
 }
 
-# run in a child process whose OpenBLAS was loaded as the Nehalem core
-NEHALEM_CHILD = """
-from blas_core import openblas_core
-from test_tracker import TestTrackerRuns
-core = openblas_core()
-print(core)
-if core == "Nehalem":
-    TestTrackerRuns().test_kept_anchor_row_follows_open_segment()
-"""
-
 
 def perturbed_rows(sig, d_ref, tau, a, n, T, epsilon, gains):
     """The L+1 linearization models of one candidate at sample n, as
@@ -99,24 +87,6 @@ class TestPerturbedRows:
                                  gains=np.array([1.0, -0.8]))
         for l, (row, off, pred) in enumerate(entries[1:]):
             assert off == pytest.approx(eps * row[l], rel=1e-12, abs=1e-18)
-
-    def test_rank_restored_on_degenerate_geometry(self):
-        # equal reference Doppler, equal delays and equal gains make the
-        # unperturbed rows collinear; the perturbed stack must not be
-        sig = build_signal()
-        gains = np.array([1.0, 1.0])
-        d = np.array([1.0, 1.0])
-        tau = np.array([1.5e-3, 1.5e-3])
-        plain, full = [], []
-        for n in range(200, 206):
-            entries = perturbed_rows(sig, d, tau, a=0, n=n, T=T,
-                                     epsilon=1e-6, gains=gains)
-            plain.append(entries[0][0])
-            full.extend(e[0] for e in entries)
-        s_plain = np.linalg.svd(np.array(plain), compute_uv=False)
-        s_full = np.linalg.svd(np.array(full), compute_uv=False)
-        assert s_plain[-1] < 1e-12 * s_plain[0]
-        assert s_full[-1] > 1e-12
 
 
 def rows_batch_per_model(sig, d_ref, tau, lever, epsilon, gains):
@@ -254,21 +224,15 @@ class TestReconstruction:
 
 class TestTrackerRuns:
     def static_run(self, n_samples):
+        """A tracker that has consumed n_samples of the static scene."""
         scene = harness.build_scene(harness.load_config(STATIC))
         sig = build_signal(n_symbols=int(n_samples * T * 20e3) + 2)
         r, truth, _ = synthesize(scene, sig, n_samples, noise_seed=0)
         cfg = config(scene.gains, truth.alpha[:, 0])
         trk = DopplerTracker(sig, cfg)
-        closures = [trk.process_sample(float(v)) for v in r]
-        return trk, truth, [c for c in closures if c is not None]
-
-    def test_static_channel_fixed_point(self):
-        trk, truth, closures = self.static_run(3000)
-        assert closures == []
-        assert np.max(np.abs(trk.current_correction)) < 1e-5
-        trk.finalize()
-        warp_hat = reconstruct_warp_array(trk.segments, 3, 3000, T)
-        assert np.max(np.abs(warp_hat - truth.alpha)) < 1e-7
+        for v in r:
+            trk.process_sample(float(v))
+        return trk
 
     def test_single_path_constant_doppler_recovered(self):
         sig = build_signal(n_symbols=800)
@@ -286,27 +250,8 @@ class TestTrackerRuns:
         assert first is not None, "no segment detected"
         assert abs(first.doppler[0] - d_true) < 1e-4
 
-    def test_segment_stream_deterministic(self):
-        sig = build_signal(n_symbols=500)
-        rng = np.random.default_rng(3)
-        n = np.arange(6000)
-        r = sig.eval_passband(1.0003 * n * T - 8e-4) + rng.normal(0, 0.01, n.size)
-        outs = []
-        for _ in range(2):
-            trk = DopplerTracker(sig, config([1.0], [-8e-4]))
-            for v in r:
-                trk.process_sample(float(v))
-            trk.finalize()
-            outs.append(trk.segments)
-        assert len(outs[0]) == len(outs[1])
-        for s1, s2 in zip(*outs):
-            assert (s1.a, s1.b) == (s2.a, s2.b)
-            np.testing.assert_array_equal(s1.doppler, s2.doppler)
-            np.testing.assert_array_equal(s1.tau, s2.tau)
-            assert s1.lse == s2.lse
-
     def test_finalize_covers_tail_and_locks(self):
-        trk, _, _ = self.static_run(500)
+        trk = self.static_run(500)
         seg = trk.finalize()
         assert seg is not None
         assert (seg.a, seg.b) == (0, 499)
@@ -410,38 +355,9 @@ class TestTrackerRuns:
     def test_kept_anchor_pins_hold_on_nehalem_core(self):
         # the same pins on OpenBLAS's SSE core without FMA: fails when a
         # boundary or Doppler hangs on the last bits of one core's kernels
-        paths = [os.path.dirname(os.path.dirname(dopptrack.__file__)),
-                 os.path.dirname(os.path.abspath(__file__))]
-        env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
-                   PYTHONPATH=os.pathsep.join(paths))
-        child = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c",
-             NEHALEM_CHILD], env=env, capture_output=True, text=True,
-            timeout=600)
-        assert child.returncode == 0, child.stderr
-        core = child.stdout.strip()
-        if core == "None":
-            pytest.skip("the OpenBLAS core cannot be read")
-        if core != "Nehalem":
-            pytest.skip("OPENBLAS_CORETYPE=Nehalem left the core at " + core)
-
-    def test_delay_chain_continuity(self):
-        sig = build_signal(n_symbols=1200)
-        n = np.arange(10000)
-        # two-rate warp induces at least one closure
-        d_piece = np.where(n < 4000, 1.0004, 0.9996)
-        alpha = np.cumsum(np.r_[0.0, d_piece[1:]]) * T - 9e-4
-        r = sig.eval_passband(alpha)
-        trk = DopplerTracker(sig, config([1.0], [-9e-4]))
-        for v in r:
-            trk.process_sample(float(v))
-        trk.finalize()
-        assert len(trk.segments) >= 2
-        for prev, nxt in zip(trk.segments, trk.segments[1:]):
-            assert nxt.a == prev.b + 1
-            end_warp = prev.tau + prev.doppler * (prev.b - prev.a) * T
-            chained = end_warp + prev.doppler * T
-            np.testing.assert_allclose(nxt.tau, chained, atol=1e-12)
+        run_on_nehalem_core(
+            "from test_tracker import TestTrackerRuns; "
+            "TestTrackerRuns().test_kept_anchor_row_follows_open_segment()")
 
 
 class TestConfigValidation:
