@@ -10,9 +10,10 @@ is an argmin over the live rows; a new-segment event is declared by the
 caller when the winning start jumps far enough; the Bellman step records
 the winning row. The bank owns its memory policy and its row layout: it is
 sized from keep_best and keep_recent, and evict_if_full, a no-op until
-keep_best + keep_recent rows are live, is an argmax of lse over the rows
-outside the keep_recent most recent ones and the anchor, the caller's
-open-segment row, which the bank moves when eviction shifts rows.
+keep_best + keep_recent rows are live, is one argmax of lse over the rows
+older than the keep_recent most recent ones, with the anchor's lse read as
+-inf. The anchor is the caller's open-segment row, which the bank moves
+when eviction shifts rows.
 
 Cost accounting: a candidate admitted while processing sample n gets start
 n-1 and absorbs sample n onward, so candidate (a, n) charges samples a+1..n
@@ -112,21 +113,27 @@ def evict_if_full(state: SegmentationState) -> int | None:
     k = state.filled
     if k < state.keep_best + state.keep_recent:
         return None
+    anchor = state.anchor
     for n_keep in (state.keep_recent, 1):
-        pool = np.arange(k - n_keep)
-        pool = pool[pool != state.anchor]
-        if pool.size:
+        end = k - n_keep
+        shielded = anchor is not None and anchor < end
+        if end > shielded:         # the pool holds end - shielded rows
             break
     else:
         return None
-    row = int(pool[state.lse[pool].argmax()])
+    lse = state.lse[:end]
+    if shielded:
+        # every other lse is >= 0 or NaN, and either beats -inf
+        lse = lse.copy()
+        lse[anchor] = -np.inf
+    row = int(lse.argmax())
     victim = int(state.start[row])
     for column in (state.start, state.e_admit, state.lse, state.factor,
                    state.d_ref, state.tau):
         column[row:k - 1] = column[row + 1:k]
     state.filled = k - 1
-    if state.anchor is not None and row < state.anchor:
-        state.anchor -= 1
+    if anchor is not None and row < anchor:
+        state.anchor = anchor - 1
     return victim
 
 

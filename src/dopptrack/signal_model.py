@@ -12,20 +12,23 @@ end and indexed with clipping, so an index outside the sequence reads a zero
 and needs no mask. Only the offsets +-W can leave the pulse window (every
 nearer pulse is at most W - 1/2 symbol periods away), so only those two rows
 are tested against it. Both sums over the offsets are taken in one owned
-order (`_sum_rows`): the rows of offsets -W..W are added in order, then
-+0.0. Each time's column is summed on its own, so a time's value does not
-depend on the batch it is evaluated in. Times must be finite: a NaN or
-infinite time gives NaN, with a RuntimeWarning from the index cast.
+order (`_sum_rows`): +0.0, then the rows of offsets -W..W in order, in one
+np.add.reduce over axis 0, which numpy runs row by row. A lone column
+(a block of one time) is the exception: numpy would reduce it pairwise, so
+`_sum_rows` adds its rows in a loop. Each time's column is summed on its
+own, so a time's value does not depend on the batch it is evaluated in.
+Times must be finite: a NaN or infinite time gives NaN, with a
+RuntimeWarning from the index cast.
 
-A block's buffers are views of one work array, allocated per call, and
-both sums are taken in place in it, so a block makes one large allocation.
-glibc's malloc serves the first such array from mmap and, on freeing it,
-raises its heap-trim threshold to twice its size, so later work arrays are
-reused from the heap. Separate buffers (six of 90-203 KiB at 1 440 times)
-can instead lie freed at the top of the heap past that threshold, depending
-on what else the process has allocated; free() then trims the heap after
-every call, and the next call faults about 100 pages back in and costs
-about 1.4 times as much.
+A block's buffers are views of one work array, allocated per call, so a
+block makes one large allocation; each sum returns its own (N,) array, at
+most 29 KiB per block. glibc's malloc serves the first work array from
+mmap and, on freeing it, raises its heap-trim threshold to twice its size,
+so later work arrays are reused from the heap. Separate buffers (six of
+90-203 KiB at 1 440 times) can instead lie freed at the top of the heap
+past that threshold, depending on what else the process has allocated;
+free() then trims the heap after every call, and the next call faults
+about 100 pages back in and costs about 1.4 times as much.
 
 Times are evaluated in fixed-size blocks of _BLOCK_TERMS // (2W+1) times
 (1 820 at W = 4) and a shorter last block, so a block holds at most
@@ -64,14 +67,18 @@ def generate_symbols(count: int, seed: int) -> np.ndarray:
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum a complex (R, N) array over its rows, in order and in place: it
-    overwrites x[0] and returns it. The + 0.0 turns an all -0.0 sum into
-    +0.0."""
-    total = x[0]
-    for row in x[1:]:
-        total += row
-    total += 0.0
-    return total
+    """Sum a C-contiguous complex (R, N) array over its rows into a new (N,)
+    array: +0.0 first, then rows 0..R-1 in order. Each column's bits equal
+    the row loop x[0] + ... + x[R-1] + 0.0, since only the sign of a zero
+    partial sum can differ and the +0.0 settles it. numpy reduces axis 0 in
+    order for N >= 2 but a lone column pairwise, so that case adds the rows
+    itself."""
+    if x.shape[1] == 1:
+        total = x[0] + 0.0
+        for row in x[1:]:
+            total += row
+        return total
+    return np.add.reduce(x, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,8 @@ class TransmitSignal:
         Row j of every (2W+1, N) buffer holds the pulse of the symbol j - W
         away from each time's nearest symbol instant; row 0 and row 2W are
         the two the window test can zero (see the module docstring). The
-        buffers, and b(t) and db/dt, are views of one work array; db/dt's
-        plane is allocated only when sd is given.
+        buffers are views of one work array; the plane of db/dt's terms is
+        allocated only when sd is given.
         """
         ts = self.pulse.symbol_period
         sig = self.pulse.gaussian_std

@@ -228,7 +228,7 @@ class DopplerTracker:
         # the L+1 models describe one observation: weight them so the lse
         # accumulates one squared residual per sample, the unit the segment
         # penalty is calibrated in (uniform scaling leaves the estimate alone)
-        scale = 1.0 / np.sqrt(rows.shape[1])
+        scale = 1.0 / math.sqrt(rows.shape[1])
         lse = rls.update_batch(seg.factor[:k], rows * scale, targets * scale)
         seg.lse[:k] = lse
         if not np.isfinite(lse).all():

@@ -162,6 +162,23 @@ class TestEvict:
         assert gone == 1
         assert live_starts(state) == [0, 2]
 
+    def test_anchor_alone_outside_recent_shrinks_window(self):
+        # the anchor is the only row older than the two recent ones, so the
+        # window shrinks to the newest row and the newest-but-one goes
+        state = bank([(0, 9.0, 0.0), (1, 1.0, 0.0), (2, 5.0, 0.0)],
+                     keep_best=1, keep_recent=2)
+        state.anchor = 0
+        assert evict_if_full(state) == 1
+        assert live_starts(state) == [0, 2]
+        assert state.anchor == 0
+
+    def test_oldest_of_equal_lse_goes(self):
+        lses = [0.5, 2.0, 2.0, 0.1]
+        state = bank([(i, lse, 0.0) for i, lse in enumerate(lses)],
+                     keep_best=3, keep_recent=1)
+        assert evict_if_full(state) == 1
+        assert live_starts(state) == [0, 2, 3]
+
     def test_victim_row_shifted_out_of_every_column(self):
         state = SegmentationState(2, 2, dim=2, ridge=1e-4)
         for n in range(1, 5):

@@ -226,13 +226,16 @@ class TestKernelBitExact:
     # The name predates the in-order sum, when the kernel copied numpy's
     # pairwise reduction. np.cumsum is sequential by definition, so its
     # last row plus 0.0 is the owned order: rows in order, then +0.0.
+    # numpy's axis-0 reduce runs in order, except that a lone column is
+    # reduced pairwise, so a (rows, 1) input is summed as well.
     @pytest.mark.parametrize("rows", range(1, 131))
     def test_pairwise_sum_matches_numpy_sum(self, rows):
         rng = np.random.default_rng(rows)
-        x = signed_zeros_and_magnitudes(rng, (rows, 23))
-        want = np.cumsum(x, axis=0)[-1] + 0.0
-        assert _sum_rows(x.copy()).tobytes() == want.tobytes()
-        assert want.tobytes() == sum_columns_in_order(x.T).tobytes()
+        wide = signed_zeros_and_magnitudes(rng, (rows, 23))
+        for x in (wide, wide[:, 1:2].copy()):
+            want = np.cumsum(x, axis=0)[-1] + 0.0
+            assert _sum_rows(x).tobytes() == want.tobytes()
+            assert want.tobytes() == sum_columns_in_order(x.T).tobytes()
 
     @pytest.mark.parametrize("halfwidth", [1, 2, 4, 8, 40])
     @pytest.mark.parametrize("n", [0, 1, 3, 360, 5000, *AROUND_BLOCK])
