@@ -66,8 +66,9 @@ class MotionSpec:
     surface_phase: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError("motion settings must be finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite" % name)
         if self.rx_osc_amp < 0.0 or self.surface_amp < 0.0:
             raise ValueError("motion amplitudes must be >= 0")
 

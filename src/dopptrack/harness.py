@@ -147,66 +147,61 @@ def default_config() -> RunConfig:
     )
 
 
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number: %r" % text)
-    return value
-
-
 def _parse_optional_float(text: str):
-    return None if text.strip() == "" else _float(text)
+    return None if text.strip() == "" else float(text)
 
 
 # INI section/key -> (dataclass field path, parser); peak-to-peak motion keys
 # are halved into amplitudes.
 _CONFIG_KEYS = {
-    ("signal", "symbol_rate_hz"): ("signal", "symbol_rate", _float),
-    ("signal", "carrier_freq_hz"): ("signal", "carrier_freq", _float),
-    ("signal", "amplitude"): ("signal", "amplitude", _float),
-    ("signal", "pulse_std_fraction"): ("signal", "pulse_std_fraction", _float),
+    ("signal", "symbol_rate_hz"): ("signal", "symbol_rate", float),
+    ("signal", "carrier_freq_hz"): ("signal", "carrier_freq", float),
+    ("signal", "amplitude"): ("signal", "amplitude", float),
+    ("signal", "pulse_std_fraction"): ("signal", "pulse_std_fraction", float),
     ("signal", "pulse_halfwidth"): ("signal", "pulse_halfwidth", int),
     ("signal", "symbol_seed"): ("signal", "symbol_seed", int),
-    ("geometry", "bottom_depth_m"): ("geometry", "bottom_depth", _float),
-    ("geometry", "tx_depth_m"): ("geometry", "tx_depth", _float),
-    ("geometry", "rx_depth_m"): ("geometry", "rx_depth", _float),
-    ("geometry", "horizontal_range_m"): ("geometry", "horizontal_range", _float),
-    ("geometry", "sound_speed_mps"): ("geometry", "sound_speed", _float),
-    ("motion", "rx_osc_freq_hz"): ("motion", "rx_osc_freq", _float),
-    ("motion", "rx_osc_pp_m"): ("motion", "rx_osc_amp", lambda s: 0.5 * _float(s)),
-    ("motion", "rx_osc_phase_rad"): ("motion", "rx_osc_phase", _float),
-    ("motion", "surface_freq_hz"): ("motion", "surface_freq", _float),
-    ("motion", "surface_pp_m"): ("motion", "surface_amp", lambda s: 0.5 * _float(s)),
-    ("motion", "surface_phase_rad"): ("motion", "surface_phase", _float),
-    ("channel", "gain_direct"): ("channel", "_gain0", _float),
-    ("channel", "gain_surface"): ("channel", "_gain1", _float),
-    ("channel", "gain_bottom"): ("channel", "_gain2", _float),
-    ("channel", "snr_db"): ("channel", "snr_db", _float),
+    ("geometry", "bottom_depth_m"): ("geometry", "bottom_depth", float),
+    ("geometry", "tx_depth_m"): ("geometry", "tx_depth", float),
+    ("geometry", "rx_depth_m"): ("geometry", "rx_depth", float),
+    ("geometry", "horizontal_range_m"): ("geometry", "horizontal_range", float),
+    ("geometry", "sound_speed_mps"): ("geometry", "sound_speed", float),
+    ("motion", "rx_osc_freq_hz"): ("motion", "rx_osc_freq", float),
+    ("motion", "rx_osc_pp_m"): ("motion", "rx_osc_amp", lambda s: 0.5 * float(s)),
+    ("motion", "rx_osc_phase_rad"): ("motion", "rx_osc_phase", float),
+    ("motion", "surface_freq_hz"): ("motion", "surface_freq", float),
+    ("motion", "surface_pp_m"): ("motion", "surface_amp", lambda s: 0.5 * float(s)),
+    ("motion", "surface_phase_rad"): ("motion", "surface_phase", float),
+    ("channel", "gain_direct"): ("channel", "_gain0", float),
+    ("channel", "gain_surface"): ("channel", "_gain1", float),
+    ("channel", "gain_bottom"): ("channel", "_gain2", float),
+    ("channel", "snr_db"): ("channel", "snr_db", float),
     ("channel", "noise_std"): ("channel", "noise_std", _parse_optional_float),
-    ("channel", "sample_rate_hz"): ("channel", "sample_rate", _float),
+    ("channel", "sample_rate_hz"): ("channel", "sample_rate", float),
     ("channel", "noise_seed"): ("channel", "noise_seed", int),
-    ("tracker", "penalty"): ("tracker", "penalty", _float),
+    ("tracker", "penalty"): ("tracker", "penalty", float),
     ("tracker", "detect_threshold"): ("tracker", "detect_threshold", int),
     ("tracker", "keep_best"): ("tracker", "keep_best", int),
     ("tracker", "keep_recent"): ("tracker", "keep_recent", int),
-    ("tracker", "perturbation"): ("tracker", "perturbation", _float),
-    ("tracker", "ridge"): ("tracker", "ridge", _float),
-    ("baseline", "template_ms"): ("baseline", "template_len", lambda s: 1e-3 * _float(s)),
+    ("tracker", "perturbation"): ("tracker", "perturbation", float),
+    ("tracker", "ridge"): ("tracker", "ridge", float),
+    ("baseline", "template_ms"): ("baseline", "template_len", lambda s: 1e-3 * float(s)),
     ("baseline", "search_halfwidth"): ("baseline", "search_halfwidth", int),
     ("baseline", "hop"): ("baseline", "hop", int),
-    ("run", "duration_s"): ("run", "duration", _float),
+    ("run", "duration_s"): ("run", "duration", float),
 }
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a UTF-8 INI config file on top of the defaults. A file that
-    exists but cannot be opened or read raises its OSError; a key under
-    [DEFAULT] is an unknown key, as sections do not inherit it."""
+    """Parse a UTF-8 INI config file, with or without a byte-order mark, on
+    top of the defaults. A file that exists but cannot be opened or read
+    raises its OSError; a key under [DEFAULT] is an unknown key, as
+    sections do not inherit it. Values are parsed, not range-checked: the
+    object each one sets checks it when the RunConfig is built."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
                                        interpolation=None)
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             parser.read_file(f)
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -252,14 +247,11 @@ def _max_path_delay(cfg: RunConfig) -> float:
 def build_signal(cfg: RunConfig) -> TransmitSignal:
     """Waveform covering the run, with enough lead-in symbols before t = 0
     that every propagation-delayed evaluation stays inside the support."""
-    rate = check_symbol_rate(cfg.signal.symbol_rate)
+    rate = cfg.signal.symbol_rate
     n_symbols = int(math.ceil(cfg.duration * rate)) + 2
     lead = int(math.ceil(_max_path_delay(cfg) * rate)) \
         + cfg.signal.pulse_halfwidth + 1
-    return make_qpsk_signal(n_symbols, cfg.signal.symbol_seed, rate,
-                            cfg.signal.carrier_freq, cfg.signal.amplitude,
-                            cfg.signal.pulse_std_fraction,
-                            cfg.signal.pulse_halfwidth, lead_symbols=lead)
+    return make_qpsk_signal(n_symbols, lead, **vars(cfg.signal))
 
 
 def build_scene(cfg: RunConfig, sig=None) -> ChannelScene:
@@ -617,9 +609,13 @@ def dump_signal(cfg: RunConfig, path: str) -> None:
 
 
 def write_summary(path: str, summary: dict) -> None:
-    """Write strict JSON: a non-finite float raises instead of being written
-    as the non-JSON tokens NaN or Infinity, before the file is opened."""
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    """Write strict JSON, before the file is opened: a numpy scalar (a
+    count a config holds as a numpy integer) is written as the Python number
+    it holds, any other value json cannot write raises TypeError, and a
+    non-finite float raises ValueError instead of being written as the
+    non-JSON tokens NaN or Infinity."""
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                      default=np.generic.item)
     with open(path, "w") as f:
         f.write(text + "\n")
 

@@ -93,7 +93,7 @@ class PulseShape:
 
     symbol_period: float
     gaussian_std: float
-    truncation_halfwidth: int = 4
+    truncation_halfwidth: int
 
     def __post_init__(self):
         if not 0.0 < self.symbol_period < math.inf:
@@ -239,20 +239,21 @@ def check_symbol_rate(rate: float) -> float:
     return rate
 
 
-def make_qpsk_signal(n_symbols: int, seed: int, symbol_rate: float,
-                     carrier_freq: float, amplitude: float = 1.0,
-                     std_fraction: float = 0.25,
-                     truncation_halfwidth: int = 4,
-                     lead_symbols: int = 0) -> TransmitSignal:
-    """Convenience constructor for the standard QPSK/Gaussian waveform.
-
-    lead_symbols extra symbols are prepended before t = 0 so the waveform is
-    already on the air when reception starts.
-    """
+def make_qpsk_signal(n_symbols: int, lead_symbols: int, *,
+                     symbol_rate: float, carrier_freq: float,
+                     amplitude: float, pulse_std_fraction: float,
+                     pulse_halfwidth: int, symbol_seed: int) -> TransmitSignal:
+    """The standard QPSK/Gaussian waveform: n_symbols symbols drawn from
+    symbol_seed from t = 0 on and lead_symbols more before it, so that it is
+    already on the air when reception starts. The Gaussian pulse's std is
+    pulse_std_fraction symbol periods and its support pulse_halfwidth
+    periods each side. The keyword arguments are harness.SignalParams'
+    fields."""
     period = 1.0 / check_symbol_rate(symbol_rate)
     pulse = PulseShape(symbol_period=period,
-                       gaussian_std=std_fraction * period,
-                       truncation_halfwidth=truncation_halfwidth)
-    return TransmitSignal(generate_symbols(n_symbols + lead_symbols, seed),
+                       gaussian_std=pulse_std_fraction * period,
+                       truncation_halfwidth=pulse_halfwidth)
+    return TransmitSignal(generate_symbols(n_symbols + lead_symbols,
+                                           symbol_seed),
                           pulse, carrier_freq, amplitude,
                           start_time=-lead_symbols * period)

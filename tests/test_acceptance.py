@@ -21,6 +21,9 @@ from oracles import (batch_sls, enumerate_best, line_fitter,
                      uniform_doppler_run)
 
 SAMPLE_INTERVAL = 5e-6
+# the default run's waveform settings with symbol seed 9
+SEED_9_SIGNAL = dataclasses.asdict(dataclasses.replace(
+    harness.SignalParams(), symbol_seed=9))
 SCENES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scenes")
 
@@ -241,8 +244,7 @@ def test_restricted_memory_never_beats_batch_on_random_streams(
 
 
 def test_criterion_6_jacobian_matches_finite_differences():
-    sig = make_qpsk_signal(600, seed=9, symbol_rate=20e3, carrier_freq=30e3,
-                           amplitude=0.25, lead_symbols=40)
+    sig = make_qpsk_signal(600, 40, **SEED_9_SIGNAL)
     gains = np.array([1.0, -0.8, 0.5])
     T = SAMPLE_INTERVAL
     rng = np.random.default_rng(31)
@@ -276,8 +278,7 @@ def test_criterion_6_jacobian_matches_finite_differences():
 
 
 def test_criterion_7_perturbation_restores_rank():
-    sig = make_qpsk_signal(600, seed=9, symbol_rate=20e3, carrier_freq=30e3,
-                           amplitude=0.25, lead_symbols=40)
+    sig = make_qpsk_signal(600, 40, **SEED_9_SIGNAL)
     gains = np.array([1.0, 1.0])
     d = np.array([1.0, 1.0])
     tau = np.array([1.5e-3, 1.5e-3])

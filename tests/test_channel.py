@@ -6,9 +6,16 @@ import pytest
 from dopptrack.channel import (ChannelScene, Geometry, MotionSpec, PATHS,
                                path_lengths, path_warp, sample_times,
                                synthesize)
+from dopptrack.harness import SignalParams
 from dopptrack.signal_model import make_qpsk_signal
 
 C_SOUND = 1500.0
+# the default run's waveform at amplitude 1.0
+WAVEFORM = dataclasses.replace(SignalParams(), amplitude=1.0)
+
+
+def qpsk(n_symbols, lead_symbols=0):
+    return make_qpsk_signal(n_symbols, lead_symbols, **vars(WAVEFORM))
 
 
 def tank_geometry():
@@ -32,7 +39,7 @@ def moving_scene(noise_std=0.0, sample_rate=200e3):
 def truth_of(scene, n_samples):
     """Ground truth of the first n_samples; zero gains skip the signal."""
     silent = dataclasses.replace(scene, gains=(0.0, 0.0, 0.0))
-    sig = make_qpsk_signal(1, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+    sig = qpsk(1)
     _, truth, _ = synthesize(silent, sig, n_samples, noise_seed=0)
     return truth
 
@@ -179,8 +186,7 @@ class TestGroundTruthDoppler:
 class TestSynthesize:
     def test_single_path_is_delayed_signal(self):
         scene = static_scene(gains=(1.0, 0.0, 0.0))
-        sig = make_qpsk_signal(100, seed=7, symbol_rate=20e3,
-                               carrier_freq=30e3, lead_symbols=40)
+        sig = qpsk(100, 40)
         r, truth, _ = synthesize(scene, sig, 2000, noise_seed=0)
         expect = sig.eval_passband(sample_times(2000, scene.sample_rate)
                                    - 1.45 / C_SOUND)
@@ -192,8 +198,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("gain, snr_db", [(1e200, 20.0), (1e150, -300.0)])
     def test_non_finite_noise_level_rejected(self, gain, snr_db):
         scene = static_scene(gains=(gain, 0.0, 0.0))
-        sig = make_qpsk_signal(100, seed=7, symbol_rate=20e3,
-                               carrier_freq=30e3, lead_symbols=40)
+        sig = qpsk(100, 40)
         with pytest.raises(ValueError, match="not finite"):
             synthesize(dataclasses.replace(scene, noise_std=None,
                                            snr_db=snr_db), sig, 2000, 0)
@@ -202,22 +207,22 @@ class TestSynthesize:
 
     def test_zero_gains_zero_output(self):
         scene = static_scene(gains=(0.0, 0.0, 0.0))
-        sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+        sig = qpsk(50)
         r, _, _ = synthesize(scene, sig, 500, noise_seed=0)
         assert np.all(r == 0.0)
 
     def test_energy_bound(self):
         scene = moving_scene()
-        sig = make_qpsk_signal(200, seed=7, symbol_rate=20e3,
-                               carrier_freq=30e3, lead_symbols=50)
+        sig = qpsk(200, 50)
         r, _, _ = synthesize(scene, sig, 5000, noise_seed=0)
-        t = np.linspace(-50 / 20e3, 200 / 20e3, 200001)
+        rate = WAVEFORM.symbol_rate
+        t = np.linspace(-50 / rate, 200 / rate, 200001)
         peak = np.max(np.abs(sig.eval_passband(t)))
         assert np.max(np.abs(r)) <= (1.0 + 0.8 + 0.5) * peak + 1e-12
 
     def test_noise_reproducible(self):
         scene = moving_scene(noise_std=0.05)
-        sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+        sig = qpsk(50)
         r1, _, _ = synthesize(scene, sig, 1000, noise_seed=99)
         r2, _, _ = synthesize(scene, sig, 1000, noise_seed=99)
         assert np.array_equal(r1, r2)
@@ -226,7 +231,7 @@ class TestSynthesize:
 
     def test_truth_filled_for_all_paths(self):
         scene = moving_scene()
-        sig = make_qpsk_signal(50, seed=7, symbol_rate=20e3, carrier_freq=30e3)
+        sig = qpsk(50)
         _, truth, _ = synthesize(scene, sig, 700, noise_seed=0)
         assert truth.alpha.shape == (3, 700)
         assert truth.doppler.shape == (3, 700)

@@ -34,10 +34,22 @@ def static_config(duration=0.02):
 
 
 def ini_file(tmp_path, text) -> str:
-    """The path of a run.ini holding text."""
+    """The path of a run.ini holding text in UTF-8."""
     path = tmp_path / "run.ini"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# every key that parses a float, set to nan and to inf, and the --duration
+# that keeps a run short: none for [run] duration_s, which --duration would
+# replace; the INI reader checks no range, so the object that each value
+# sets rejects it
+NON_FINITE_INI = [
+    ("[%s]\n%s = %s\n" % (section, key, value),
+     None if section == "run" else "0.005")
+    for (section, key), (_, _, parse) in harness._CONFIG_KEYS.items()
+    if parse is not int
+    for value in ("nan", "inf")]
 
 
 def run_cli(capsys, *argv):
@@ -98,8 +110,10 @@ class TestConfig:
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
             readme = f.read()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        assert harness.load_config(ini_file(tmp_path, block)) \
-            == harness.default_config()
+        # a leading byte-order mark, as Windows Notepad writes, is no content
+        for text in (block, "\ufeff" + block):
+            assert harness.load_config(ini_file(tmp_path, text)) \
+                == harness.default_config()
 
     # sections do not inherit [DEFAULT], so each key under it is unknown
     def test_unknown_key_rejected(self, tmp_path):
@@ -936,7 +950,7 @@ class TestCli:
         ("[motion]\nsurface_pp_m = 1.0\n", "0.005"),
         ("[signal]\npulse_std_fraction = 1.0\n", "0.005"),
         ("[signal]\npulse_halfwidth = 0\n", "0.005"),
-        ("[tracker]\npenalty = nan\n", "0.005"),
+        *NON_FINITE_INI,
         ("[tracker]\npenalty = -1\n", "0.005"),
         ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
@@ -1053,6 +1067,25 @@ class TestCli:
         assert summary["diverged"] is True
         assert summary["diverged_at"] == 300
         assert summary["final_lse"] is None
+
+    # a count a config holds as a numpy integer, which the tracker and the
+    # baseline accept, is written as the number it holds
+    @pytest.mark.parametrize("run, duration", [(harness.run_tracker, 0.003),
+                                               (harness.run_baseline, 0.01)])
+    def test_numpy_integer_counts_in_summary(self, tmp_path, run, duration):
+        cfg = static_config(duration)
+        sim = str(tmp_path / "sim")
+        harness.run_simulation(cfg, sim)
+        numpy_cfg = dataclasses.replace(
+            cfg, tracker=dataclasses.replace(cfg.tracker,
+                                             keep_best=np.int64(10)),
+            baseline=dataclasses.replace(cfg.baseline, hop=np.int64(10)))
+        summaries = []
+        for name, run_cfg in (("python", cfg), ("numpy", numpy_cfg)):
+            out = tmp_path / name
+            run(run_cfg, sim, str(out))
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        assert summaries[0] == summaries[1]
 
     def test_dump_signal(self, tmp_path):
         out = tmp_path / "sig.csv"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dopptrack import peak_tracking
+from dopptrack.harness import SignalParams
 from dopptrack.peak_tracking import (PeakTracker, crosscorr, subsample_interp,
                                      track_step)
 from dopptrack.signal_model import make_qpsk_signal
@@ -200,8 +203,8 @@ class TestTrackStep:
 class TestPeakTrackerRun:
     def test_static_single_path_delay_recovered(self):
         delay = 150 * T  # exactly on-grid
-        sig = make_qpsk_signal(650, seed=7, symbol_rate=20e3,
-                               carrier_freq=30e3, lead_symbols=30)
+        params = dataclasses.replace(SignalParams(), amplitude=1.0)
+        sig = make_qpsk_signal(650, 30, **vars(params))
         t = np.arange(6000) * T
         r = sig.eval_passband(t - delay)
         pk = PeakTracker(FS, **SETTINGS)

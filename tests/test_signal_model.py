@@ -1,18 +1,30 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dopptrack.harness import SignalParams
 from dopptrack.signal_model import (_BLOCK_TERMS, PulseShape, TransmitSignal,
                                     _sum_rows, generate_symbols,
                                     make_qpsk_signal)
 
 QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
+DEFAULT = SignalParams()
+# the default run's pulse
+PULSE = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5,
+                   truncation_halfwidth=4)
 
 
-def single_symbol_signal(symbol=1 + 0j, carrier=30e3, amplitude=1.0):
-    pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
-    return TransmitSignal(np.array([symbol]), pulse, carrier, amplitude)
+def qpsk(n_symbols, lead_symbols=0, **changes):
+    """The default run's waveform at amplitude 1.0, with changes."""
+    params = dataclasses.replace(DEFAULT, amplitude=1.0, **changes)
+    return make_qpsk_signal(n_symbols, lead_symbols, **vars(params))
+
+
+def single_symbol_signal(symbol=1 + 0j, carrier=DEFAULT.carrier_freq,
+                         amplitude=1.0):
+    return TransmitSignal(np.array([symbol]), PULSE, carrier, amplitude)
 
 
 class TestGenerateSymbols:
@@ -58,7 +70,7 @@ class TestBaseband:
                                       0.0)
 
     def test_support_with_many_symbols(self):
-        sig = make_qpsk_signal(50, seed=3, symbol_rate=20e3, carrier_freq=0.0)
+        sig = qpsk(50, symbol_seed=3, carrier_freq=0.0)
         t_end = 49 * sig.pulse.symbol_period + sig.pulse.window
         s = sig.eval_passband(at(t_end + 1e-9, t_end - 1e-6))
         assert s[0] == 0.0
@@ -68,10 +80,10 @@ class TestBaseband:
 class TestPassband:
     def test_pure_carrier_factor(self):
         # real symbol: s(t) = envelope(t) * cos(2 pi f t)
-        sig = single_symbol_signal(carrier=30e3)
+        sig = single_symbol_signal()
         t = at(0.0, 3e-6, 1.1e-5, -7e-6)
         env = np.exp(-0.5 * (t / sig.pulse.gaussian_std) ** 2)
-        want = env * np.cos(2 * np.pi * 30e3 * t)
+        want = env * np.cos(2 * np.pi * sig.carrier_freq * t)
         np.testing.assert_allclose(sig.eval_passband(t), want, rtol=0.0,
                                    atol=1e-12)
 
@@ -91,7 +103,7 @@ class TestDerivative:
     def test_zero_at_cosine_extremum(self):
         # at the pulse center both the envelope slope and the carrier sine
         # vanish, so ds/dt(0) = 0
-        sig = single_symbol_signal(carrier=30e3)
+        sig = single_symbol_signal()
         _, sd = sig.eval_passband_with_derivative(at(0.0))
         assert sd[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -107,10 +119,9 @@ class TestDerivative:
     def test_matches_central_difference(self):
         # oracle: central finite differences, step 1e-9 s; tolerance floor
         # scales with the carrier rate since |ds/dt| ~ 2 pi f_c
-        sig = make_qpsk_signal(200, seed=11, symbol_rate=20e3,
-                               carrier_freq=30e3)
+        sig = qpsk(200, symbol_seed=11)
         rng = np.random.default_rng(42)
-        t = rng.uniform(0.0, 200 / 20e3, size=1000)
+        t = rng.uniform(0.0, 200 / DEFAULT.symbol_rate, size=1000)
         h = 1e-9
         fd = (sig.eval_passband(t + h) - sig.eval_passband(t - h)) / (2 * h)
         _, an = sig.eval_passband_with_derivative(t)
@@ -118,7 +129,7 @@ class TestDerivative:
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(np.abs(an), scale))
 
     def test_with_derivative_consistent(self):
-        sig = make_qpsk_signal(30, seed=2, symbol_rate=20e3, carrier_freq=30e3)
+        sig = qpsk(30, symbol_seed=2)
         # 2 * 1820 + 1 times make three blocks at W = 4
         for n in (57, 2 * 1820 + 1):
             t = np.linspace(0, 1e-3, n)
@@ -190,13 +201,13 @@ AROUND_BLOCK = {"block-1": (1, -1), "block": (1, 0), "block+1": (1, 1),
 
 
 def assert_matches_point_major(halfwidth, n):
-    period = 1 / 20e3
+    period = 1 / DEFAULT.symbol_rate
     # the tail at the truncation boundary is exp(-18) for every width
     pulse = PulseShape(symbol_period=period,
                        gaussian_std=halfwidth * period / 6.0,
                        truncation_halfwidth=halfwidth)
     symbols = generate_symbols(60, seed=halfwidth)
-    args = (symbols, pulse, 30e3, 0.7, -5 * period)
+    args = (symbols, pulse, DEFAULT.carrier_freq, 0.7, -5 * period)
     new, ref = TransmitSignal(*args), PointMajorSignal(*args)
     start, end = -5 * period, 55 * period
     reach = (halfwidth + 2) * period
@@ -252,8 +263,7 @@ class TestKernelBitExact:
 class TestBlocks:
     # W = 4: 1 820 times per block
     def signal(self):
-        return make_qpsk_signal(600, seed=5, symbol_rate=20e3,
-                                carrier_freq=30e3)
+        return qpsk(600, symbol_seed=5)
 
     def test_tracker_sized_call_runs_one_block(self, monkeypatch):
         sig = self.signal()
@@ -289,64 +299,62 @@ class TestBlocks:
 class TestLeadIn:
     def test_start_time_shifts_support(self):
         lead = 10
-        sig = make_qpsk_signal(20, seed=1, symbol_rate=20e3, carrier_freq=0.0,
-                               lead_symbols=lead)
-        assert sig.start_time == pytest.approx(-lead / 20e3)
-        assert abs(sig.eval_passband(at(-lead / 20e3))[0]) > 0.1
+        sig = qpsk(20, lead, symbol_seed=1, carrier_freq=0.0)
+        start = -lead / DEFAULT.symbol_rate
+        assert sig.start_time == pytest.approx(start)
+        assert abs(sig.eval_passband(at(start))[0]) > 0.1
 
     def test_lead_in_extends_not_translates(self):
         # symbols after t=0 must not depend on the lead-in length
-        base = make_qpsk_signal(20, seed=1, symbol_rate=20e3,
-                                carrier_freq=20e3)
-        lead = make_qpsk_signal(20, seed=1, symbol_rate=20e3,
-                                carrier_freq=20e3, lead_symbols=5)
+        carrier = DEFAULT.symbol_rate
+        base = qpsk(20, symbol_seed=1, carrier_freq=carrier)
+        lead = qpsk(20, 5, symbol_seed=1, carrier_freq=carrier)
         # same seed gives the same symbol stream, so the leaded signal equals
-        # the base signal shifted by 5 symbol periods; the carrier turns
-        # whole cycles over that shift, so both quadratures of b are compared
+        # the base signal shifted by 5 symbol periods; a carrier at the
+        # symbol rate turns whole cycles over that shift, so both quadratures
+        # of b are compared
         t = np.linspace(0.0, 8e-4, 31)
-        np.testing.assert_allclose(lead.eval_passband(t - 5 / 20e3),
+        shift = 5 / DEFAULT.symbol_rate
+        np.testing.assert_allclose(lead.eval_passband(t - shift),
                                    base.eval_passband(t), atol=1e-12)
 
 
 class TestValidation:
     def test_pulse_tail_must_be_negligible(self):
         with pytest.raises(ValueError):
-            PulseShape(symbol_period=5e-5, gaussian_std=5e-5,
-                       truncation_halfwidth=1)
+            dataclasses.replace(PULSE, gaussian_std=5e-5,
+                                truncation_halfwidth=1)
 
     def test_pulse_positive_params(self):
         with pytest.raises(ValueError):
-            PulseShape(symbol_period=0.0, gaussian_std=1e-5)
+            dataclasses.replace(PULSE, symbol_period=0.0)
         with pytest.raises(ValueError):
-            PulseShape(symbol_period=5e-5, gaussian_std=-1e-5)
+            dataclasses.replace(PULSE, gaussian_std=-1e-5)
         with pytest.raises(ValueError):
-            PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5,
-                       truncation_halfwidth=0)
+            dataclasses.replace(PULSE, truncation_halfwidth=0)
 
     def test_symbols_must_have_unit_magnitude(self):
-        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError):
-            TransmitSignal(np.array([0.5 + 0j]), pulse, 30e3)
+            TransmitSignal(np.array([0.5 + 0j]), PULSE, DEFAULT.carrier_freq)
 
     def test_amplitude_positive(self):
-        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError):
-            TransmitSignal(np.array([1 + 0j]), pulse, 30e3, amplitude=0.0)
+            TransmitSignal(np.array([1 + 0j]), PULSE, DEFAULT.carrier_freq,
+                           amplitude=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan), np.inf])
     def test_non_finite_symbol(self, bad):
-        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError, match="unit magnitude"):
-            TransmitSignal(np.array([1, bad, 1j]), pulse, 30e3)
+            TransmitSignal(np.array([1, bad, 1j]), PULSE, DEFAULT.carrier_freq)
 
     # the one owner of the symbol-rate rule: 0 would divide by zero
     @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
     def test_symbol_rate_positive_and_finite(self, rate):
         with pytest.raises(ValueError, match="symbol_rate"):
-            make_qpsk_signal(10, seed=1, symbol_rate=rate, carrier_freq=30e3)
+            qpsk(10, symbol_seed=1, symbol_rate=rate)
 
     @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_time(self, start):
-        pulse = PulseShape(symbol_period=5e-5, gaussian_std=1.25e-5)
         with pytest.raises(ValueError, match="start_time"):
-            TransmitSignal(np.array([1 + 0j]), pulse, 30e3, start_time=start)
+            TransmitSignal(np.array([1 + 0j]), PULSE, DEFAULT.carrier_freq,
+                           start_time=start)

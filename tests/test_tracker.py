@@ -19,10 +19,9 @@ STATIC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scenes", "static.ini")
 
 
-def build_signal(n_symbols=400, lead=60, seed=7, amplitude=0.25):
-    return make_qpsk_signal(n_symbols, seed, symbol_rate=20e3,
-                            carrier_freq=30e3, amplitude=amplitude,
-                            lead_symbols=lead)
+def build_signal(n_symbols=400, lead=60):
+    """The default run's waveform."""
+    return make_qpsk_signal(n_symbols, lead, **vars(harness.SignalParams()))
 
 
 def config(gains, tau0, **kw):
@@ -226,7 +225,8 @@ class TestTrackerRuns:
     def static_run(self, n_samples):
         """A tracker that has consumed n_samples of the static scene."""
         scene = harness.build_scene(harness.load_config(STATIC))
-        sig = build_signal(n_symbols=int(n_samples * T * 20e3) + 2)
+        rate = harness.SignalParams().symbol_rate
+        sig = build_signal(n_symbols=int(n_samples * T * rate) + 2)
         r, truth, _ = synthesize(scene, sig, n_samples, noise_seed=0)
         cfg = config(scene.gains, truth.alpha[:, 0])
         trk = DopplerTracker(sig, cfg)
