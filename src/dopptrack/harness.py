@@ -3,15 +3,20 @@
 Builds the simulated scene, runs the streaming tracker and the peak-tracking
 baseline over it, and turns both into per-sample absolute timing-error traces
 against the simulator's ground truth. README "Output files" lists the
-artifacts and their columns; _write_csv frames every CSV.
+artifacts and their columns; _write_csv frames every CSV, formatting a file
+of more than one block in one forked process per usable CPU and joining
+their shares in order, byte for byte as one process writes it.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
@@ -448,20 +453,93 @@ def compare(err_a: ErrorTrace, err_b: ErrorTrace,
 _BLOCK_ROWS = 256
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: how many shares _write_csv splits
+    a CSV's blocks into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _write_blocks(f, blocks) -> None:
+    """For each (fmt, columns, lo) block, the lines
+    fmt % (columns[0][k], columns[1][k], ...), k over the at most
+    _BLOCK_ROWS rows from lo, in one write call. Each column's block is
+    converted with .tolist(), so floats are Python floats that %r writes
+    with repr; no whole column is ever a list."""
+    for fmt, columns, lo in blocks:
+        block = [np.asarray(c[lo:lo + _BLOCK_ROWS]).tolist() for c in columns]
+        f.write("".join(map(fmt.__mod__, zip(*block))))
+
+
+def _spill_share(spill, share) -> None:
+    """share's lines, written into the binary file spill as open(path, "w")
+    would write them."""
+    with open(spill.fileno(), "w", closefd=False) as f:
+        _write_blocks(f, share)
+
+
+def _fork_share(spill, share) -> int | None:
+    """The pid of a child process that spills share and exits with status
+    0, or None when no child could be started. The child leaves through
+    os._exit, so it never returns into the caller's stack."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            _spill_share(spill, share)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
 def _write_csv(path: str, header: str, parts) -> None:
     """The header line, then for each (fmt, columns) part the lines
     fmt % (columns[0][k], columns[1][k], ...), k over the columns' rows.
 
-    Each block of at most _BLOCK_ROWS rows is sliced from every column,
-    converted with .tolist(), so floats are Python floats that %r writes
-    with repr, and written in one call; no whole column is ever a list."""
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for fmt, columns in parts:
-            for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-                block = [np.asarray(c[lo:lo + _BLOCK_ROWS]).tolist()
-                         for c in columns]
-                f.write("".join(map(fmt.__mod__, zip(*block))))
+    The parts' blocks of at most _BLOCK_ROWS rows are split into one
+    contiguous share per usable CPU, at most one share per block. A forked
+    child formats each share after the first into an anonymous spill file in
+    the output's directory while this process writes the header and the
+    first share; the spills are then appended in order. A share whose fork
+    fails, and every share where os.fork does not exist, is formatted here,
+    so the bytes do not depend on how many processes ran. Every child is
+    reaped before this returns or raises; a child that fails raises OSError
+    naming the file."""
+    blocks = [(fmt, columns, lo) for fmt, columns in parts
+              for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
+    count = max(1, min(_usable_cpus() if hasattr(os, "fork") else 1,
+                       len(blocks)))
+    shares = [blocks[len(blocks) * i // count:len(blocks) * (i + 1) // count]
+              for i in range(count)]
+    with contextlib.ExitStack() as files:
+        spills = [files.enter_context(tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path)))) for _ in shares[1:]]
+        children = []
+        try:
+            for spill, share in zip(spills, shares[1:]):
+                children.append(_fork_share(spill, share))
+            f = files.enter_context(open(path, "w"))
+            f.write(header + "\n")
+            _write_blocks(f, shares[0])
+            for spill, share, pid in zip(spills, shares[1:], children):
+                if pid is None:
+                    _spill_share(spill, share)
+        finally:
+            failed = [pid for pid in children if pid is not None
+                      and os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise OSError("%s: %d of the %d child processes formatting its "
+                          "rows failed" % (path, len(failed), len(children)))
+        f.flush()
+        for spill in spills:
+            spill.seek(0)
+            shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
 
 
 def _path_major(fmt: str, n, *columns):

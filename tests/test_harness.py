@@ -1,8 +1,10 @@
 import configparser
 import dataclasses
+import errno
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 from itertools import repeat
@@ -463,6 +465,28 @@ def per_line_path_major(fmt, n, *columns):
                     zip(n, repeat(name), *(map(float, v) for v in values)))
 
 
+def assert_no_child():
+    """No child process of this one remains, exited or running."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class RaisingColumn:
+    """A float column of size rows whose block slice raises
+    ZeroDivisionError when the block's first row is in rows."""
+
+    def __init__(self, size, rows):
+        self.size, self.rows = size, rows
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, block):
+        if block.start in self.rows:
+            raise ZeroDivisionError("row %d" % block.start)
+        return np.arange(block.start, min(block.stop, self.size), dtype=float)
+
+
 class TestCsvWriterBytes:
     """Every writer against the one-formatted-line-at-a-time writer it
     replaced, at lengths around the block size and on the floats where
@@ -489,8 +513,13 @@ class TestCsvWriterBytes:
         return np.sort(rng.choice(10 * size + 1, size, replace=False))
 
     def assert_same(self, tmp_path, write, header, lines):
-        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        # the written file alone in its directory: no spill file is left
+        (tmp_path / "got").mkdir(parents=True)
+        got = str(tmp_path / "got" / "got.csv")
+        want = str(tmp_path / "want.csv")
         write(got)
+        assert_no_child()
+        assert os.listdir(tmp_path / "got") == ["got.csv"]
         per_line_csv(want, header, lines)
         with open(got, "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
@@ -591,6 +620,63 @@ class TestCsvWriterBytes:
                           *sub.block_mean(window))))
         with open(report + ".plot.csv", "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
+
+    # one share per usable CPU, capped at one per block: one process, as
+    # many as the blocks allow, and more CPUs than any file has blocks
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_every_writer_at_each_share_count(self, tmp_path, monkeypatch,
+                                              cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        for size in self.LENGTHS + [20 * self.BLOCK]:
+            at = tmp_path / str(size)
+            self.test_received(at / "received", size)
+            self.test_truth(at / "truth", size)
+            for kind in ("int64", "range"):
+                self.test_errors(at / "errors" / kind, size, kind)
+                self.test_delays(at / "delays" / kind, size, kind)
+        # each segment is a block of its own
+        for count in (0, 1, 5, 100):
+            self.test_segments(tmp_path / "segments" / str(count), count)
+        self.test_dump_signal(tmp_path / "dump")
+        for window in (1, 3):
+            (tmp_path / "plot" / str(window)).mkdir(parents=True)
+            self.test_compare_plot(tmp_path / "plot" / str(window), window)
+            assert_no_child()
+
+    def test_failed_fork_writes_the_same_bytes_alone(self, tmp_path,
+                                                     monkeypatch):
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.test_truth(tmp_path, 20 * self.BLOCK)
+        assert len(forks) == 2
+
+    def test_failed_child_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        path = str(tmp_path / "out.csv")
+        # 4 blocks: the child's share, rows 512 to 1 023, raises
+        with pytest.raises(OSError, match=re.escape(path)):
+            harness._write_csv(path, "x", [("%r\n", (RaisingColumn(
+                1024, range(300, 1024)),))])
+        assert_no_child()
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_own_share_raising_propagates_after_reaping(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        path = str(tmp_path / "out.csv")
+        # 6 blocks: this process's share, rows 0 to 511, raises; the two
+        # children's shares do not
+        with pytest.raises(ZeroDivisionError):
+            harness._write_csv(path, "x", [("%r\n", (RaisingColumn(
+                1536, range(300)),))])
+        assert_no_child()
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_memory_stays_below_whole_column_lists(self, tmp_path):
         # one column of 10^5 floats as a list traces ~3.2 MB

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dopptrack import peak_tracking
-from dopptrack.harness import SignalParams
+from dopptrack.harness import BaselineParams, SignalParams
 from dopptrack.peak_tracking import (PeakTracker, crosscorr, subsample_interp,
                                      track_step)
 from dopptrack.signal_model import make_qpsk_signal
@@ -12,7 +12,7 @@ from dopptrack.signal_model import make_qpsk_signal
 FS = 200e3
 T = 1.0 / FS
 # the default run's baseline settings
-SETTINGS = dict(template_len=3e-3, search_halfwidth=20, hop=10)
+SETTINGS = dataclasses.asdict(BaselineParams())
 
 
 class TestSubsampleInterp:
