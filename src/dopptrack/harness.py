@@ -4,8 +4,8 @@ Builds the simulated scene, runs the streaming tracker and the peak-tracking
 baseline over it, and turns both into per-sample absolute timing-error traces
 against the simulator's ground truth. README "Output files" lists the
 artifacts and their columns; _write_csv frames every CSV, formatting a file
-of more than one block in one forked process per usable CPU and joining
-their shares in order, byte for byte as one process writes it.
+of more than one block of rows in one forked process per usable CPU and
+joining their shares in order, byte for byte as one process writes it.
 """
 
 from __future__ import annotations
@@ -473,16 +473,10 @@ def _write_blocks(f, blocks) -> None:
         f.write("".join(map(fmt.__mod__, zip(*block))))
 
 
-def _spill_share(spill, share) -> None:
-    """share's lines, written into the binary file spill as open(path, "w")
-    would write them."""
-    with open(spill.fileno(), "w", closefd=False) as f:
-        _write_blocks(f, share)
-
-
 def _fork_share(spill, share) -> int | None:
-    """The pid of a child process that spills share and exits with status
-    0, or None when no child could be started. The child leaves through
+    """The pid of a child process that writes share's lines into the binary
+    file spill, as open(path, "w") would write them, and exits with status
+    0; None when no child could be started. The child leaves through
     os._exit, so it never returns into the caller's stack."""
     try:
         pid = os.fork()
@@ -491,7 +485,8 @@ def _fork_share(spill, share) -> int | None:
     if pid == 0:
         status = 1
         try:
-            _spill_share(spill, share)
+            with open(spill.fileno(), "w", closefd=False) as f:
+                _write_blocks(f, share)
             status = 0
         finally:
             os._exit(status)
@@ -503,18 +498,20 @@ def _write_csv(path: str, header: str, parts) -> None:
     fmt % (columns[0][k], columns[1][k], ...), k over the columns' rows.
 
     The parts' blocks of at most _BLOCK_ROWS rows are split into one
-    contiguous share per usable CPU, at most one share per block. A forked
-    child formats each share after the first into an anonymous spill file in
-    the output's directory while this process writes the header and the
-    first share; the spills are then appended in order. A share whose fork
-    fails, and every share where os.fork does not exist, is formatted here,
-    so the bytes do not depend on how many processes ran. Every child is
-    reaped before this returns or raises; a child that fails raises OSError
-    naming the file."""
+    contiguous share per usable CPU, at most one share per _BLOCK_ROWS rows.
+    A forked child formats each share after the first into an anonymous
+    spill file in the output's directory while this process writes the
+    header and the first share; once every child is reaped, the shares
+    follow in order, a spill copied and a share whose fork failed formatted
+    here in its place, so the bytes do not depend on how many processes ran.
+    Where os.fork does not exist there is one share. Every child is reaped
+    before this returns or raises; a child that fails raises OSError naming
+    the file."""
     blocks = [(fmt, columns, lo) for fmt, columns in parts
               for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
+    rows = sum(len(columns[0]) for _, columns in parts)
     count = max(1, min(_usable_cpus() if hasattr(os, "fork") else 1,
-                       len(blocks)))
+                       -(-rows // _BLOCK_ROWS)))
     shares = [blocks[len(blocks) * i // count:len(blocks) * (i + 1) // count]
               for i in range(count)]
     with contextlib.ExitStack() as files:
@@ -527,19 +524,19 @@ def _write_csv(path: str, header: str, parts) -> None:
             f = files.enter_context(open(path, "w"))
             f.write(header + "\n")
             _write_blocks(f, shares[0])
-            for spill, share, pid in zip(spills, shares[1:], children):
-                if pid is None:
-                    _spill_share(spill, share)
         finally:
             failed = [pid for pid in children if pid is not None
                       and os.waitpid(pid, 0)[1] != 0]
         if failed:
             raise OSError("%s: %d of the %d child processes formatting its "
                           "rows failed" % (path, len(failed), len(children)))
-        f.flush()
-        for spill in spills:
-            spill.seek(0)
-            shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
+        for spill, share, pid in zip(spills, shares[1:], children):
+            if pid is None:
+                _write_blocks(f, share)
+            else:
+                f.flush()
+                spill.seek(0)
+                shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
 
 
 def _path_major(fmt: str, n, *columns):

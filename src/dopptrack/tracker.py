@@ -145,8 +145,6 @@ def reconstruct_warp_array(segments: list[DopplerSegment], num_paths: int,
     out = np.full((num_paths, n_samples), np.nan)
     for seg in segments:
         lo, hi = seg.a, min(seg.b, n_samples - 1)
-        if hi < lo:
-            continue
         rel = (np.arange(lo, hi + 1) - seg.a) * T
         out[:, lo:hi + 1] = seg.doppler[:, None] * rel[None, :] \
             + seg.tau[:, None]

@@ -1,6 +1,7 @@
 from hypothesis import settings
 
 from blas_core import openblas_core
+from dopptrack.harness import _usable_cpus
 
 # Properties draw the same examples on every run and record none.
 settings.register_profile("dopptrack", derandomize=True, database=None,
@@ -9,4 +10,6 @@ settings.load_profile("dopptrack")
 
 
 def pytest_report_header(config):
-    return "openblas core: %s" % openblas_core()
+    # the CSV writer's share count follows the usable CPUs
+    return "openblas core: %s, usable cpus: %d" % (openblas_core(),
+                                                   _usable_cpus())

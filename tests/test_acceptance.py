@@ -4,6 +4,7 @@ PASS/FAIL line with the measured values (run with -s to see them live)."""
 import dataclasses
 import filecmp
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
 from dopptrack.signal_model import make_qpsk_signal
 from dopptrack.tracker import (DopplerTracker, reconstruct_warp_array,
                                rows_batch)
-from oracles import (batch_sls, enumerate_best, line_fitter,
-                     uniform_doppler_run)
+from oracles import batch_sls, enumerate_best, line_fitter
 
 SAMPLE_INTERVAL = 5e-6
 # the default run's waveform settings with symbol seed 9
@@ -378,13 +378,30 @@ def test_perturbed_rows_bound_conditioning_on_coincident_paths():
 
 def test_criterion_11_uniform_doppler_loses_the_track():
     # the paper's claim that one Doppler for all paths cannot track a
-    # multipath channel whose arrivals are stretched differently
+    # multipath channel whose arrivals are stretched differently. Under one
+    # Doppler factor every path keeps its initial offset from the direct
+    # path, so the uniform model is the shipped tracker on one path whose
+    # waveform is the three arrivals summed at those offsets
     cfg = dataclasses.replace(harness.default_config(), duration=0.03)
     sig, _, r, truth = harness.simulate_stream(cfg)
     tcfg = harness.tracker_config(cfg, truth.alpha[:, 0])
-    segments = uniform_doppler_run(sig, tcfg, r)
-    warp = reconstruct_warp_array(segments, tcfg.num_paths, r.size,
-                                  tcfg.sample_period)
+    offsets = truth.alpha[:, 0] - truth.alpha[0, 0]
+    gains = np.asarray(tcfg.gains)
+
+    def summed(t):
+        s, sd = sig.eval_passband_with_derivative(
+            (t[:, None] + offsets).reshape(-1))
+        return (s.reshape(t.size, -1) @ gains, sd.reshape(t.size, -1) @ gains)
+
+    tracker = DopplerTracker(
+        SimpleNamespace(eval_passband_with_derivative=summed),
+        dataclasses.replace(tcfg, gains=(1.0,),
+                            initial_tau=tcfg.initial_tau[:1]))
+    for value in r:
+        tracker.process_sample(float(value))
+    tracker.finalize()
+    warp = reconstruct_warp_array(tracker.segments, 1, r.size,
+                                  tcfg.sample_period) + offsets[:, None]
     warmup = cfg.warmup_samples
     uniform = np.abs(warp - truth.alpha)[:, warmup:].max(axis=1)
     per_path_segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
@@ -394,7 +411,7 @@ def test_criterion_11_uniform_doppler_loses_the_track():
            "0.03 s of the default scene after %d-sample warm-up: uniform "
            "Doppler max |error| %s us (%d segments), per-path %s us "
            "(%d segments), one sample interval %.0f us"
-           % (warmup, microseconds(uniform), len(segments),
+           % (warmup, microseconds(uniform), len(tracker.segments),
               microseconds(per_path), len(per_path_segments),
               SAMPLE_INTERVAL * 1e6))
 

@@ -205,6 +205,10 @@ class TestSynthesize:
         r, _, noise_std = synthesize(scene, sig, 2000, noise_seed=0)
         assert noise_std == 0.0 and np.isfinite(r).all()
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            synthesize(static_scene(), qpsk(50), 0, noise_seed=0)
+
     def test_zero_gains_zero_output(self):
         scene = static_scene(gains=(0.0, 0.0, 0.0))
         sig = qpsk(50)

@@ -621,8 +621,9 @@ class TestCsvWriterBytes:
         with open(report + ".plot.csv", "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
 
-    # one share per usable CPU, capped at one per block: one process, as
-    # many as the blocks allow, and more CPUs than any file has blocks
+    # one share per usable CPU, capped at one per block of rows: one
+    # process, as many as the rows allow, and more CPUs than any file has
+    # blocks
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     def test_every_writer_at_each_share_count(self, tmp_path, monkeypatch,
                                               cpus):
@@ -642,6 +643,16 @@ class TestCsvWriterBytes:
             (tmp_path / "plot" / str(window)).mkdir(parents=True)
             self.test_compare_plot(tmp_path / "plot" / str(window), window)
             assert_no_child()
+
+    # a 21-segment segments.csv is 21 one-block parts but 63 lines
+    def test_one_block_of_rows_starts_no_child(self, tmp_path, monkeypatch):
+        def no_fork():
+            pytest.fail("forked for at most one block of rows")
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.test_segments(tmp_path / "segments", 21)
+        self.test_received(tmp_path / "received", self.BLOCK)
 
     def test_failed_fork_writes_the_same_bytes_alone(self, tmp_path,
                                                      monkeypatch):
@@ -767,6 +778,9 @@ class TestCompare:
         a = harness.ErrorTrace(n=np.arange(5), abs_err=np.zeros((3, 5)))
         b = harness.ErrorTrace(n=np.arange(10, 15), abs_err=np.zeros((3, 5)))
         with pytest.raises(ValueError):
+            harness.compare(a, b)
+        b = harness.ErrorTrace(n=np.arange(5), abs_err=np.zeros((2, 5)))
+        with pytest.raises(harness.BadInputError, match="path count mismatch"):
             harness.compare(a, b)
 
     def test_block_mean(self):

@@ -68,6 +68,8 @@ class TestUpdate:
             rls.update(factor, np.array([np.nan, 0.0]), 1.0)
         with pytest.raises(ValueError):
             rls.update(factor, np.array([1.0, 0.0]), np.inf)
+        with pytest.raises(ValueError, match="shape"):
+            rls.update(factor, np.zeros(3), 1.0)
 
     def test_lse_monotone(self):
         rng = np.random.default_rng(0)

@@ -337,6 +337,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TransmitSignal(np.array([0.5 + 0j]), PULSE, DEFAULT.carrier_freq)
 
+    def test_symbols_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            TransmitSignal(np.array([]), PULSE, DEFAULT.carrier_freq)
+
     def test_amplitude_positive(self):
         with pytest.raises(ValueError):
             TransmitSignal(np.array([1 + 0j]), PULSE, DEFAULT.carrier_freq,

@@ -187,6 +187,9 @@ class TestReconstruction:
         assert np.isnan(arr[0, :100]).all()
         assert np.isnan(arr[0, 200])
         assert not np.isnan(arr[0, 100:200]).any()
+        # a segment that starts past the last sample writes nothing
+        assert np.isnan(reconstruct_warp_array(self.segs()[1:], 1, 60,
+                                               T)).all()
 
     def test_array_matches_hand_computed_warp(self):
         arr = reconstruct_warp_array(self.segs(), 1, 200, T)
@@ -251,6 +254,9 @@ class TestTrackerRuns:
         assert abs(first.doppler[0] - d_true) < 1e-4
 
     def test_finalize_covers_tail_and_locks(self):
+        # before any sample there is no segment to close
+        trk = DopplerTracker(build_signal(), config([1.0], [0.0]))
+        assert trk.finalize() is None and trk.segments == []
         trk = self.static_run(500)
         seg = trk.finalize()
         assert seg is not None
@@ -370,6 +376,8 @@ class TestConfigValidation:
             config([1.0], [0.0], perturbation=0.0)
         with pytest.raises(ValueError):
             config([1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="at least one path"):
+            config([], [])
         for bad in (np.nan, np.inf, -np.inf):
             for key in ("penalty", "perturbation", "sample_period"):
                 with pytest.raises(ValueError):
