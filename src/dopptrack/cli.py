@@ -104,10 +104,19 @@ def _dump_signal(cfg: harness.RunConfig, out: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors: it
+    prints its usage line and raises ConfigError instead of exiting with
+    status 2, which is reserved for I/O errors. Subparsers share its class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dopptrack",
-                                description="Multipath Doppler tracking "
-                                            "simulator and trackers")
+    p = _Parser(prog="dopptrack", description="Multipath Doppler tracking "
+                                              "simulator and trackers")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_step(name, about, func, out="output directory", indir=False):
@@ -149,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, MemoryError) as exc:   # a run too large to allocate
         print("config error: %s" % exc, file=sys.stderr)

@@ -1,3 +1,4 @@
+import numpy
 from hypothesis import settings
 
 from blas_core import openblas_core
@@ -10,6 +11,7 @@ settings.load_profile("dopptrack")
 
 
 def pytest_report_header(config):
-    # the CSV writer's share count follows the usable CPUs
-    return "openblas core: %s, usable cpus: %d" % (openblas_core(),
-                                                   _usable_cpus())
+    # the committed pins hang on numpy's per-CPU kernels as well as on the
+    # OpenBLAS core; the CSV writer's share count follows the usable CPUs
+    return "numpy %s, openblas core: %s, usable cpus: %d" % (
+        numpy.__version__, openblas_core(), _usable_cpus())

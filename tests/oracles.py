@@ -2,6 +2,11 @@
 bank is checked against, with the line fitter and brute force it is
 checked with. Nothing in the package uses them.
 
+The line model is checked two ways: in batch, line_fitter gives batch_sls
+each segment's error; online, line_rows stands in for tracker.rows_batch,
+so the shipped DopplerTracker fits the same lines sample by sample
+(criteria 5 and 5b).
+
 The uniform-Doppler model needs no oracle: with one Doppler factor for all
 paths, each path's warp stays its initial offset from the direct path's, so
 the model is the shipped tracker on one path whose waveform is the arrivals
@@ -54,6 +59,17 @@ def line_fitter(y, ridge: float = 0.0):
         rows = np.column_stack([np.ones_like(k), k])
         return rls.solve_direct(rows, y[i:j + 1], ridge)[1]
     return fitter
+
+
+def line_rows(sig, d_ref, tau, lever, epsilon, gains):
+    """Stand-in for tracker.rows_batch: every candidate gets the one line
+    row (1, lever) with zero prediction and zero offset, so its target is
+    the received sample itself. With sample_period 1.0, lever is n - start,
+    the abscissa line_fitter gives sample n of a segment opened at start."""
+    rows = np.ones((lever.size, 1, 2))
+    rows[:, 0, 1] = lever
+    zeros = np.zeros((lever.size, 1))
+    return rows, zeros, zeros
 
 
 def enumerate_best(observations, penalty: float, segment_fitter) -> float:

@@ -5,6 +5,7 @@ import dataclasses
 import filecmp
 import os
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 from blas_core import run_on_nehalem_core
 from dopptrack import cli, harness, rls
 from dopptrack.channel import PATHS
-from dopptrack.segmentation import (SegmentationState, admit_hypothesis,
-                                    bellman_step, evict_if_full)
 from dopptrack.signal_model import make_qpsk_signal
-from dopptrack.tracker import (DopplerTracker, reconstruct_warp_array,
-                               rows_batch)
-from oracles import batch_sls, enumerate_best, line_fitter
+from dopptrack.tracker import (DopplerTracker, TrackerConfig,
+                               reconstruct_warp_array, rows_batch)
+from oracles import batch_sls, enumerate_best, line_fitter, line_rows
 
 SAMPLE_INTERVAL = 5e-6
 # the default run's waveform settings with symbol seed 9
@@ -101,9 +100,14 @@ def test_criterion_3_rls_matches_direct_solve():
         n_rows = int(rng.integers(dim + 1, 201))
         A = rng.normal(size=(n_rows, dim))
         y = rng.normal(size=n_rows)
-        factor = rls.init(dim, ridge=1e-8)
-        for g, t in zip(A, y):
-            lse_rls = rls.update(factor, g, t)
+        # a stack of one factor absorbing dim + 1 rows per call, as the
+        # tracker's bank absorbs its L + 1 rows per sample; the last call
+        # takes what is left
+        factor = rls.init(dim, ridge=1e-8)[None]
+        for lo in range(0, n_rows, dim + 1):
+            block = slice(lo, lo + dim + 1)
+            lse_rls = rls.update_batch(factor, A[None, block],
+                                       y[None, block])[0]
         x, lse = rls.solve_direct(A, y, ridge=1e-8)
         worst_x = max(worst_x, float(np.linalg.norm(rls.estimate(factor) - x)
                                      / max(np.linalg.norm(x), 1e-30)))
@@ -137,34 +141,26 @@ def test_criterion_4_batch_dp_optimal():
            % (worst_gap, starts, prefix[-1]))
 
 
-def _absorb_line_rows(state, n, y_n):
-    """Every live candidate absorbs row (1, n - start) with target y_n."""
-    k = state.filled
-    rows = np.ones((k, 1, 2))
-    rows[:, 0, 1] = n - state.start[:k]
-    state.lse[:k] = rls.update_batch(state.factor[:k], rows,
-                                     np.full((k, 1), y_n))
-
-
-def _online_and_batch_costs(y, ridge, penalty, keep_best, keep_recent):
-    """Online prefix costs E(n) of line fits with the given memory, the
-    winning start at each n, and the exact batch prefix costs over the same
+def tracker_line_costs(y, ridge, penalty, keep_best, keep_recent,
+                       detect_threshold):
+    """The shipped tracker on stream y with line_rows in place of its
+    rows: the online prefix cost E(n) read off the bank after each sample,
+    the segments it closed, and the exact batch prefix costs over the same
     half-open accounting: E(n) is prefix[n] of the batch DP over y[1:],
-    whose observations i..j are samples i+1..j+1."""
-    N = y.size
-    state = SegmentationState(keep_best, keep_recent, 2, ridge)
-    admit_hypothesis(state, 1, d_ref=1.0, tau=0.0)
-    E_online, starts = [0.0], [0]
-    for n in range(1, N):
-        evict_if_full(state)
-        if n > 1:
-            admit_hypothesis(state, n, d_ref=1.0, tau=0.0)
-        _absorb_line_rows(state, n, y[n])
-        En, best = bellman_step(state, penalty)
-        E_online.append(En)
-        starts.append(best)
+    whose observations i..j are samples i+1..j+1. The line fits read as
+    Doppler corrections, so closures may flag a clamp; that halts nothing."""
+    tracker = DopplerTracker(None, TrackerConfig(
+        penalty=penalty, detect_threshold=detect_threshold,
+        keep_best=keep_best, keep_recent=keep_recent, perturbation=1e-6,
+        gains=(1.0, 1.0), initial_tau=(0.0, 0.0), sample_period=1.0,
+        ridge=ridge))
+    E_online = []
+    with mock.patch("dopptrack.tracker.rows_batch", line_rows):
+        for value in y:
+            tracker.process_sample(float(value))
+            E_online.append(tracker._seg.last_E)
     _, prefix = batch_sls(y[1:], penalty, line_fitter(y[1:], ridge))
-    return np.array(E_online), starts, prefix
+    return np.array(E_online), tracker.segments, prefix
 
 
 def test_criterion_5_online_equals_batch_with_full_memory():
@@ -177,10 +173,8 @@ def test_criterion_5_online_equals_batch_with_full_memory():
     y = np.where(k < 70, 0.5 * k,
                  np.where(k < 140, 35.0 - 1.2 * (k - 70),
                           -49.0 + 2.0 * (k - 140)))
-    E_online, starts, prefix = _online_and_batch_costs(y, ridge, penalty,
-                                                       N, N)
-    detected = [best for prev, best in zip(starts, starts[1:])
-                if best - prev >= M]
+    E_online, closed, prefix = tracker_line_costs(y, ridge, penalty, N, N, M)
+    detected = [seg.b + 1 for seg in closed]
     gaps = np.abs(E_online - prefix) / np.maximum(1.0, prefix)
     true_breaks = [70, 140]
     matched = all(any(abs(d - b) <= M for d in detected) for b in true_breaks)
@@ -198,7 +192,8 @@ def test_criterion_5b_restricted_memory_never_beats_batch():
     N = 120
     y = np.cumsum(rng.normal(size=N) * 0.1)
     y[60:] += 3.0
-    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty, 4, 4)
+    E_online, _, prefix = tracker_line_costs(y, ridge, penalty, 4, 4,
+                                             detect_threshold=25)
     slack = float(np.min(E_online - prefix))
     report("5b", slack > -1e-9,
            "memory-restricted online prefix costs stay >= batch costs "
@@ -222,24 +217,29 @@ ONLINE_VS_BATCH = settings(max_examples=50)
 
 
 @ONLINE_VS_BATCH
-@given(line_streams())
-def test_online_equals_batch_with_full_memory_on_random_streams(stream):
-    # generalizes criterion 5 over seeds, ridges and penalties
+@given(line_streams(), st.integers(1, 40))
+def test_online_equals_batch_with_full_memory_on_random_streams(
+        stream, detect_threshold):
+    # generalizes criterion 5 over seeds, ridges, penalties and detection
+    # thresholds: with full memory no closure moves E(n)
     y, ridge, penalty = stream
-    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty, y.size,
-                                                  y.size)
+    E_online, _, prefix = tracker_line_costs(y, ridge, penalty, y.size,
+                                             y.size, detect_threshold)
     gaps = np.abs(E_online - prefix) / np.maximum(1.0, prefix)
     assert float(gaps.max()) < 1e-8
 
 
 @ONLINE_VS_BATCH
-@given(line_streams(), st.integers(1, 4), st.integers(1, 4))
+@given(line_streams(), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 40))
 def test_restricted_memory_never_beats_batch_on_random_streams(
-        stream, keep_best, keep_recent):
-    # generalizes criterion 5b over seeds, ridges, penalties and memory sizes
+        stream, keep_best, keep_recent, detect_threshold):
+    # generalizes criterion 5b over seeds, ridges, penalties, memory sizes
+    # and detection thresholds: closures move the anchor that eviction
+    # shields
     y, ridge, penalty = stream
-    E_online, _, prefix = _online_and_batch_costs(y, ridge, penalty,
-                                                  keep_best, keep_recent)
+    E_online, _, prefix = tracker_line_costs(y, ridge, penalty, keep_best,
+                                             keep_recent, detect_threshold)
     assert float(np.min(E_online - prefix)) > -1e-9
 
 

@@ -654,6 +654,13 @@ class TestCsvWriterBytes:
         self.test_segments(tmp_path / "segments", 21)
         self.test_received(tmp_path / "received", self.BLOCK)
 
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # a platform without os.sched_getaffinity counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((7, 7), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert harness._usable_cpus() == usable
+
     def test_failed_fork_writes_the_same_bytes_alone(self, tmp_path,
                                                      monkeypatch):
         forks = []
@@ -1029,6 +1036,9 @@ class TestCli:
         ("--window", "-5"),
         ("--threshold", "nan"),
         ("--threshold", "-1"),
+        # values the command line does not parse
+        ("--window", "1.5"),
+        ("--threshold", "abc"),
     ])
     def test_bad_compare_argument_is_config_error(self, tmp_path, capsys,
                                                   option, value):
@@ -1055,6 +1065,7 @@ class TestCli:
         ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
         ("", "inf"),
+        ("", "abc"),
         # 10 ** (snr_db / 10) overflows, or underflows to a zero divisor
         ("[channel]\nsnr_db = 4000\n", "0.005"),
         ("[channel]\nsnr_db = 1e300\n", "0.005"),
