@@ -8,12 +8,12 @@ callers update slices of it in place. Every step the prefix cost
 E(n) = min over candidates of (candidate lse + penalty + E(candidate start))
 is an argmin over the live rows; a new-segment event is declared by the
 caller when the winning start jumps far enough; the Bellman step records
-the winning row. The bank owns its memory policy and its row layout: it is
-sized from keep_best and keep_recent, and evict_if_full, a no-op until
-keep_best + keep_recent rows are live, is one argmax of lse over the rows
-older than the keep_recent most recent ones, with the anchor's lse read as
--inf. The anchor is the caller's open-segment row, which the bank moves
-when eviction shifts rows.
+the winning row. The bank owns its memory policy and its row layout: it
+holds at most keep_best + keep_recent rows, and evict_if_full, a no-op until
+all of them are live, is one argmax of lse over the rows older than the
+keep_recent most recent ones, with the anchor's lse read as -inf, so the
+keep_recent newest are never evicted. The anchor is the caller's
+open-segment row, which the bank moves when eviction shifts rows.
 
 Cost accounting: a candidate admitted while processing sample n gets start
 n-1 and absorbs sample n onward, so candidate (a, n) charges samples a+1..n
@@ -35,9 +35,8 @@ class SegmentationState:
     """Fixed-capacity candidate bank plus Bellman bookkeeping for one stream.
 
     It keeps keep_best small-lse and keep_recent newest candidates in
-    keep_best + keep_recent + 1 rows. The spare row matters with one of each
-    kept: eviction finds nothing to drop while the anchor is the older row,
-    and the newcomer is admitted all the same.
+    keep_best + keep_recent rows. keep_best >= 2 leaves a row besides the
+    anchor outside the recent window, so a full bank can always evict.
 
     Row i < filled of each column is one live candidate. Rows stay in
     admission order, and each admission starts one sample later than the
@@ -58,13 +57,12 @@ class SegmentationState:
 
     def __init__(self, keep_best: int, keep_recent: int, dim: int,
                  ridge: float):
-        for name, count in (("keep_best", keep_best),
-                            ("keep_recent", keep_recent)):
-            if not (isinstance(count, numbers.Integral) and count >= 1):
-                raise ValueError("%s must be an integer >= 1" % name)
-        self.keep_best = keep_best
+        for name, count, least in (("keep_best", keep_best, 2),
+                                   ("keep_recent", keep_recent, 1)):
+            if not (isinstance(count, numbers.Integral) and count >= least):
+                raise ValueError("%s must be an integer >= %d" % (name, least))
         self.keep_recent = keep_recent
-        self.capacity = capacity = keep_best + keep_recent + 1
+        self.capacity = capacity = keep_best + keep_recent
         self.filled = 0
         self.start = np.zeros(capacity, dtype=np.int64)
         self.e_admit = np.zeros(capacity)
@@ -104,25 +102,19 @@ def admit_hypothesis(state: SegmentationState, n: int, d_ref, tau) -> int:
 def evict_if_full(state: SegmentationState) -> int | None:
     """Discard the largest-lse candidate outside the keep_recent most recent.
 
-    No-op unless keep_best + keep_recent candidates are live. The anchor row
-    is never discarded; if that empties the pool, the protection window
-    shrinks to the single most recent candidate. Among equal lse the oldest
-    goes. Later rows move up by one, the anchor with them. Returns the
-    discarded start, if any.
+    No-op until the bank is full. Neither the anchor row nor the keep_recent
+    newest are ever discarded; with keep_best >= 2 rows older than those,
+    one besides the anchor can always go. Among equal lse the oldest goes.
+    Later rows move up by one, the anchor with them. Returns the discarded
+    start, if any.
     """
     k = state.filled
-    if k < state.keep_best + state.keep_recent:
+    if k < state.capacity:
         return None
     anchor = state.anchor
-    for n_keep in (state.keep_recent, 1):
-        end = k - n_keep
-        shielded = anchor is not None and anchor < end
-        if end > shielded:         # the pool holds end - shielded rows
-            break
-    else:
-        return None
+    end = k - state.keep_recent
     lse = state.lse[:end]
-    if shielded:
+    if anchor is not None and anchor < end:
         # every other lse is >= 0 or NaN, and either beats -inf
         lse = lse.copy()
         lse[anchor] = -np.inf

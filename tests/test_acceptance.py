@@ -230,7 +230,7 @@ def test_online_equals_batch_with_full_memory_on_random_streams(
 
 
 @ONLINE_VS_BATCH
-@given(line_streams(), st.integers(1, 4), st.integers(1, 4),
+@given(line_streams(), st.integers(2, 4), st.integers(1, 4),
        st.integers(1, 40))
 def test_restricted_memory_never_beats_batch_on_random_streams(
         stream, keep_best, keep_recent, detect_threshold):

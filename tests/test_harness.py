@@ -320,7 +320,7 @@ class TestConfig:
     ])
     def test_non_integer_count_rejected(self, group, field, value, name):
         cfg = harness.default_config()
-        with pytest.raises(ConfigError, match="%s must be an integer >= 1"
+        with pytest.raises(ConfigError, match=r"%s must be an integer >= \d"
                            % name):
             dataclasses.replace(cfg, **{group: dataclasses.replace(
                 getattr(cfg, group), **{field: value})})
@@ -1062,6 +1062,7 @@ class TestCli:
         ("[signal]\npulse_halfwidth = 0\n", "0.005"),
         *NON_FINITE_INI,
         ("[tracker]\npenalty = -1\n", "0.005"),
+        ("[tracker]\nkeep_best = 1\n", "0.005"),
         ("[channel]\ngain_direct = 0\n", "0.005"),
         ("", "nan"),
         ("", "inf"),

@@ -14,7 +14,7 @@ def admit(state, n):
     return admit_hypothesis(state, n, d_ref=1.0, tau=0.0)
 
 
-def bank(candidates, keep_best=1, keep_recent=1):
+def bank(candidates, keep_best=2, keep_recent=1):
     """A bank holding one candidate per (start, lse, e_admit), in this order."""
     state = SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
     for start, lse, e_admit in candidates:
@@ -64,11 +64,11 @@ class TestBellmanStep:
 
 
 class TestBankSize:
-    def test_capacity_is_best_plus_recent_plus_one(self):
-        for keep_best, keep_recent in [(1, 1), (10, 20), (3, 1)]:
+    def test_capacity_is_best_plus_recent(self):
+        for keep_best, keep_recent in [(2, 1), (10, 20), (3, 1)]:
             state = SegmentationState(keep_best, keep_recent, dim=2,
                                       ridge=1e-4)
-            capacity = keep_best + keep_recent + 1
+            capacity = keep_best + keep_recent
             assert state.capacity == capacity
             assert state.start.shape == (capacity,)
             assert state.factor.shape == (capacity, 3, 3)
@@ -77,8 +77,9 @@ class TestBankSize:
             with pytest.raises(ValueError):
                 admit(state, capacity + 1)
 
-    def test_sizes_below_one_rejected(self):
-        for keep_best, keep_recent in [(0, 1), (1, 0), (-1, 5), (0, 0)]:
+    def test_sizes_below_minimum_rejected(self):
+        for keep_best, keep_recent in [(0, 1), (2, 0), (-1, 5), (0, 0),
+                                       (1, 1), (1, 3)]:
             with pytest.raises(ValueError):
                 SegmentationState(keep_best, keep_recent, dim=1, ridge=1e-4)
 
@@ -86,9 +87,9 @@ class TestBankSize:
         with pytest.raises(ValueError, match="keep_best must be an integer"):
             SegmentationState(2.5, 1, dim=1, ridge=1e-4)
         with pytest.raises(ValueError, match="keep_recent must be an integer"):
-            SegmentationState(1, 2.0, dim=1, ridge=1e-4)
+            SegmentationState(2, 2.0, dim=1, ridge=1e-4)
         state = SegmentationState(np.int64(2), np.int64(3), dim=1, ridge=1e-4)
-        assert state.capacity == 6
+        assert state.capacity == 5
 
 
 class TestAdmit:
@@ -115,14 +116,14 @@ class TestAdmit:
         assert state.e_admit[row] == pytest.approx(0.26)
 
     def test_filled_increments(self):
-        state = SegmentationState(2, 2, dim=1, ridge=1e-4)
+        state = SegmentationState(3, 2, dim=1, ridge=1e-4)
         for n in range(1, 6):
             admit(state, n)
         assert state.filled == 5
         assert live_starts(state) == [0, 1, 2, 3, 4]
 
     def test_full_bank_and_stale_start_rejected(self):
-        state = SegmentationState(1, 1, dim=1, ridge=1e-4)
+        state = SegmentationState(2, 1, dim=1, ridge=1e-4)
         admit(state, 3)
         with pytest.raises(ValueError):
             admit(state, 3)
@@ -161,16 +162,6 @@ class TestEvict:
         gone = evict_if_full(state)
         assert gone == 1
         assert live_starts(state) == [0, 2]
-
-    def test_anchor_alone_outside_recent_shrinks_window(self):
-        # the anchor is the only row older than the two recent ones, so the
-        # window shrinks to the newest row and the newest-but-one goes
-        state = bank([(0, 9.0, 0.0), (1, 1.0, 0.0), (2, 5.0, 0.0)],
-                     keep_best=1, keep_recent=2)
-        state.anchor = 0
-        assert evict_if_full(state) == 1
-        assert live_starts(state) == [0, 2]
-        assert state.anchor == 0
 
     def test_oldest_of_equal_lse_goes(self):
         lses = [0.5, 2.0, 2.0, 0.1]
@@ -218,15 +209,8 @@ class ListBank:
     def evict(self, protect_start):
         if len(self.items) < self.n_best + self.n_recent:
             return None
-        for n_keep in (self.n_recent, 1):
-            recent = self.items[-n_keep:]
-            pool = [h for h in self.items
-                    if all(h is not r for r in recent)
-                    and h.start != protect_start]
-            if pool:
-                break
-        else:
-            return None
+        pool = [h for h in self.items[:-self.n_recent]
+                if h.start != protect_start]
         victim = pool[0]
         for h in pool[1:]:
             if h.lse > victim.lse:
@@ -248,7 +232,7 @@ TIE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
 class TestBankMatchesListReference:
     @settings(max_examples=100)
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @given(st.integers(2, 5), st.integers(1, 5), st.data())
     def test_random_admit_evict_bellman_sequences(self, n_best, n_recent,
                                                   data):
         state = SegmentationState(n_best, n_recent, dim=1, ridge=1e-4)
@@ -261,7 +245,9 @@ class TestBankMatchesListReference:
                     st.none(), st.integers(0, state.filled - 1)))
                 protect = None if state.anchor is None \
                     else int(state.start[state.anchor])
+                recent = live_starts(state)[-n_recent:]
                 assert evict_if_full(state) == ref.evict(protect)
+                assert set(recent) <= set(live_starts(state))
                 if protect is not None:
                     assert state.start[state.anchor] == protect
             if state.filled < state.capacity and data.draw(st.booleans()):
@@ -269,6 +255,7 @@ class TestBankMatchesListReference:
                     state.last_E = ref.last_E = data.draw(TIE_VALUES)
                 admit(state, n)
                 ref.admit(n)
+            assert state.filled <= n_best + n_recent
             assert live_starts(state) == [h.start for h in ref.items]
             assert state.e_admit[:state.filled].tolist() == \
                 [h.e_admit for h in ref.items]

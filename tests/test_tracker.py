@@ -33,15 +33,13 @@ def config(gains, tau0, **kw):
 
 # closed segments (a, b, doppler) of the 3 000-sample default stream per
 # (keep_best, keep_recent), committed so eviction-heavy answers cannot drift
-# unnoticed; the three smallest memories close the same two segments
+# unnoticed
 _SMALL_MEMORY_SEGMENTS = [
     ((0, 1287), (0.9996715346069646, 0.9993727935147405, 0.9998310596553807)),
     ((1288, 2368), (0.999722353344074, 0.9992201416070012,
                     0.9998412610233806)),
 ]
 EVICTION_HEAVY_SEGMENTS = {
-    (1, 1): _SMALL_MEMORY_SEGMENTS,
-    (1, 2): _SMALL_MEMORY_SEGMENTS,
     (2, 1): _SMALL_MEMORY_SEGMENTS,
     (3, 2): [
         ((0, 1085), (0.9996816721009465, 0.9993536539290618,
@@ -316,20 +314,6 @@ class TestTrackerRuns:
         # the 200 samples are counted and the rejected NaN is not
         assert trk.finalize().b == 199
 
-    def test_one_best_one_recent_keeps_admitting(self):
-        # eviction finds nothing to drop while the anchor is the older of
-        # the two candidates; the newcomer is admitted all the same
-        sig = build_signal()
-        r = sig.eval_passband(1.0003 * np.arange(600) * T - 8e-4)
-        trk = DopplerTracker(sig, config([1.0], [-8e-4], keep_best=1,
-                                         keep_recent=1))
-        live = []
-        for v in r:
-            trk.process_sample(float(v))
-            live.append(trk._seg.filled)
-        assert max(live) == 3
-        assert trk.finalize().b == 599
-
     def test_kept_anchor_row_follows_open_segment(self):
         # the bank keeps the anchor's row; eviction below the anchor and
         # closures both move that row
@@ -388,6 +372,7 @@ class TestConfigValidation:
                 config([1.0], [bad])
 
     def test_memory_sizes_rejected_by_the_bank(self):
-        for sizes in [dict(keep_best=0), dict(keep_recent=0)]:
+        for sizes in [dict(keep_best=0), dict(keep_best=1),
+                      dict(keep_recent=0)]:
             with pytest.raises(ValueError):
                 DopplerTracker(build_signal(), config([1.0], [0.0], **sizes))
