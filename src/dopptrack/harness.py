@@ -4,25 +4,24 @@ Builds the simulated scene, runs the streaming tracker and the peak-tracking
 baseline over it, and turns both into per-sample absolute timing-error traces
 against the simulator's ground truth. README "Output files" lists the
 artifacts and their columns; _write_csv frames every CSV, formatting a file
-of more than one block of rows in one forked process per usable CPU and
+of at least two shares' rows in one forked process per usable CPU and
 joining their shares in order, byte for byte as one process writes it.
 """
 
 from __future__ import annotations
 
 import configparser
-import contextlib
 import json
 import math
 import os
 import shutil
-import tempfile
 import warnings
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
 
 import numpy as np
 
+from . import fanout
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
                       path_lengths, sample_times, synthesize)
 from .peak_tracking import PeakTracker
@@ -453,13 +452,10 @@ def compare(err_a: ErrorTrace, err_b: ErrorTrace,
 _BLOCK_ROWS = 256
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: how many shares _write_csv splits
-    a CSV's blocks into."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # a platform without CPU affinity
-        return os.cpu_count() or 1
+# The fewest rows a share of a CSV holds. Forking loses on small files: on
+# a 2-vCPU VM, 300 rows took 0.52-0.56 ms in one share and 2.35-3.05 ms in
+# two, and at 20 000 rows one share won one measurement and two the other.
+_SHARE_ROWS = 8192
 
 
 def _write_blocks(f, blocks) -> None:
@@ -473,70 +469,40 @@ def _write_blocks(f, blocks) -> None:
         f.write("".join(map(fmt.__mod__, zip(*block))))
 
 
-def _fork_share(spill, share) -> int | None:
-    """The pid of a child process that writes share's lines into the binary
-    file spill, as open(path, "w") would write them, and exits with status
-    0; None when no child could be started. The child leaves through
-    os._exit, so it never returns into the caller's stack."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            with open(spill.fileno(), "w", closefd=False) as f:
-                _write_blocks(f, share)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
+def _spill_blocks(blocks, spill) -> None:
+    """The blocks' lines into the binary file spill, as open(path, "w")
+    would write them."""
+    with open(spill.fileno(), "w", closefd=False) as f:
+        _write_blocks(f, blocks)
 
 
 def _write_csv(path: str, header: str, parts) -> None:
     """The header line, then for each (fmt, columns) part the lines
     fmt % (columns[0][k], columns[1][k], ...), k over the columns' rows.
 
-    The parts' blocks of at most _BLOCK_ROWS rows are split into one
-    contiguous share per usable CPU, at most one share per _BLOCK_ROWS rows.
-    A forked child formats each share after the first into an anonymous
-    spill file in the output's directory while this process writes the
-    header and the first share; once every child is reaped, the shares
-    follow in order, a spill copied and a share whose fork failed formatted
-    here in its place, so the bytes do not depend on how many processes ran.
-    Where os.fork does not exist there is one share. Every child is reaped
+    The parts' blocks of at most _BLOCK_ROWS rows are split by
+    fanout.split into contiguous shares of at least _SHARE_ROWS rows, one
+    per usable CPU. This process writes the header and the first share
+    while a forked child formats each later share into an anonymous spill
+    file in the output's directory; the spills then follow in order, so the
+    bytes do not depend on how many processes ran. Every child is reaped
     before this returns or raises; a child that fails raises OSError naming
     the file."""
     blocks = [(fmt, columns, lo) for fmt, columns in parts
               for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
     rows = sum(len(columns[0]) for _, columns in parts)
-    count = max(1, min(_usable_cpus() if hasattr(os, "fork") else 1,
-                       -(-rows // _BLOCK_ROWS)))
-    shares = [blocks[len(blocks) * i // count:len(blocks) * (i + 1) // count]
-              for i in range(count)]
-    with contextlib.ExitStack() as files:
-        spills = [files.enter_context(tempfile.TemporaryFile(
-            dir=os.path.dirname(os.path.abspath(path)))) for _ in shares[1:]]
-        children = []
-        try:
-            for spill, share in zip(spills, shares[1:]):
-                children.append(_fork_share(spill, share))
-            f = files.enter_context(open(path, "w"))
-            f.write(header + "\n")
-            _write_blocks(f, shares[0])
-        finally:
-            failed = [pid for pid in children if pid is not None
-                      and os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise OSError("%s: %d of the %d child processes formatting its "
-                          "rows failed" % (path, len(failed), len(children)))
-        for spill, share, pid in zip(spills, shares[1:], children):
-            if pid is None:
-                _write_blocks(f, share)
-            else:
-                f.flush()
-                spill.seek(0)
-                shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
+    shares = fanout.split(blocks, rows, _SHARE_ROWS)
+
+    def here(share):
+        f.write(header + "\n")
+        _write_blocks(f, share)
+
+    with open(path, "w") as f, fanout.fan_out(
+            shares, here, _spill_blocks, path,
+            dir=os.path.dirname(os.path.abspath(path))) as spills:
+        for spill in spills:
+            f.flush()
+            shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
 
 
 def _path_major(fmt: str, n, *columns):

@@ -2,7 +2,7 @@ import numpy
 from hypothesis import settings
 
 from blas_core import openblas_core
-from dopptrack.harness import _usable_cpus
+from dopptrack.fanout import usable_cpus
 
 # Properties draw the same examples on every run and record none.
 settings.register_profile("dopptrack", derandomize=True, database=None,
@@ -12,6 +12,7 @@ settings.load_profile("dopptrack")
 
 def pytest_report_header(config):
     # the committed pins hang on numpy's per-CPU kernels as well as on the
-    # OpenBLAS core; the CSV writer's share count follows the usable CPUs
+    # OpenBLAS core; the CSV writer's and the baseline's share counts follow
+    # the usable CPUs
     return "numpy %s, openblas core: %s, usable cpus: %d" % (
-        numpy.__version__, openblas_core(), _usable_cpus())
+        numpy.__version__, openblas_core(), usable_cpus())

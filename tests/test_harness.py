@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dopptrack import cli, harness, signal_model
+from dopptrack import cli, fanout, harness, signal_model
 from dopptrack.channel import PATHS, ChannelScene, GroundTruth, synthesize
 from dopptrack.harness import ConfigError
 from dopptrack.signal_model import TransmitSignal
@@ -471,6 +471,13 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def share_rows_and_cpus(monkeypatch, cpus):
+    """The writer's shares cut at one block of rows, so that small files
+    split, on cpus usable CPUs."""
+    monkeypatch.setattr(harness, "_SHARE_ROWS", harness._BLOCK_ROWS)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+
+
 class RaisingColumn:
     """A float column of size rows whose block slice raises
     ZeroDivisionError when the block's first row is in rows."""
@@ -621,13 +628,13 @@ class TestCsvWriterBytes:
         with open(report + ".plot.csv", "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
 
-    # one share per usable CPU, capped at one per block of rows: one
+    # one share per usable CPU, each of at least one block of rows: one
     # process, as many as the rows allow, and more CPUs than any file has
     # blocks
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     def test_every_writer_at_each_share_count(self, tmp_path, monkeypatch,
                                               cpus):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        share_rows_and_cpus(monkeypatch, cpus)
         for size in self.LENGTHS + [20 * self.BLOCK]:
             at = tmp_path / str(size)
             self.test_received(at / "received", size)
@@ -649,7 +656,7 @@ class TestCsvWriterBytes:
         def no_fork():
             pytest.fail("forked for at most one block of rows")
 
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        share_rows_and_cpus(monkeypatch, 64)
         monkeypatch.setattr(os, "fork", no_fork)
         self.test_segments(tmp_path / "segments", 21)
         self.test_received(tmp_path / "received", self.BLOCK)
@@ -659,7 +666,7 @@ class TestCsvWriterBytes:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         for count, usable in ((7, 7), (None, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: count)
-            assert harness._usable_cpus() == usable
+            assert fanout.usable_cpus() == usable
 
     def test_failed_fork_writes_the_same_bytes_alone(self, tmp_path,
                                                      monkeypatch):
@@ -669,13 +676,13 @@ class TestCsvWriterBytes:
             forks.append(1)
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        share_rows_and_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         self.test_truth(tmp_path, 20 * self.BLOCK)
         assert len(forks) == 2
 
     def test_failed_child_raises_and_is_reaped(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        share_rows_and_cpus(monkeypatch, 2)
         path = str(tmp_path / "out.csv")
         # 4 blocks: the child's share, rows 512 to 1 023, raises
         with pytest.raises(OSError, match=re.escape(path)):
@@ -686,7 +693,7 @@ class TestCsvWriterBytes:
 
     def test_own_share_raising_propagates_after_reaping(self, tmp_path,
                                                         monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        share_rows_and_cpus(monkeypatch, 3)
         path = str(tmp_path / "out.csv")
         # 6 blocks: this process's share, rows 0 to 511, raises; the two
         # children's shares do not

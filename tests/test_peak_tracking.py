@@ -1,13 +1,16 @@
 import dataclasses
+import errno
+import os
 
 import numpy as np
 import pytest
 
-from dopptrack import peak_tracking
+from dopptrack import fanout, peak_tracking
 from dopptrack.harness import BaselineParams, SignalParams
 from dopptrack.peak_tracking import (PeakTracker, crosscorr, subsample_interp,
                                      track_step)
 from dopptrack.signal_model import make_qpsk_signal
+from test_harness import assert_no_child
 
 FS = 200e3
 T = 1.0 / FS
@@ -86,6 +89,16 @@ def full_correlation_search(prev_delays, corr, sample_period,
     return out, ~found
 
 
+def each_path(prev_delays, window, template, sample_period,
+              search_halfwidth):
+    """track_step for each of several paths on one window: (delays, flags)
+    as arrays."""
+    steps = [track_step(prev, window, template, sample_period,
+                        search_halfwidth) for prev in prev_delays.tolist()]
+    return (np.array([delay for delay, _ in steps], dtype=float),
+            np.array([flag for _, flag in steps], dtype=bool))
+
+
 class TestTrackStep:
     # a one-sample unit template correlates to the window itself, so these
     # tests hand track_step the correlation they mean as its window
@@ -96,43 +109,42 @@ class TestTrackStep:
         return np.exp(-0.5 * ((lag - center) / width) ** 2)
 
     def test_drifting_peak_followed(self):
-        delays = np.array([100 * T])
+        delay = 100 * T
         center = 100.0
         for _ in range(60):
             center += 0.3
-            delays, _ = track_step(delays, self.gaussian_peak(center),
-                                   self.UNIT, T, 20)
-            assert abs(delays[0] / T - center) < 0.1
+            delay, _ = track_step(delay, self.gaussian_peak(center),
+                                  self.UNIT, T, 20)
+            assert abs(delay / T - center) < 0.1
 
     def test_nearest_local_max_beats_global(self):
         corr = self.gaussian_peak(120) + 2.0 * self.gaussian_peak(220)
-        delays, _ = track_step(np.array([125 * T]), corr, self.UNIT, T, 20)
-        assert abs(delays[0] / T - 120) < 1.0
+        delay, _ = track_step(125 * T, corr, self.UNIT, T, 20)
+        assert abs(delay / T - 120) < 1.0
 
     def test_flat_correlation_holds_and_flags(self):
-        delays, flags = track_step(np.array([50 * T]), np.ones(200),
-                                   self.UNIT, T, 20)
-        assert delays[0] == pytest.approx(50 * T)
-        assert flags[0]
+        delay, flag = track_step(50 * T, np.ones(200), self.UNIT, T, 20)
+        assert delay == pytest.approx(50 * T)
+        assert flag
 
     def test_peak_outside_window_holds(self):
-        delays, flags = track_step(np.array([30 * T]),
-                                   self.gaussian_peak(300), self.UNIT, T, 10)
-        assert delays[0] == pytest.approx(30 * T)
-        assert flags[0]
+        delay, flag = track_step(30 * T, self.gaussian_peak(300), self.UNIT,
+                                 T, 10)
+        assert delay == pytest.approx(30 * T)
+        assert flag
 
     def test_locality_invariant(self):
         rng = np.random.default_rng(5)
-        delays = np.array([200 * T])
+        delay = 200 * T
         for _ in range(50):
             corr = rng.normal(size=500)
-            prev = delays[0]
-            delays, _ = track_step(delays, corr, self.UNIT, T, 15)
-            assert abs(delays[0] - prev) / T <= 15 + 0.5
+            prev = delay
+            delay, _ = track_step(delay, corr, self.UNIT, T, 15)
+            assert abs(delay - prev) / T <= 15 + 0.5
 
     def test_empty_correlation_rejected(self):
         with pytest.raises(ValueError):
-            track_step(np.array([1e-4]), np.array([]), self.UNIT, T, 5)
+            track_step(1e-4, np.array([]), self.UNIT, T, 5)
 
     def test_bit_exact_against_full_correlation_search(self):
         # at a unit period, lag 4 lies hw + 2^-52 above the delay, which
@@ -141,7 +153,7 @@ class TestTrackStep:
         prev = np.array([1.0 - 2.0 ** -52])
         want = full_correlation_search(prev, window, 1.0, 3)
         assert not want[1][0]
-        got = track_step(prev, window, self.UNIT, 1.0, 3)
+        got = each_path(prev, window, self.UNIT, 1.0, 3)
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
         # integer-valued windows make ties and plateaus; delays fall on,
@@ -163,7 +175,7 @@ class TestTrackStep:
             prev = np.abs(p) * T if case % 2 else p * T
             want = full_correlation_search(prev, crosscorr(window, template),
                                            T, hw)
-            got = track_step(prev, window, template, T, hw)
+            got = each_path(prev, window, template, T, hw)
             assert got[0].tobytes() == want[0].tobytes(), case
             np.testing.assert_array_equal(got[1], want[1])
 
@@ -174,7 +186,7 @@ class TestTrackStep:
         prev = np.array([2 * T, 6 * T, np.nan])
         for _ in range(2):
             want = full_correlation_search(prev, window, T, 3)
-            got = track_step(prev, window, self.UNIT, T, 3)
+            got = each_path(prev, window, self.UNIT, T, 3)
             assert got[0].tobytes() == want[0].tobytes()
             np.testing.assert_array_equal(got[1], want[1])
             prev = got[0]
@@ -195,7 +207,7 @@ class TestTrackStep:
             prev = rng.uniform(0.0, 900.0, size=20) * T
             prev[:4] = [0.0, 900 * T, 450 * T, 450.5 * T]
             spans.clear()
-            track_step(prev, window, template, T, hw)
+            each_path(prev, window, template, T, hw)
             assert len(spans) == prev.size
             assert max(spans) <= 2 * hw + 5
 
@@ -269,3 +281,101 @@ class TestPeakTrackerRun:
         with pytest.raises(ValueError):
             pk = PeakTracker(FS, **{**SETTINGS, **kw})
             pk.run(np.zeros(2000), np.zeros(2000), delays)
+
+
+class TestPeakTrackerShares:
+    """The paths fanned out over the usable CPUs keep the bits of the run
+    that stepped every path on one full correlation per iteration."""
+
+    HW = 5
+    DELAYS = [10 * T, 20.5 * T, 30 * T]
+
+    def run(self, iterations):
+        """(received, transmitted, run) of a 20-sample template, hop 1, over
+        three delayed noisy copies of a random stream, iterations long, that
+        goes silent for a stretch, where every path is flagged."""
+        rng = np.random.default_rng(iterations)
+        # max_lag = 2 * 30 (rounded up) + 4 * HW = 81 lags after the
+        # 20-sample template
+        x = rng.normal(size=iterations + 101)
+        r = rng.normal(0.0, 0.5, size=x.size)
+        for lag, gain in ((10, 1.0), (20, -0.7), (30, 0.5)):
+            r[lag:] += gain * x[:x.size - lag]
+        r[x.size // 3:x.size // 3 + 120] = 0.0
+        pk = PeakTracker(FS, template_len=1e-4, search_halfwidth=self.HW,
+                         hop=1)
+        got = pk.run(r, x, self.DELAYS)
+        assert got[0].size == iterations
+        return r, x, got
+
+    def assert_reference_bits(self, r, x, got):
+        n_grid, delays, flags = got
+        K = 20
+        max_lag = r.size - 1 - n_grid[-1]
+        assert n_grid.tolist() == list(range(K, r.size - max_lag))
+        prev, want = np.array(self.DELAYS), []
+        for n in n_grid:
+            prev, flag = full_correlation_search(
+                prev, crosscorr(r[n - K + 1:n + 1 + max_lag],
+                                x[n - K + 1:n + 1]), T, self.HW)
+            want.append((prev, flag))
+        assert delays.tobytes() == np.array([d for d, _ in want]).T.tobytes()
+        np.testing.assert_array_equal(flags,
+                                      np.array([f for _, f in want]).T)
+        assert flags.any() and not flags.all()
+
+    def counting_forks(self, monkeypatch, cpus):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    # one process, as many as there are paths, and more CPUs than paths
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_same_bits_at_each_share_count(self, monkeypatch, cpus):
+        forks = self.counting_forks(monkeypatch, cpus)
+        self.assert_reference_bits(*self.run(400))
+        assert_no_child()
+        assert len(forks) == min(cpus, 3) - 1
+
+    def test_failed_fork_gives_the_same_bits_alone(self, monkeypatch):
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.assert_reference_bits(*self.run(400))
+        assert len(forks) == 2
+
+    def test_failed_child_raises_after_reaping(self, monkeypatch):
+        here = os.getpid()
+
+        def raising_in_a_child(*args):
+            if os.getpid() != here:
+                raise ZeroDivisionError("child")
+            return track_step(*args)
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(peak_tracking, "track_step", raising_in_a_child)
+        with pytest.raises(OSError, match="peak tracking: 2 of the 2 child"):
+            self.run(400)
+        assert_no_child()
+
+    def test_grid_under_the_floor_starts_no_child(self, monkeypatch):
+        # three paths make two shares from 2 * floor path-iterations on
+        floor = peak_tracking._SHARE_ITERATIONS
+        forks = self.counting_forks(monkeypatch, 64)
+        self.run((2 * floor - 1) // 3)
+        assert forks == []
+        self.run(-(-2 * floor // 3))
+        assert forks == [1]
+        assert_no_child()
