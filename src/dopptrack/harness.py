@@ -22,6 +22,7 @@ from itertools import islice
 import numpy as np
 
 from . import fanout
+from .csvformat import format_rows
 from .channel import (PATHS, ChannelScene, Geometry, GroundTruth, MotionSpec,
                       path_lengths, sample_times, synthesize)
 from .peak_tracking import PeakTracker
@@ -446,34 +447,31 @@ def compare(err_a: ErrorTrace, err_b: ErrorTrace,
 # CSV artifacts
 
 
-# Rows formatted per write call. Write time is flat from 64 to 1 024 rows
-# (float repr dominates); larger blocks leave more freed string memory in the
-# heap and raise the pipeline's peak RSS, by ~1 MiB at 4 096 rows.
-_BLOCK_ROWS = 256
+# Rows formatted per write call. numpy's per-call cost is spread over the
+# block, and the block's working arrays grow with it: writing a truth.csv of
+# 3 x 10^5 rows traced a peak of 0.66 MiB at 2 048 rows, 0.97 MiB at 3 072
+# and 1.29 MiB at 4 096.
+_BLOCK_ROWS = 2048
 
 
-# The fewest rows a share of a CSV holds. Forking loses on small files: on
-# a 2-vCPU VM, 300 rows took 0.52-0.56 ms in one share and 2.35-3.05 ms in
-# two, and at 20 000 rows one share won one measurement and two the other.
-_SHARE_ROWS = 8192
+# The fewest rows a share of a CSV holds, so that a file splits from 24 576
+# rows. On a 2-vCPU VM (medians of 9 alternating calls) a fork and its reap
+# cost ~8-10 ms: "n,r" lines took 8.1, 18.9, 25.4 and 82.6 ms at 8 192,
+# 20 000, 30 000 and 10^5 rows in one share and 16.2, 28.4, 34.3 and 95.2 ms
+# in two, while the three-path files won with two shares from ~25 000 rows:
+# truth.csv of 3 x 8 192 rows 29.0 ms in one and 23.0 ms in two,
+# errors.csv 18.8 and 18.1 ms, delays.csv of 3 x 9 851 rows 27.4 and
+# 20.7 ms, and truth.csv of 3 x 10^5 rows 365 and 224 ms.
+_SHARE_ROWS = 12288
 
 
-def _write_blocks(f, blocks) -> None:
-    """For each (fmt, columns, lo) block, the lines
+def _write_blocks(blocks, f) -> None:
+    """For each (fmt, columns, lo) block, the bytes of the lines
     fmt % (columns[0][k], columns[1][k], ...), k over the at most
-    _BLOCK_ROWS rows from lo, in one write call. Each column's block is
-    converted with .tolist(), so floats are Python floats that %r writes
-    with repr; no whole column is ever a list."""
+    _BLOCK_ROWS rows from lo, formatted by csvformat.format_rows and written
+    to the binary file f in one call; no whole column is ever a list."""
     for fmt, columns, lo in blocks:
-        block = [np.asarray(c[lo:lo + _BLOCK_ROWS]).tolist() for c in columns]
-        f.write("".join(map(fmt.__mod__, zip(*block))))
-
-
-def _spill_blocks(blocks, spill) -> None:
-    """The blocks' lines into the binary file spill, as open(path, "w")
-    would write them."""
-    with open(spill.fileno(), "w", closefd=False) as f:
-        _write_blocks(f, blocks)
+        f.write(format_rows(fmt, [c[lo:lo + _BLOCK_ROWS] for c in columns]))
 
 
 def _write_csv(path: str, header: str, parts) -> None:
@@ -494,15 +492,14 @@ def _write_csv(path: str, header: str, parts) -> None:
     shares = fanout.split(blocks, rows, _SHARE_ROWS)
 
     def here(share):
-        f.write(header + "\n")
-        _write_blocks(f, share)
+        f.write(header.encode() + b"\n")
+        _write_blocks(share, f)
 
-    with open(path, "w") as f, fanout.fan_out(
-            shares, here, _spill_blocks, path,
+    with open(path, "wb") as f, fanout.fan_out(
+            shares, here, _write_blocks, path,
             dir=os.path.dirname(os.path.abspath(path))) as spills:
         for spill in spills:
-            f.flush()
-            shutil.copyfileobj(spill, f.buffer)   # in 64 KiB reads
+            shutil.copyfileobj(spill, f)   # in 64 KiB reads
 
 
 def _path_major(fmt: str, n, *columns):
@@ -618,11 +615,19 @@ def write_segments(path: str, segments) -> None:
     """One line per segment and path, segment-major: each segment's own
     columns are repeated over its paths."""
     m = len(PATHS)
+
+    def each(name):   # the segments' values, m per segment
+        return np.repeat([getattr(seg, name) for seg in segments], m)
+
+    def per_path(name):
+        return np.array([getattr(seg, name) for seg in segments],
+                        dtype=float).reshape(-1)
+
     _write_csv(path, "segment,path,a,b,d,tau_s,lse",
                [("%d,%s,%d,%d,%r,%r,%r\n",
-                 ([k] * m, PATHS, [seg.a] * m, [seg.b] * m, seg.doppler,
-                  seg.tau, [seg.lse] * m))
-                for k, seg in enumerate(segments)])
+                 (np.repeat(np.arange(len(segments)), m),
+                  np.tile(PATHS, len(segments)), each("a"), each("b"),
+                  per_path("doppler"), per_path("tau"), each("lse")))])
 
 
 def write_errors(path: str, trace: ErrorTrace) -> None:

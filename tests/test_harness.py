@@ -684,10 +684,10 @@ class TestCsvWriterBytes:
     def test_failed_child_raises_and_is_reaped(self, tmp_path, monkeypatch):
         share_rows_and_cpus(monkeypatch, 2)
         path = str(tmp_path / "out.csv")
-        # 4 blocks: the child's share, rows 512 to 1 023, raises
+        # 4 blocks: the child's share, blocks 2 and 3, raises
         with pytest.raises(OSError, match=re.escape(path)):
             harness._write_csv(path, "x", [("%r\n", (RaisingColumn(
-                1024, range(300, 1024)),))])
+                4 * self.BLOCK, range(self.BLOCK + 1, 4 * self.BLOCK)),))])
         assert_no_child()
         assert os.listdir(tmp_path) == ["out.csv"]
 
@@ -695,11 +695,11 @@ class TestCsvWriterBytes:
                                                         monkeypatch):
         share_rows_and_cpus(monkeypatch, 3)
         path = str(tmp_path / "out.csv")
-        # 6 blocks: this process's share, rows 0 to 511, raises; the two
+        # 6 blocks: this process's share, blocks 0 and 1, raises; the two
         # children's shares do not
         with pytest.raises(ZeroDivisionError):
             harness._write_csv(path, "x", [("%r\n", (RaisingColumn(
-                1536, range(300)),))])
+                6 * self.BLOCK, range(self.BLOCK + 1)),))])
         assert_no_child()
         assert os.listdir(tmp_path) == ["out.csv"]
 
