@@ -48,9 +48,10 @@ def _flog2pow10(e):
 
 
 def _g_table() -> tuple[np.ndarray, ...]:
-    """Schubfach's multipliers g = floor(10**-k / 2**r) + 1 for each k,
-    r such that 2**125 <= 10**-k / 2**r < 2**126, as the 32-bit limbs of
-    g's two 63-bit halves g1 and g0 (g = g1 2**63 + g0), and g1 itself."""
+    """Schubfach's 617 multipliers g = floor(10**-k / 2**r) + 1, one for
+    each k, r such that 2**125 <= 10**-k / 2**r < 2**126, computed from
+    exact integers and kept as their 63-bit halves g1 and g0
+    (g = g1 2**63 + g0)."""
     g1, g0 = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         r = _flog2pow10(-k) - 125
@@ -63,7 +64,22 @@ def _g_table() -> tuple[np.ndarray, ...]:
     return np.array(g1, dtype=_U64), np.array(g0, dtype=_U64)
 
 
-_G1, _G0 = _g_table()
+def _exponent_tables() -> tuple[tuple[np.ndarray, ...], ...]:
+    """Schubfach's k, h, g1 and g0 for each biased exponent of a double,
+    first where its neighbours are equally far away and then where the
+    lower one is half as far (below a power of two)."""
+    g1, g0 = _g_table()
+    q = np.arange(2048) - 1075
+    tables = []
+    for log10_shift in (0, 274_743_187_321):
+        k = (q * 661_971_961_083 - log10_shift) >> 41
+        h = (q + _flog2pow10(-k) + 2).astype(_U64)
+        at = np.clip(k - _K_MIN, 0, _K_MAX - _K_MIN)   # a zero or inf's k
+        tables.append((k, h, g1[at], g0[at]))
+    return tuple(tables)
+
+
+_REGULAR, _IRREGULAR = _exponent_tables()
 
 
 def _mulhi(a, b_lo, b_hi):
@@ -81,18 +97,25 @@ def _fold(y1, y0, x1):
     return (y1 + (z >> _U64(63))) | (((z & _M63) + _M63) >> _U64(63))
 
 
+def _shifted(g1, g0, s):
+    """The 64-bit halves (low, high) of g1 2**s and of g0 2**s."""
+    return g1 << s, g1 >> (_U64(64) - s), g0 << s, g0 >> (_U64(64) - s)
+
+
 def _shortest(bits):
     """(f, k) with f 10**k the decimal repr writes for each normal double
-    of the given bits, sign aside; f has at most 18 digits."""
-    c = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
-    bq = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    q = bq - 1075
+    of the given bits, sign aside; 10**15 <= f <= 10**17."""
+    bq = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)
+    fraction = bits & _U64((1 << 52) - 1)
+    c = fraction | _U64(1 << 52)
+    k, h, g1, g0 = (np.take(table, bq) for table in _REGULAR)
     # below a power of two the lower neighbour is half as far away, except
     # at the smallest normal, where subnormals keep the spacing
-    irregular = (c == _U64(1 << 52)) & (bq > 1)
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(_U64)
-    g1, g0 = np.take(_G1, k - _K_MIN), np.take(_G0, k - _K_MIN)
+    irregular = (fraction == _U64(0)) & (bq > 1)
+    odd_spacing = irregular.any()
+    if odd_spacing:
+        k, h, g1, g0 = (np.where(irregular, np.take(table, bq), value)
+                        for table, value in zip(_IRREGULAR, (k, h, g1, g0)))
     # the products g cp as g1 cp = y1 2**64 + y0 and g0 cp = x1 2**64 + x0
     cp = c << (h + _U64(2))
     cp_lo, cp_hi = cp & _M32, cp >> _U64(32)
@@ -102,13 +125,11 @@ def _shortest(bits):
     # the rounding interval's bounds: cp -+ 2**s makes the same products
     # minus or plus g 2**s, carried across the 64-bit halves
     s = h + _U64(1)
-    lo1, hi1, lo0, hi0 = g1 << s, g1 >> (_U64(64) - s), \
-        g0 << s, g0 >> (_U64(64) - s)
+    lo1, hi1, lo0, hi0 = _shifted(g1, g0, s)
     y0r, x0r = y0 + lo1, x0 + lo0
     vbr = _fold(y1 + hi1 + (y0r < y0), y0r, x1 + hi0 + (x0r < x0))
-    s -= irregular
-    lo1, hi1, lo0, hi0 = g1 << s, g1 >> (_U64(64) - s), \
-        g0 << s, g0 >> (_U64(64) - s)
+    if odd_spacing:
+        lo1, hi1, lo0, hi0 = _shifted(g1, g0, s - irregular)
     y0l, x0l = y0 - lo1, x0 - lo0
     vbl = _fold(y1 - hi1 - (y0l > y0), y0l, x1 - hi0 - (x0l > x0))
     # a bound is inside the interval when c is even
@@ -121,51 +142,55 @@ def _shortest(bits):
     sp10 = (s // _TEN) * _TEN
     sp40 = sp10 << _U64(2)
     upin, wpin = vbl <= sp40, sp40 + _U64(40) <= vbr
+    # else s or s + 1, whichever lies inside; if both do, the nearer to v,
+    # the even one on a tie
     s4 = s << _U64(2)
     uin, win = vbl <= s4, s4 + _U64(4) <= vbr
-    # both s and s + 1 inside: the nearer to v, the even one on a tie
-    mid = s4 + _U64(2)
-    up = np.where(uin != win, win, (vb > mid) | ((vb == mid) & (s & _U64(1)
-                                                               == 1)))
-    f = np.where(upin != wpin, sp10 + wpin * _TEN, s + up)
-    return f, k
+    up = ~uin | (win & (vb + (s & _U64(1)) > s4 + _U64(2)))
+    return np.where(upin ^ wpin, sp10 + wpin * _TEN, s + up), k
 
 
-_PAIR = np.array([(ord("0") + r // 10) | (ord("0") + r % 10) << 8
-                  for r in range(100)], dtype="<u2")
-# the pair r of digits, then the pair with its trailing zeros as NUL bytes
-_PAIRS = np.concatenate([_PAIR, np.where(
-    np.arange(100) % 10, _PAIR, np.where(np.arange(100), _PAIR & 0xFF, 0))]
-    ).astype("<u2")
+def _quads() -> np.ndarray:
+    """The 4 digit characters of each r below 10**4 as 4 bytes, then the
+    same with the trailing zeros as NUL bytes."""
+    r = np.arange(10_000)[:, None]
+    chars = (r // np.array([1000, 100, 10, 1]) % 10 + _ZERO).astype(np.uint8)
+    trailing = np.logical_and.accumulate(chars[:, ::-1] == _ZERO,
+                                         axis=1)[:, ::-1]
+    quads = np.concatenate([chars, np.where(trailing, _NUL, chars)])
+    return quads.view("<u4").ravel()
+
+
+_QUADS = _quads()
+_FIRST = 3   # the column of the first digit in _digits' matrix
 
 
 def _digits(f17: np.ndarray) -> np.ndarray:
     """The 17 digits of each f17 in [10**16, 10**17), as characters in
-    columns 1 to 17 of a (len(f17), 18) matrix, the trailing zeros as NUL
-    bytes; column 0 is NUL."""
+    columns _FIRST to _FIRST + 16 of a (len(f17), 20) matrix, the trailing
+    zeros as NUL bytes; the columns before them are NUL."""
     n = f17.size
     lead = f17 // _POW10[16]
     rest = f17 - lead * _POW10[16]
-    # the 16 digits after the first as two 8-digit halves, two at a time
+    # the 16 digits after the first as two 8-digit halves, four at a time
     v = np.empty((2, n), np.uint32)
     v[0] = rest // _POW10[8]
     v[1] = rest - v[0].astype(_U64) * _POW10[8]
-    # 100 while every digit to the right of the next pair is zero
+    # 10**4 while every digit to the right of the next four is zero
     zeros = np.empty((2, n), np.uint32)
-    zeros[0] = (v[1] == 0) * 100
-    zeros[1] = 100
-    # the pairs are made in rows of their own, then laid out by value
-    pairs = np.empty((4, 2, n), "<u2")
-    for i in range(3, -1, -1):
-        q = v // np.uint32(100)
-        r = v - q * np.uint32(100)
-        np.take(_PAIRS, r + zeros, out=pairs[i], mode="clip")
-        zeros *= r == 0
-        v = q
-    d = np.empty((n, 18), np.uint8)
-    by_value = d.view("<u2")
-    by_value[:, 0] = (lead.astype(np.uint16) + ord("0")) << 8
-    by_value[:, 1:].reshape(n, 2, 4)[...] = pairs.transpose(2, 1, 0)
+    zeros[0] = (v[1] == 0) * 10_000
+    zeros[1] = 10_000
+    # the quads are made in rows of their own, then laid out by value
+    quads = np.empty((2, 2, n), "<u4")
+    high = v // np.uint32(10_000)
+    low = v - high * np.uint32(10_000)
+    np.take(_QUADS, low + zeros, out=quads[1], mode="clip")
+    zeros *= low == 0
+    np.take(_QUADS, high + zeros, out=quads[0], mode="clip")
+    d = np.empty((n, 20), np.uint8)
+    by_value = d.view("<u4")
+    by_value[:, 0] = (lead.astype(np.uint32) + _ZERO) << 24
+    by_value[:, 1:].reshape(n, 2, 2)[...] = quads.transpose(2, 1, 0)
     return d
 
 
@@ -176,8 +201,11 @@ _EXP = np.array([ord("-" if e < 0 else "+")
                  | (ord("0") + abs(e) // 10 % 10) << 16
                  | (ord("0") + abs(e) % 10) << 24
                  for e in range(-324, 309)], dtype="<u4")
-_FLOAT_WIDTH = 24   # len(repr(-2.2250738585072014e-308))
 _EXP_FORM = 20      # the layout form of exponent notation
+# each form's field width, its sign column included; 24 is
+# len(repr(-2.2250738585072014e-308))
+_WIDTH = np.array([20 - (form - 3) if form <= 3 else 19
+                   for form in range(_EXP_FORM)] + [24])
 
 
 def _layout(field, d, rows, form: int, e) -> None:
@@ -185,11 +213,12 @@ def _layout(field, d, rows, form: int, e) -> None:
     digits d (from _digits) laid out by form, which is the decimal point
     position p + 3 for p from -3 to 16, or _EXP_FORM; e the values'
     exponents, for exponent notation."""
+    first = _FIRST
     if form == _EXP_FORM:
-        field[rows, 1] = d[rows, 1]
+        field[rows, 1] = d[rows, first]
         # a point unless the first digit is the only one
-        field[rows, 2] = (d[rows, 2] != 0) * np.uint8(ord("."))
-        field[rows, 3:19] = d[rows, 2:]
+        field[rows, 2] = (d[rows, first + 1] != 0) * np.uint8(ord("."))
+        field[rows, 3:19] = d[rows, first + 1:]
         field[rows, 19] = ord("e")
         field[rows, 20:24] = np.take(_EXP, e[rows] + 324).view(
             np.uint8).reshape(-1, 4)
@@ -197,18 +226,19 @@ def _layout(field, d, rows, form: int, e) -> None:
     p = form - 3
     if p <= 0:   # 0.000ddd
         field[rows, 1:3 - p] = np.frombuffer(b"0." + b"0" * -p, np.uint8)
-        field[rows, 3 - p:20 - p] = d[rows, 1:]
+        field[rows, 3 - p:20 - p] = d[rows, first:]
         return
     # the integer digits keep their trailing zeros, and one fraction
     # digit is written if all are zero
-    np.maximum(d[rows, 1:p + 2], ord("0"), out=field[rows, 1:p + 2])
+    np.maximum(d[rows, first:first + p + 1], _ZERO,
+               out=field[rows, 1:p + 2])
     field[rows, p + 2] = field[rows, p + 1]
     field[rows, p + 1] = ord(".")
-    field[rows, p + 3:19] = d[rows, p + 2:]
+    field[rows, p + 3:19] = d[rows, first + p + 1:]
 
 
 def _float_field(x: np.ndarray) -> np.ndarray:
-    """The repr of each float64 of x, a (len(x), 24) NUL-padded matrix."""
+    """The repr of each float64 of x, a NUL-padded matrix of len(x) rows."""
     bits = x.view(_U64)
     bq = (bits >> _U64(52)) & _U64(0x7FF)
     special = np.flatnonzero((bq == _U64(0)) | (bq == _U64(0x7FF)))
@@ -216,16 +246,19 @@ def _float_field(x: np.ndarray) -> np.ndarray:
         bits = bits.copy()
         bits[special] = np.float64(1.0).view(_U64)
     f, k = _shortest(bits)
-    nd = np.searchsorted(_POW10, f, side="right")
     # f scaled to exactly 17 digits; 10**17 itself is the one 18-digit f
-    f17 = f * np.take(_POW10, np.maximum(17 - nd, 0))
-    f17[nd > 17] = _POW10[16]
-    decpt = nd + k
+    short = f < _POW10[16]
+    f17 = np.where(short, f * _TEN, f)
+    decpt = k + 17 - short
+    top = np.flatnonzero(f17 == _POW10[17])
+    f17[top] = _POW10[16]
+    decpt[top] += 1
     form = np.where((decpt <= -4) | (decpt > 16), _EXP_FORM, decpt + 3)
     counts = np.bincount(form, minlength=_EXP_FORM + 1)
-    field = np.zeros((x.size, _FLOAT_WIDTH), np.uint8)
-    field[:, 0] = (bits >> _U64(63)) * _U64(ord("-"))   # else NUL
     present = np.flatnonzero(counts)
+    width = 24 if special.size else _WIDTH[present].max()
+    field = np.zeros((x.size, width), np.uint8)
+    field[:, 0] = (bits >> _U64(63)) * _U64(ord("-"))   # else NUL
     if present.size == 1:
         _layout(field, _digits(f17), slice(None), present[0], decpt - 1)
     else:
@@ -310,8 +343,12 @@ def format_rows(fmt: str, columns) -> bytes:
     rows = len(arrays[0]) if arrays else 0
     if rows == 0:
         return b""
-    fields = [np.broadcast_to(np.frombuffer(literals[0], np.uint8),
-                              (rows, len(literals[0])))]
+
+    def text(literal):   # the literal on every row
+        return np.broadcast_to(np.frombuffer(literal, np.uint8),
+                               (rows, len(literal)))
+
+    fields = [text(literals[0])]
     for conversion, a, literal in zip(conversions, arrays, literals[1:]):
         kinds, field = _FIELDS[conversion]
         if a.ndim != 1 or a.dtype.kind not in kinds:
@@ -319,8 +356,6 @@ def format_rows(fmt: str, columns) -> bytes:
                             % (conversion, kinds, a.dtype))
         if a.dtype.kind == "f":
             a = a.astype(np.float64, copy=False)
-        fields.append(field(a))
-        fields.append(np.broadcast_to(np.frombuffer(literal, np.uint8),
-                                      (rows, len(literal))))
+        fields += [field(a), text(literal)]
     block = np.concatenate(fields, axis=1)
     return block[block != 0].tobytes()
