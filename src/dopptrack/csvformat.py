@@ -153,8 +153,9 @@ def _shortest(bits):
 def _quads() -> np.ndarray:
     """The 4 digit characters of each r below 10**4 as 4 bytes, then the
     same with the trailing zeros as NUL bytes."""
-    r = np.arange(10_000)[:, None]
-    chars = (r // np.array([1000, 100, 10, 1]) % 10 + _ZERO).astype(np.uint8)
+    r = np.arange(10_000, dtype=np.uint16)[:, None]
+    chars = (r // np.array([1000, 100, 10, 1], np.uint16) % np.uint16(10)
+             ).astype(np.uint8) + np.uint8(_ZERO)
     trailing = np.logical_and.accumulate(chars[:, ::-1] == _ZERO,
                                          axis=1)[:, ::-1]
     quads = np.concatenate([chars, np.where(trailing, _NUL, chars)])
