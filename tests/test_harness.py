@@ -500,7 +500,10 @@ class TestCsvWriterBytes:
     repr changes notation."""
 
     BLOCK = harness._BLOCK_ROWS
-    LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    # 255 to 513 are files of one partial block, odd and even, around a
+    # smaller block size; the rest sit around the block size in use
+    LENGTHS = [0, 1, 255, 256, 257, 513, BLOCK - 1, BLOCK, BLOCK + 1,
+               2 * BLOCK + 1]
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                2.5e-310, -1.1e-320, 1e16, 9999999999999998.0, 1e-5,
                9.999999999999999e-06, 1e-4, 3.0, -7.0, 1e15, 1e22, 123456.0,
