@@ -2,11 +2,11 @@
 
 format_rows(fmt, columns) returns the bytes of
 "".join(fmt % row for row in zip(*columns)) for a format made of literal
-text and the conversions %d (integer or boolean columns), %r (float
-columns) and %s (str columns), with %% a literal '%'. Each field of the
-block is formed as a (rows, width) byte matrix padded with NUL bytes; the
-fields side by side make one matrix, whose non-NUL bytes, row by row, are
-the block's text. A literal or a string therefore holds no NUL character.
+text and the conversions %d (integer or boolean columns) and %r (float
+columns); a literal holds no '%'. Each field of the block is formed as a
+(rows, width) byte matrix padded with NUL bytes; the fields side by side
+make one matrix, whose non-NUL bytes, row by row, are the block's text. A
+literal therefore holds no NUL character either.
 
 A normal double is written as repr writes it: the shortest decimal that
 reads back as the same double, and of those the nearest, the one with an
@@ -209,33 +209,31 @@ _WIDTH = np.array([20 - (form - 3) if form <= 3 else 19
                    for form in range(_EXP_FORM)] + [24])
 
 
-def _layout(field, d, rows, form: int, e) -> None:
-    """The text of the values rows of field, after its sign column: the
-    digits d (from _digits) laid out by form, which is the decimal point
-    position p + 3 for p from -3 to 16, or _EXP_FORM; e the values'
+def _layout(body, d, form: int, e) -> None:
+    """The text of values after their sign, into the NUL matrix body: the
+    values' digits d (from _digits) laid out by form, which is the decimal
+    point position p + 3 for p from -3 to 16, or _EXP_FORM; e the values'
     exponents, for exponent notation."""
     first = _FIRST
     if form == _EXP_FORM:
-        field[rows, 1] = d[rows, first]
+        body[:, 0] = d[:, first]
         # a point unless the first digit is the only one
-        field[rows, 2] = (d[rows, first + 1] != 0) * np.uint8(ord("."))
-        field[rows, 3:19] = d[rows, first + 1:]
-        field[rows, 19] = ord("e")
-        field[rows, 20:24] = np.take(_EXP, e[rows] + 324).view(
-            np.uint8).reshape(-1, 4)
+        body[:, 1] = (d[:, first + 1] != 0) * np.uint8(ord("."))
+        body[:, 2:18] = d[:, first + 1:]
+        body[:, 18] = ord("e")
+        body[:, 19:23] = np.take(_EXP, e + 324).view(np.uint8).reshape(-1, 4)
         return
     p = form - 3
     if p <= 0:   # 0.000ddd
-        field[rows, 1:3 - p] = np.frombuffer(b"0." + b"0" * -p, np.uint8)
-        field[rows, 3 - p:20 - p] = d[rows, first:]
+        body[:, :2 - p] = np.frombuffer(b"0." + b"0" * -p, np.uint8)
+        body[:, 2 - p:19 - p] = d[:, first:]
         return
     # the integer digits keep their trailing zeros, and one fraction
     # digit is written if all are zero
-    np.maximum(d[rows, first:first + p + 1], _ZERO,
-               out=field[rows, 1:p + 2])
-    field[rows, p + 2] = field[rows, p + 1]
-    field[rows, p + 1] = ord(".")
-    field[rows, p + 3:19] = d[rows, first + p + 1:]
+    body[:, :p + 1] = np.maximum(d[:, first:first + p + 1], _ZERO)
+    body[:, p + 1] = body[:, p]
+    body[:, p] = ord(".")
+    body[:, p + 2:18] = d[:, first + p + 1:]
 
 
 def _float_field(x: np.ndarray) -> np.ndarray:
@@ -255,23 +253,17 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     f17[top] = _POW10[16]
     decpt[top] += 1
     form = np.where((decpt <= -4) | (decpt > 16), _EXP_FORM, decpt + 3)
-    counts = np.bincount(form, minlength=_EXP_FORM + 1)
-    present = np.flatnonzero(counts)
+    present = np.flatnonzero(np.bincount(form))
     width = 24 if special.size else _WIDTH[present].max()
     field = np.zeros((x.size, width), np.uint8)
     field[:, 0] = (bits >> _U64(63)) * _U64(ord("-"))   # else NUL
-    if present.size == 1:
-        _layout(field, _digits(f17), slice(None), present[0], decpt - 1)
-    else:
-        # rows of one form share one layout: sorted by form, each a slice
-        order = np.argsort(form.astype(np.uint8), kind="stable")
-        d, e = _digits(np.take(f17, order)), np.take(decpt - 1, order)
-        ends = np.cumsum(counts)
-        for at in present:
-            _layout(field, d, slice(ends[at] - counts[at], ends[at]), at, e)
-        back = np.empty_like(order)
-        back[order] = np.arange(order.size)
-        field[:, 1:] = np.take(field[:, 1:], back, axis=0)
+    d, e = _digits(f17), decpt - 1
+    for at in present:   # the rows of one form share one layout
+        rows = slice(None) if present.size == 1 \
+            else np.flatnonzero(form == at)
+        body = field[rows, 1:]   # a view for slice(None), else a copy
+        _layout(body, d[rows], at, e[rows])
+        field[rows, 1:] = body
     for i in special:
         text = float.__repr__(float(x[i])).encode()
         field[i] = _NUL
@@ -298,29 +290,20 @@ def _int_field(a: np.ndarray) -> np.ndarray:
     return field
 
 
-def _str_field(a: np.ndarray) -> np.ndarray:
-    """The UTF-8 bytes of each str of a, a NUL-padded (len(a), width)
-    matrix."""
-    encoded = np.char.encode(a, "utf-8")
-    return encoded.view(np.uint8).reshape(a.size, encoded.dtype.itemsize)
-
-
-_FIELDS = {"d": ("iub", _int_field), "r": ("f", _float_field),
-           "s": ("U", _str_field)}
+_FIELDS = {"d": ("iub", _int_field), "r": ("f", _float_field)}
 
 
 @functools.lru_cache(maxsize=None)
 def _parse(fmt: str) -> tuple[list, list]:
     """(literals, conversions) of fmt: the literal texts as bytes, one more
     than the conversion characters, which alternate with them."""
-    parts = re.split(r"%(.)", fmt.replace("%%", "\0"))
-    literals = [p.replace("\0", "%").encode() for p in parts[0::2]]
+    parts = re.split(r"%(.)", fmt)
     conversions = parts[1::2]
     if "\0" in fmt or not set(conversions) <= set(_FIELDS) \
-            or fmt.count("%") - 2 * fmt.count("%%") != len(conversions):
-        raise ValueError("format %r: only %%d, %%r, %%s and %%%% are "
-                         "formatted, and no NUL character" % fmt)
-    return literals, conversions
+            or fmt.count("%") != len(conversions):
+        raise ValueError("format %r: only %%d and %%r are formatted, and "
+                         "no NUL character" % fmt)
+    return [p.encode() for p in parts[0::2]], conversions
 
 
 def _as_array(column) -> np.ndarray:
@@ -333,9 +316,9 @@ def _as_array(column) -> np.ndarray:
 def format_rows(fmt: str, columns) -> bytes:
     """The bytes of "".join(fmt % row for row in zip(*columns)), as UTF-8,
     for columns of equal length: ranges, sequences or arrays, an integer
-    or boolean column for each %d, a float one for each %r and a str one
-    for each %s of fmt. TypeError when a column's type does not fit its
-    conversion, ValueError when fmt holds another conversion or a NUL."""
+    or boolean column for each %d and a float one for each %r of fmt.
+    TypeError when a column's type does not fit its conversion, ValueError
+    when fmt holds another conversion, a literal '%' or a NUL."""
     literals, conversions = _parse(fmt)
     arrays = [_as_array(c) for c in columns]
     if len(arrays) != len(conversions):

@@ -11,10 +11,12 @@ joining their shares in order, byte for byte as one process writes it.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import os
 import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, asdict, replace
 from itertools import islice
@@ -465,13 +467,17 @@ _BLOCK_ROWS = 2048
 _SHARE_ROWS = 12288
 
 
-def _write_blocks(blocks, f) -> None:
-    """For each (fmt, columns, lo) block, the bytes of the lines
-    fmt % (columns[0][k], columns[1][k], ...), k over the at most
-    _BLOCK_ROWS rows from lo, formatted by csvformat.format_rows and written
-    to the binary file f in one call; no whole column is ever a list."""
+def _write_blocks(share) -> None:
+    """For each (fmt, columns, lo) block of a (blocks, f) share, the bytes
+    of the lines fmt % (columns[0][k], columns[1][k], ...), k over the at
+    most _BLOCK_ROWS rows from lo, formatted by csvformat.format_rows and
+    written to the binary file f in one call; no whole column is ever a
+    list. f is flushed last, since a forked child leaves through os._exit,
+    which flushes nothing."""
+    blocks, f = share
     for fmt, columns, lo in blocks:
         f.write(format_rows(fmt, [c[lo:lo + _BLOCK_ROWS] for c in columns]))
+    f.flush()
 
 
 def _write_csv(path: str, header: str, parts) -> None:
@@ -482,23 +488,22 @@ def _write_csv(path: str, header: str, parts) -> None:
     fanout.split into contiguous shares of at least _SHARE_ROWS rows, one
     per usable CPU. This process writes the header and the first share
     while a forked child formats each later share into an anonymous spill
-    file in the output's directory; the spills then follow in order, so the
-    bytes do not depend on how many processes ran. Every child is reaped
-    before this returns or raises; a child that fails raises OSError naming
-    the file."""
+    file that this opens in the output's directory; the spills then follow
+    in order, so the bytes do not depend on how many processes ran. Every
+    child is reaped before this returns or raises; a child that fails
+    raises OSError naming the file."""
     blocks = [(fmt, columns, lo) for fmt, columns in parts
               for lo in range(0, len(columns[0]), _BLOCK_ROWS)]
     rows = sum(len(columns[0]) for _, columns in parts)
     shares = fanout.split(blocks, rows, _SHARE_ROWS)
-
-    def here(share):
+    spill_dir = os.path.dirname(os.path.abspath(path))
+    with open(path, "wb") as f, contextlib.ExitStack() as stack:
+        spills = [stack.enter_context(tempfile.TemporaryFile(dir=spill_dir))
+                  for _ in shares[1:]]
         f.write(header.encode() + b"\n")
-        _write_blocks(share, f)
-
-    with open(path, "wb") as f, fanout.fan_out(
-            shares, here, _write_blocks, path,
-            dir=os.path.dirname(os.path.abspath(path))) as spills:
+        fanout.fan_out(list(zip(shares, [f, *spills])), _write_blocks, path)
         for spill in spills:
+            spill.seek(0)
             shutil.copyfileobj(spill, f)   # in 64 KiB reads
 
 
@@ -616,18 +621,21 @@ def write_segments(path: str, segments) -> None:
     columns are repeated over its paths."""
     m = len(PATHS)
 
-    def each(name):   # the segments' values, m per segment
-        return np.repeat([getattr(seg, name) for seg in segments], m)
+    def each(name):   # the segments' values, one per segment
+        return np.array([getattr(seg, name) for seg in segments])
 
-    def per_path(name):
+    def per_path(name):   # (m, segments) values
         return np.array([getattr(seg, name) for seg in segments],
-                        dtype=float).reshape(-1)
+                        dtype=float).reshape(-1, m).T
 
+    n, a, b, lse = range(len(segments)), each("a"), each("b"), each("lse")
+    # one row per segment, which names each path in its own line
     _write_csv(path, "segment,path,a,b,d,tau_s,lse",
-               [("%d,%s,%d,%d,%r,%r,%r\n",
-                 (np.repeat(np.arange(len(segments)), m),
-                  np.tile(PATHS, len(segments)), each("a"), each("b"),
-                  per_path("doppler"), per_path("tau"), each("lse")))])
+               [("".join("%d," + name + ",%d,%d,%r,%r,%r\n"
+                         for name in PATHS),
+                 [column for d, tau in zip(per_path("doppler"),
+                                           per_path("tau"))
+                  for column in (n, a, b, d, tau, lse)])])
 
 
 def write_errors(path: str, trace: ErrorTrace) -> None:

@@ -144,10 +144,11 @@ class PeakTracker:
         tracked over the whole grid in its own loop of `track_step` calls.
         fanout.split cuts the paths into contiguous shares of at least
         _SHARE_ITERATIONS path-iterations, one per usable CPU: this process
-        tracks the first share while a forked child tracks each later one
-        and spills its delays and flags as raw bytes, so the bits do not
-        depend on how many processes ran. Every child is reaped before this
-        returns or raises; a child that fails raises OSError.
+        tracks the first share while a forked child tracks each later one,
+        each writing its paths' rows of delays and flags in place in shared
+        memory (fanout.shared), so the bits do not depend on how many
+        processes ran. Every child is reaped before this returns or raises;
+        a child that fails raises OSError.
         """
         if received.size != transmitted.size:
             raise ValueError("received stream of %d samples, transmitted of %d"
@@ -164,8 +165,8 @@ class PeakTracker:
                              "of %d and lag range of %d samples"
                              % (received.size, K, max_lag))
         n_grid = np.arange(K, last + 1, self.hop)
-        delays = np.empty((prev.size, n_grid.size))
-        flags = np.empty((prev.size, n_grid.size), dtype=bool)
+        delays = fanout.shared((prev.size, n_grid.size), float)
+        flags = fanout.shared((prev.size, n_grid.size), bool)
         period = 1.0 / self.sample_rate
         hw = self.search_halfwidth
         grid = n_grid.tolist()
@@ -181,17 +182,7 @@ class PeakTracker:
                     row_flags.append(flag)
                 delays[k], flags[k] = row, row_flags
 
-        def spill(paths, f):
-            track(paths)
-            f.write(delays[paths.start:paths.stop].tobytes())
-            f.write(flags[paths.start:paths.stop].tobytes())
-
         shares = fanout.split(range(prev.size), prev.size * n_grid.size,
                               _SHARE_ITERATIONS)
-        with fanout.fan_out(shares, track, spill, "peak tracking") as spills:
-            for paths, f in zip(shares[1:], spills):
-                rows = slice(paths.start, paths.stop)
-                if f.readinto(delays[rows]) + f.readinto(flags[rows]) \
-                        != delays[rows].nbytes + flags[rows].nbytes:
-                    raise OSError("peak tracking: a spill file is short")
+        fanout.fan_out(shares, track, "peak tracking")
         return n_grid, delays, flags

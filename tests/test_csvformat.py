@@ -69,9 +69,8 @@ def test_integers_to_both_ends():
 
 
 def test_range_column_and_literals():
-    rows = (range(7, 40, 3), np.linspace(-1.0, 1.0, 11), ["é", "x%"] * 5
-            + ["ab"])
-    fmt = "%%%d;%r,café %s\n"
+    rows = (range(7, 40, 3), np.linspace(-1.0, 1.0, 11))
+    fmt = "é%d;%r,café\n"
     assert format_rows(fmt, rows) == per_row(fmt, rows)
 
 
@@ -79,14 +78,15 @@ def test_empty_block_is_empty():
     assert format_rows("%d,%r\n", [[], []]) == b""
 
 
-@pytest.mark.parametrize("fmt", ["%f\n", "%5d\n", "%r\0", "%"])
+@pytest.mark.parametrize("fmt", ["%f\n", "%5d\n", "%r\0", "%", "%s\n",
+                                 "%%\n"])
 def test_other_conversions_rejected(fmt):
     with pytest.raises(ValueError):
         format_rows(fmt, [[1.0]])
 
 
 @pytest.mark.parametrize("fmt, column", [("%d", [1.5]), ("%r", [1]),
-                                         ("%s", [1.0]), ("%d", [[1, 2]])])
+                                         ("%d", [[1, 2]])])
 def test_column_of_another_kind_rejected(fmt, column):
     with pytest.raises(TypeError):
         format_rows(fmt, [column])
@@ -99,20 +99,17 @@ def column(kind, n):
         "bool": st.booleans(),
         "float": st.floats(allow_subnormal=True),
         "float_bits": st.integers(0, 2 ** 64 - 1),
-        "str": st.text(st.characters(blacklist_characters="\0"), max_size=6),
     }[kind]
     dtype = {"int": np.int64, "bool": bool, "float": float,
-             "float_bits": np.uint64, "str": str}[kind]
+             "float_bits": np.uint64}[kind]
     array = st.lists(values, min_size=n, max_size=n).map(
         lambda v: np.array(v, dtype=dtype))
     return array.map(lambda a: a.view(np.float64)) if kind == "float_bits" \
         else array
 
 
-SPEC = {"int": "%d", "bool": "%d", "float": "%r", "float_bits": "%r",
-        "str": "%s"}
-LITERAL = st.text(st.characters(blacklist_characters="\0"), max_size=4).map(
-    lambda text: text.replace("%", "%%"))
+SPEC = {"int": "%d", "bool": "%d", "float": "%r", "float_bits": "%r"}
+LITERAL = st.text(st.characters(blacklist_characters="\0%"), max_size=4)
 
 
 @st.composite

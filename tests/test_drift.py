@@ -12,7 +12,10 @@ ZERO_DRIFT = ["max |delta| %s: 0" % name
               for name in ("error_s", "doppler", "tau", "lse", "received",
                            "noise_std", "truth_alpha_s", "truth_doppler",
                            "baseline_n", "baseline_delay_s", "baseline_flag",
-                           "baseline_error_s", "dump_signal")]
+                           "baseline_error_s", "dump_signal")] \
+    + ["%s.csv: identical" % name
+       for name in ("received", "truth", "segments", "errors", "delays",
+                    "baseline_errors", "dump")]
 
 
 def drift(tmp_path, new_tree, settings=""):
@@ -60,3 +63,4 @@ def test_changed_literal_exits_one(tmp_path):
     lines = done.stdout.splitlines()
     assert "max |delta| noise_std: 0" in lines
     assert "max |delta| received: 0" not in lines
+    assert "received.csv: differs" in lines and "dump.csv: identical" in lines

@@ -576,7 +576,8 @@ class TestCsvWriterBytes:
                          per_line_path_major("%d,%s,%r,%d\n", n_grid,
                                              delays, flags))
 
-    # 100 segments make 300 lines, more than one block of rows
+    # a segment is one row of three lines: 100 segments make 300 lines
+    # in one block of 100 rows
     @pytest.mark.parametrize("count", [0, 1, 5, 100])
     def test_segments(self, tmp_path, count):
         rng = np.random.default_rng(count)
@@ -645,7 +646,7 @@ class TestCsvWriterBytes:
             for kind in ("int64", "range"):
                 self.test_errors(at / "errors" / kind, size, kind)
                 self.test_delays(at / "delays" / kind, size, kind)
-        # each segment is a block of its own
+        # the segments, a row each, fit one block, which no child writes
         for count in (0, 1, 5, 100):
             self.test_segments(tmp_path / "segments" / str(count), count)
         self.test_dump_signal(tmp_path / "dump")
@@ -654,7 +655,7 @@ class TestCsvWriterBytes:
             self.test_compare_plot(tmp_path / "plot" / str(window), window)
             assert_no_child()
 
-    # a 21-segment segments.csv is 21 one-block parts but 63 lines
+    # a 21-segment segments.csv is one block of 21 rows but 63 lines
     def test_one_block_of_rows_starts_no_child(self, tmp_path, monkeypatch):
         def no_fork():
             pytest.fail("forked for at most one block of rows")

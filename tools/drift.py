@@ -9,19 +9,24 @@ every output of the simulator (the received stream, the noise level it was
 drawn at and the truth's per-path warp and Doppler), the tracker's segments
 and per-path error trace, the baseline's iteration samples, per-path delays,
 no-peak flags and per-path error trace, and the waveform that `dump_signal`
-writes (read back from its CSV). The report says whether the segment
-boundaries are equal and gives the largest |delta| of the per-path error,
-when the boundaries are equal of each segment's per-path Doppler and tau and
-its lse, and then of the simulator's, the baseline's and dump_signal's
-outputs; flags count 1 when raised. It exits 0 when nothing drifts (a tree
-compared with itself) and 1 when the boundaries differ or any |delta| is not
-zero; a place where both trees hold the same value, an infinity or NaN
-included, does not drift, and arrays of different shapes drift by inf.
+writes (read back from its CSV). It also writes every artifact CSV of the
+run: the received stream, the truth, the tracker's segments and errors, the
+baseline's delays and errors, and the dump_signal waveform. The report says
+whether the segment boundaries are equal and gives the largest |delta| of
+the per-path error, when the boundaries are equal of each segment's
+per-path Doppler and tau and its lse, and then of the simulator's, the
+baseline's and dump_signal's outputs; flags count 1 when raised. Then it
+says of each CSV whether the two trees wrote it byte for byte the same. It
+exits 0 when nothing drifts (a tree compared with itself) and 1 when the
+boundaries differ, any |delta| is not zero or any CSV differs; a place where
+both trees hold the same value, an infinity or NaN included, does not drift,
+and arrays of different shapes drift by inf.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import math
 import os
 import subprocess
@@ -42,6 +47,12 @@ segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
 n_grid, baseline_delay, flags, btrace, _ = harness.baseline_stream(
     cfg, sig, r, truth)
 harness.dump_signal(cfg, out + ".dump.csv")
+harness.write_received(out + ".received.csv", r)
+harness.write_truth(out + ".truth.csv", truth)
+harness.write_segments(out + ".segments.csv", segments)
+harness.write_errors(out + ".errors.csv", trace)
+harness.write_delays(out + ".delays.csv", n_grid, baseline_delay, flags)
+harness.write_errors(out + ".baseline_errors.csv", btrace)
 np.savez(out, module=dopptrack.__file__,
          bounds=np.array([(s.a, s.b) for s in segments]),
          doppler=np.array([s.doppler for s in segments]),
@@ -54,9 +65,14 @@ np.savez(out, module=dopptrack.__file__,
          dump_signal=np.loadtxt(out + ".dump.csv", delimiter=",", skiprows=1))
 """
 
+# the CSVs each child writes, as <out>.<name>.csv
+CSVS = ("received", "truth", "segments", "errors", "delays",
+        "baseline_errors", "dump")
+
 
 def run_trees(trees, config, scratch):
-    """Run the scenario from every tree at once; one loaded .npz each."""
+    """Run the scenario from every tree at once; one loaded .npz each, with
+    the prefix of its CSVs' paths under "out"."""
     children = []
     for i, tree in enumerate(trees):
         out = os.path.join(scratch, "%d.npz" % i)
@@ -74,6 +90,7 @@ def run_trees(trees, config, scratch):
         module = str(result["module"])
         if not module.startswith(os.path.join(tree, "src", "")):
             sys.exit("drift: %s imported dopptrack from %s" % (tree, module))
+        result["out"] = out
         results.append(result)
     return results
 
@@ -107,6 +124,12 @@ def report(old, new) -> tuple[list[str], bool]:
         delta = max_delta(old[name], new[name])
         drifted |= delta != 0.0
         lines.append("max |delta| %s: %.3g" % (name, delta))
+    for name in CSVS:
+        same = filecmp.cmp(*("%s.%s.csv" % (run["out"], name)
+                             for run in (old, new)), shallow=False)
+        drifted |= not same
+        lines.append("%s.csv: %s" % (name, "identical" if same
+                                     else "differs"))
     return lines, drifted
 
 
@@ -119,8 +142,7 @@ def main():
     trees = [os.path.realpath(t) for t in (args.old_tree, args.new_tree)]
     config = [os.path.abspath(args.config)] if args.config else []
     with tempfile.TemporaryDirectory() as scratch:
-        old, new = run_trees(trees, config, scratch)
-    lines, drifted = report(old, new)
+        lines, drifted = report(*run_trees(trees, config, scratch))
     print("\n".join(lines))
     sys.exit(1 if drifted else 0)
 
