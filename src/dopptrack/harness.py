@@ -619,14 +619,12 @@ def read_truth(path: str) -> GroundTruth:
 def write_segments(path: str, segments) -> None:
     """One line per segment and path, segment-major: each segment's own
     columns are repeated over its paths."""
-    m = len(PATHS)
-
     def each(name):   # the segments' values, one per segment
         return np.array([getattr(seg, name) for seg in segments])
 
-    def per_path(name):   # (m, segments) values
+    def per_path(name):   # one row of the segments' values per path
         return np.array([getattr(seg, name) for seg in segments],
-                        dtype=float).reshape(-1, m).T
+                        dtype=float).reshape(-1, len(PATHS)).T
 
     n, a, b, lse = range(len(segments)), each("a"), each("b"), each("lse")
     # one row per segment, which names each path in its own line
