@@ -591,17 +591,16 @@ def test_criterion_10_demo_determinism(tmp_path):
     out_b = str(tmp_path / "b")
     assert cli.main(["demo", "--out", out_a]) == 0
     assert cli.main(["demo", "--out", out_b]) == 0
-    mismatched = []
-    for root, _, files in os.walk(out_a):
-        for name in files:
-            if not name.endswith(".csv"):
-                continue
-            rel = os.path.relpath(os.path.join(root, name), out_a)
-            if not filecmp.cmp(os.path.join(out_a, rel),
-                               os.path.join(out_b, rel), shallow=False):
-                mismatched.append(rel)
-    n_csv = sum(name.endswith(".csv") for _, _, fs in os.walk(out_a)
-                for name in fs)
-    report(10, n_csv >= 6 and not mismatched,
-           "two demo runs: %d CSV artifacts byte-identical%s"
-           % (n_csv, "" if not mismatched else ", mismatches: %s" % mismatched))
+    # every artifact: the CSVs, both summary.json and compare.json
+    names = sorted(os.path.relpath(os.path.join(root, name), out_a)
+                   for root, _, files in os.walk(out_a) for name in files)
+    mismatched = [rel for rel in names
+                  if not os.path.exists(os.path.join(out_b, rel))
+                  or not filecmp.cmp(os.path.join(out_a, rel),
+                                     os.path.join(out_b, rel), shallow=False)]
+    n_csv = sum(rel.endswith(".csv") for rel in names)
+    n_json = sum(rel.endswith(".json") for rel in names)
+    report(10, n_csv >= 6 and n_json >= 3 and not mismatched,
+           "two demo runs: %d CSV and %d JSON artifacts byte-identical%s"
+           % (n_csv, n_json,
+              "" if not mismatched else ", mismatches: %s" % mismatched))

@@ -65,3 +65,29 @@ def test_exit_code_table_lists_each_code_once():
 def test_cli_docstring_gives_one_line_per_exit_code():
     codes = re.findall(r"^    (\d)  \S", cli.__doc__, re.M)
     assert sorted(codes) == [str(k) for k in range(6)]
+
+
+def test_output_table_lists_each_file_the_steps_write(tmp_path):
+    """Every file a CLI step writes has a row naming that step as a writer,
+    and every row's writers write it: each step runs into a directory of its
+    own, and the report and dump are named as the table names them."""
+    short = ["--duration", "0.02"]
+    sim, track, baseline = (str(tmp_path / step)
+                            for step in ("simulate", "track", "baseline"))
+    steps = {
+        "simulate": [*short, "--out", sim],
+        "track": [*short, "--in", sim, "--out", track],
+        "baseline": [*short, "--in", sim, "--out", baseline],
+        "compare": ["--a", track, "--b", baseline,
+                    "--out", str(tmp_path / "compare" / "<report>")],
+        "dump-signal": [*short,
+                        "--out", str(tmp_path / "dump-signal" / "<dump>.csv")],
+    }
+    for step, argv in steps.items():
+        os.makedirs(tmp_path / step, exist_ok=True)
+        assert cli.main([step, *argv]) == 0
+    written = {(name, step) for step in steps
+               for name in os.listdir(tmp_path / step)}
+    rows = readme_table("| file | columns | writer |")
+    assert written == {(row[0].strip("`"), writer) for row in rows
+                       for writer in row[2].split(", ")}

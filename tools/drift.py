@@ -1,26 +1,20 @@
-"""Report how far the answers of two source trees drift apart.
+"""Report which files two source trees' CLI runs write differently.
 
     python tools/drift.py OLD_TREE NEW_TREE [--config FILE]
 
-Each tree's `src/` is imported in a child process of its own, which
-simulates the scenario (the defaults, or FILE read by the tree's
-`harness.load_config`), runs the tracker and the baseline over it and saves
-every output of the simulator (the received stream, the noise level it was
-drawn at and the truth's per-path warp and Doppler), the tracker's segments
-and per-path error trace, the baseline's iteration samples, per-path delays,
-no-peak flags and per-path error trace, and the waveform that `dump_signal`
-writes (read back from its CSV). It also writes every artifact CSV of the
-run: the received stream, the truth, the tracker's segments and errors, the
-baseline's delays and errors, and the dump_signal waveform. The report says
-whether the segment boundaries are equal and gives the largest |delta| of
-the per-path error, when the boundaries are equal of each segment's
-per-path Doppler and tau and its lse, and then of the simulator's, the
-baseline's and dump_signal's outputs; flags count 1 when raised. Then it
-says of each CSV whether the two trees wrote it byte for byte the same. It
-exits 0 when nothing drifts (a tree compared with itself) and 1 when the
-boundaries differ, any |delta| is not zero or any CSV differs; a place where
-both trees hold the same value, an infinity or NaN included, does not drift,
-and arrays of different shapes drift by inf.
+Each tree's `src/` is imported in a child process of its own, which runs
+that tree's `dopptrack` CLI into a directory of its own: `simulate --out
+sim`, `track --in sim --out track` (exit 3, the tracker's divergence flag,
+is a finished run), `baseline --in sim --out baseline`, `compare --a track
+--b baseline --out compare.json` and `dump-signal --out dump.csv`; every
+step but `compare` is given `--config FILE` when FILE is. The report prints
+one line per file either run wrote, in sorted order: `identical`, `differs`
+or `written by one tree only`. Under a CSV that differs it prints the
+largest |delta| of each column by header name, taken over the fields that
+differ; a column whose length differs, or where a field that is not a number
+differs, drifts by inf. It exits 0 when every file the CLI writes is
+byte-identical in both trees, 1 when any file drifts, and 2 when a tree's
+run fails or does not import `dopptrack` from the tree's own `src/`.
 """
 
 from __future__ import annotations
@@ -37,100 +31,96 @@ import numpy as np
 
 CHILD = """
 import sys
-import numpy as np
 import dopptrack
-from dopptrack import harness
-out, config = sys.argv[1], sys.argv[2:]
-cfg = harness.load_config(config[0]) if config else harness.default_config()
-sig, scene, r, truth = harness.simulate_stream(cfg)
-segments, trace, _ = harness.track_stream(cfg, sig, r, truth)
-n_grid, baseline_delay, flags, btrace, _ = harness.baseline_stream(
-    cfg, sig, r, truth)
-harness.dump_signal(cfg, out + ".dump.csv")
-harness.write_received(out + ".received.csv", r)
-harness.write_truth(out + ".truth.csv", truth)
-harness.write_segments(out + ".segments.csv", segments)
-harness.write_errors(out + ".errors.csv", trace)
-harness.write_delays(out + ".delays.csv", n_grid, baseline_delay, flags)
-harness.write_errors(out + ".baseline_errors.csv", btrace)
-np.savez(out, module=dopptrack.__file__,
-         bounds=np.array([(s.a, s.b) for s in segments]),
-         doppler=np.array([s.doppler for s in segments]),
-         tau=np.array([s.tau for s in segments]),
-         lse=np.array([s.lse for s in segments]),
-         error_s=trace.abs_err, received=r, noise_std=scene.noise_std,
-         truth_alpha_s=truth.alpha, truth_doppler=truth.doppler,
-         baseline_n=n_grid, baseline_delay_s=baseline_delay,
-         baseline_flag=flags, baseline_error_s=btrace.abs_err,
-         dump_signal=np.loadtxt(out + ".dump.csv", delimiter=",", skiprows=1))
+from dopptrack.cli import main
+print(dopptrack.__file__)
+config = sys.argv[1:]
+for argv in (["simulate", *config, "--out", "sim"],
+             ["track", *config, "--in", "sim", "--out", "track"],
+             ["baseline", *config, "--in", "sim", "--out", "baseline"],
+             ["compare", "--a", "track", "--b", "baseline",
+              "--out", "compare.json"],
+             ["dump-signal", *config, "--out", "dump.csv"]):
+    code = main(argv)
+    if code and not (code == 3 and argv[0] == "track"):
+        sys.exit(code)
 """
 
-# the CSVs each child writes, as <out>.<name>.csv
-CSVS = ("received", "truth", "segments", "errors", "delays",
-        "baseline_errors", "dump")
+
+def fail(message):
+    """A run that did not finish gives no answer to compare: exit 2."""
+    print("drift: %s" % message, file=sys.stderr)
+    sys.exit(2)
 
 
-def run_trees(trees, config, scratch):
-    """Run the scenario from every tree at once; one loaded .npz each, with
-    the prefix of its CSVs' paths under "out"."""
-    children = []
+def run_trees(trees, config, scratch) -> list[str]:
+    """Run the CLI from every tree at once; each run's output directory."""
+    runs = []
     for i, tree in enumerate(trees):
-        out = os.path.join(scratch, "%d.npz" % i)
+        out = os.path.join(scratch, str(i))
+        os.mkdir(out)
         env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-        child = subprocess.Popen([sys.executable, "-c", CHILD, out, *config],
-                                 cwd=tree, env=env)
-        children.append((tree, out, child))
-    codes = [child.wait() for _, _, child in children]
-    results = []
-    for (tree, out, _), code in zip(children, codes):
-        if code != 0:
-            sys.exit("drift: the run from %s failed" % tree)
-        with np.load(out) as saved:
-            result = dict(saved)
-        module = str(result["module"])
+        runs.append((tree, out, subprocess.Popen(
+            [sys.executable, "-c", CHILD, *config], cwd=out, env=env,
+            stdout=subprocess.PIPE, text=True)))
+    printed = [child.communicate()[0] for _, _, child in runs]
+    for (tree, _, child), text in zip(runs, printed):
+        if child.returncode != 0:
+            fail("the run from %s failed" % tree)
+        module = text.partition("\n")[0]
         if not module.startswith(os.path.join(tree, "src", "")):
-            sys.exit("drift: %s imported dopptrack from %s" % (tree, module))
-        result["out"] = out
-        results.append(result)
-    return results
+            fail("%s imported dopptrack from %s" % (tree, module))
+    return [out for _, out, _ in runs]
 
 
-def max_delta(a, b) -> float:
-    """The largest |a - b| of two arrays, booleans taken as 0 and 1, where
-    places equal in both, or NaN in both, count as zero (inf - inf would be
-    NaN); NaN when one side alone is NaN, inf when the shapes differ."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+def files(top) -> set[str]:
+    """The path of every file under top, relative to top."""
+    return {os.path.relpath(os.path.join(root, name), top)
+            for root, _, names in os.walk(top) for name in names}
+
+
+def columns(path) -> dict:
+    """A CSV's columns by header name, each an array of its fields' text."""
+    with open(path) as f:
+        header, *rows = (line.rstrip("\n").split(",") for line in f)
+    return {name: np.array(column)
+            for name, column in zip(header, zip(*rows))}
+
+
+def column_delta(old, new) -> float:
+    """The largest |old - new| of two text columns over the fields that
+    differ: NaN where one side alone is NaN, inf when the lengths differ or
+    a differing field is not a number."""
+    if old.shape != new.shape:
         return math.inf
-    equal = (a == b) | (np.isnan(a) & np.isnan(b))
-    with np.errstate(invalid="ignore"):
-        return float(np.max(np.where(equal, 0.0, np.abs(a - b)), initial=0.0))
+    differ = old != new
+    try:
+        old, new = old[differ].astype(float), new[differ].astype(float)
+    except ValueError:
+        return math.inf
+    return float(np.max(np.abs(old - new), initial=0.0))
 
 
-def report(old, new) -> tuple[list[str], bool]:
-    """The report's lines, and whether anything drifted."""
-    same = np.array_equal(old["bounds"], new["bounds"])
-    lines = ["boundaries: %s (%d segments old, %d new)"
-             % ("equal" if same else "differ", len(old["bounds"]),
-                len(new["bounds"]))]
-    drifted = not same
-    for name in ("error_s", "doppler", "tau", "lse", "received", "noise_std",
-                 "truth_alpha_s", "truth_doppler", "baseline_n",
-                 "baseline_delay_s", "baseline_flag", "baseline_error_s",
-                 "dump_signal"):
-        if name in ("doppler", "tau", "lse") and not same:
-            lines.append("max |delta| %s: n/a, boundaries differ" % name)
-            continue
-        delta = max_delta(old[name], new[name])
-        drifted |= delta != 0.0
-        lines.append("max |delta| %s: %.3g" % (name, delta))
-    for name in CSVS:
-        same = filecmp.cmp(*("%s.%s.csv" % (run["out"], name)
-                             for run in (old, new)), shallow=False)
-        drifted |= not same
-        lines.append("%s.csv: %s" % (name, "identical" if same
-                                     else "differs"))
-    return lines, drifted
+def report(old_dir, new_dir) -> list[str]:
+    """One line per file either directory holds, and under a CSV that
+    differs one line per column."""
+    old_files, new_files = files(old_dir), files(new_dir)
+    lines = []
+    for name in sorted(old_files | new_files):
+        old, new = os.path.join(old_dir, name), os.path.join(new_dir, name)
+        if (name in old_files) != (name in new_files):
+            lines.append("%s: written by one tree only" % name)
+        elif filecmp.cmp(old, new, shallow=False):
+            lines.append("%s: identical" % name)
+        else:
+            lines.append("%s: differs" % name)
+            if name.endswith(".csv"):
+                old, new = columns(old), columns(new)
+                none = np.array([], dtype=str)
+                lines += ["  max |delta| %s: %.3g" % (column, column_delta(
+                    old.get(column, none), new.get(column, none)))
+                    for column in dict.fromkeys([*old, *new])]
+    return lines
 
 
 def main():
@@ -140,11 +130,11 @@ def main():
     parser.add_argument("--config", help="INI run configuration for both")
     args = parser.parse_args()
     trees = [os.path.realpath(t) for t in (args.old_tree, args.new_tree)]
-    config = [os.path.abspath(args.config)] if args.config else []
+    config = ["--config", os.path.abspath(args.config)] if args.config else []
     with tempfile.TemporaryDirectory() as scratch:
-        lines, drifted = report(*run_trees(trees, config, scratch))
+        lines = report(*run_trees(trees, config, scratch))
     print("\n".join(lines))
-    sys.exit(1 if drifted else 0)
+    sys.exit(0 if all(line.endswith(": identical") for line in lines) else 1)
 
 
 if __name__ == "__main__":
